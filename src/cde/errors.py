@@ -57,5 +57,9 @@ class NotVexillaryError(CdeError):
     """The operation is only defined for vexillary permutations."""
 
 
+class ReconciliationError(CdeError):
+    """Two independent computations of the same number disagree."""
+
+
 class UnknownSuiteError(CdeError):
     """No verification suite with the requested id exists."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .core import IntPolynomial
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     NotBarelySetValuedError,
     NotCornerError,
     RangeError,
+    ReconciliationError,
 )
 from .poset import FinitePoset, _check_capacity, _validated
 
@@ -286,13 +287,30 @@ def _checked_flag(shape, flag) -> tuple[int, ...]:
     return flag[:rows]
 
 
+def _accumulate(counts, key, vec):
+    """Add the count vector `vec` into counts[key]; vectors are never
+    changed in place, so one may be stored under several keys."""
+    old = counts.get(key)
+    counts[key] = vec if old is None else [a + b for a, b in zip(old, vec)]
+
+
 def count_ssyt_by_total(shape, flag, max_total: int) -> dict[int, int]:
     """Counts of column-strict set-valued tableaux of `shape`, flagged
     row-wise by `flag`, keyed by total entry count up to `max_total`.
 
-    One pass of a row-profile DP: the state after row i is the tuple of cell
-    maxima in the columns row i+1 will sit under, plus the number of entries
-    spent so far.
+    One transfer-matrix pass (EC1 4.7) that fills the cells one at a time in
+    row-major order. The state is the frontier: one cell maximum per column
+    of the current row, the new row's values left of the next cell and the
+    row above's values from it on. A column that no later cell reads is
+    reset to 0, so that states which differ only there merge. Each state
+    carries a vector of counts indexed by the extra entries so far (entries
+    minus cells placed, at most `max_total` minus the number of cells).
+
+    A cell whose entries must be at least lo (the maximum to its left, one
+    more than the maximum above it) and whose maximum is v holds v and any
+    subset of lo..v-1, so it multiplies the vector, read as a polynomial in
+    y, by (1 + y)^(v - lo), truncated. Frontiers that differ only in the value above the cell are
+    swept together over v, one factor (1 + y) per step.
     """
     shape = check_partition(shape) if shape else ()
     rows = len(shape)
@@ -302,47 +320,39 @@ def count_ssyt_by_total(shape, flag, max_total: int) -> dict[int, int]:
     ncells = sum(shape)
     if max_total < ncells:
         return {}
-    states = {((0,) * shape[0], 0): 1}
+    states = {(0,) * shape[0]: [1] + [0] * (max_total - ncells)}
     for i in range(rows):
-        k = shape[i]
         keep = shape[i + 1] if i + 1 < rows else 0
-        bound = flag[i]
-        next_bound = flag[i + 1] if i + 1 < rows else None
-        cells_after = sum(shape[i + 1 :])
-        new_states = {}
-        for (topmax, used), ways in states.items():
-            row_states = {(0, 0, ()): ways}
-            for j in range(k):
-                tm = topmax[j]
-                rem_cells_row = k - j - 1
-                nxt = {}
-                for (pm, e, kept), wy in row_states.items():
-                    lo = max(pm, tm + 1, 1)
-                    if lo > bound:
-                        continue
-                    max_here = max_total - used - e - rem_cells_row - cells_after
-                    if max_here < 1:
-                        continue
-                    for v in range(lo, bound + 1):
-                        if j < keep:
-                            if v >= next_bound:
-                                break  # the cell below could never exceed v
-                            kept2 = kept + (v,)
-                        else:
-                            kept2 = kept
-                        free = v - lo
-                        for s in range(1, min(max_here, free + 1) + 1):
-                            key = (v, e + s, kept2)
-                            nxt[key] = nxt.get(key, 0) + wy * comb(free, s - 1)
-                row_states = nxt
-            for (pm, e, kept), wy in row_states.items():
-                key = (kept, used + e)
-                new_states[key] = new_states.get(key, 0) + wy
-        states = new_states
-    out = {}
-    for (_, total), ways in states.items():
-        out[total] = out.get(total, 0) + ways
-    return out
+        for j in range(shape[i]):
+            # A cell with a cell below it leaves room for a larger maximum there.
+            hi = min(flag[i], flag[i + 1] - 1) if j < keep else flag[i]
+            columns = {}
+            for front, vec in states.items():
+                columns.setdefault((front[:j], front[j + 1 :]), []).append((front[j], vec))
+            nxt = {}
+            for (head, tail), column in columns.items():
+                left = head[-1] if j else 0
+                if j > keep:
+                    head = head[:-1] + (0,)
+                entering = {}
+                for above, vec in column:
+                    _accumulate(entering, max(left, above + 1), vec)
+                start = min(entering)
+                sweep = entering[start]
+                for v in range(start, hi + 1):
+                    if v > start:  # one more factor (1 + y)
+                        sweep = sweep[:1] + [a + b for a, b in zip(sweep[1:], sweep)]
+                        if v in entering:
+                            sweep = [a + b for a, b in zip(sweep, entering[v])]
+                    _accumulate(nxt, head + (v,) + tail, sweep)
+            states = nxt
+        # The next row reads only the columns it sits under.
+        truncated = {}
+        for front, vec in states.items():
+            _accumulate(truncated, front[:keep], vec)
+        states = truncated
+    vec = states.get((), ())
+    return {ncells + e: c for e, c in enumerate(vec) if c}
 
 
 def count_ssyt(shape, flag, total: int) -> int:
@@ -417,8 +427,11 @@ def R_and_Rplus(shape) -> tuple[int, int]:
     counts = count_ssyt_by_total(shape, flag, n + 1)
     r_cnt = counts.get(n, 0) if shape else 1
     rp_cnt = counts.get(n + 1, 0)
-    assert r_rec == r_cnt, (shape, r_rec, r_cnt)
-    assert rp_rec == rp_cnt, (shape, rp_rec, rp_cnt)
+    if (r_rec, rp_rec) != (r_cnt, rp_cnt):
+        raise ReconciliationError(
+            f"R, R+ of {shape}: corner recurrence gives {(r_rec, rp_rec)}, "
+            f"flagged tableau count gives {(r_cnt, rp_cnt)}"
+        )
     return r_rec, rp_rec
 
 

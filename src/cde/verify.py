@@ -496,7 +496,7 @@ def _suite_recurrences(params):
                 return (str(direct), str(rec), rec == direct)
         elif kind == "rplus":
             def run(shape=shape):
-                r, rp = tb.R_and_Rplus(shape)  # asserts both routes agree
+                r, rp = tb.R_and_Rplus(shape)  # raises if its two routes disagree
                 p = tb.young_interval(shape)
                 ok = p.n == r and len(p.covers) == rp
                 return (f"({p.n},{len(p.covers)})", f"({r},{rp})", ok)

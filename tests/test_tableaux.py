@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cde import tableaux
 from cde.core import IntPolynomial
 from cde.errors import (
     MalformedInputError,
     NotBarelySetValuedError,
     NotCornerError,
     RangeError,
+    ReconciliationError,
 )
 from cde.poset import expectation_X, expectation_Y, is_isomorphic, chain, stats
 from cde.tableaux import (
@@ -17,6 +25,7 @@ from cde.tableaux import (
     barely_to_triple,
     chain_to_standard,
     count_ssyt,
+    count_ssyt_by_total,
     cover_to_flagged_barely,
     crowd,
     default_flag,
@@ -212,11 +221,119 @@ def test_flag_shorter_than_rows_is_an_error():
     assert count_ssyt((2, 1), (2, 3, 9, 9), 3) == 5
 
 
+def _bruteforce_by_total(shape, flag, max_total):
+    tally = {}
+    for total in range(max_total + 1):
+        found = len(bruteforce.set_valued_tableaux(shape, flag, total))
+        if found:
+            tally[total] = found
+    return tally
+
+
+@st.composite
+def _flagged_cases(draw):
+    shape = tuple(sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True))
+    flag = tuple(
+        draw(st.lists(st.integers(1, 7), min_size=len(shape), max_size=len(shape) + 1))
+    )
+    n = sum(shape)
+    return shape, flag, draw(st.integers(n - 1, n + 4))
+
+
+@given(_flagged_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_count_ssyt_by_total_matches_bruteforce(case):
+    shape, flag, max_total = case
+    # Keep the enumeration small: row i offers at most flag[i] - i values.
+    assume(sum(r * max(0, b - i) for i, (r, b) in enumerate(zip(shape, flag))) <= 28)
+    assert count_ssyt_by_total(shape, flag, max_total) == _bruteforce_by_total(
+        shape, flag, max_total
+    )
+
+
+def test_count_ssyt_by_total_edge_cases():
+    cases = [
+        ((), (), -1),
+        ((), (), 0),
+        ((), (), 3),
+        ((3, 1), (4, 5), 3),  # max_total below the cell count
+        ((2, 1), (2, 3, 1, 9), 5),  # flag longer than the shape
+        ((2, 2), (5, 1), 6),  # flag below the row index
+        ((3, 2, 1), (4, 2, 6), 8),  # non-monotone flag
+    ]
+    for shape, flag, max_total in cases:
+        assert count_ssyt_by_total(shape, flag, max_total) == _bruteforce_by_total(
+            shape, flag, max_total
+        )
+    assert count_ssyt_by_total((), (), -1) == {}
+    assert count_ssyt_by_total((), (), 3) == {0: 1}
+    assert count_ssyt_by_total((3, 1), (4, 5), 3) == {}
+
+
+def _one_row_count(k, f, t):
+    """Rows of k cells with t entries in 1..f: a composition of t into k
+    cells, then t values in 1..f that may repeat only across the k - 1 cell
+    boundaries."""
+    return comb(t - 1, k - 1) * comb(f + k - 1, t)
+
+
+def test_one_row_formula_matches_bruteforce():
+    for k in range(1, 5):
+        for f in range(1, 7):
+            got = _bruteforce_by_total((k,), (f,), k + 4)
+            want = {t: _one_row_count(k, f, t) for t in range(k, k + 5)}
+            assert got == {t: c for t, c in want.items() if c}
+
+
+def test_count_ssyt_by_total_pinned_values():
+    assert count_ssyt_by_total((4, 3, 2, 1), (14, 15, 16, 17), 12) == {
+        10: 166768096,
+        11: 4335970496,
+        12: 56367616448,
+    }
+    assert count_ssyt_by_total((4, 3, 2, 1), (2, 3, 4, 5), 11) == {10: 42, 11: 84}
+    # Every passed column of a single row is dead; the brute force would list
+    # 36 million tableaux, so the one-row formula stands in for it.
+    assert count_ssyt_by_total((7,), (12,), 15) == {
+        t: _one_row_count(7, 12, t) for t in range(7, 16)
+    }
+
+
 def test_R_and_Rplus():
     assert R_and_Rplus((2, 1)) == (5, 5)
     assert R_and_Rplus((1,)) == (2, 1)
     r, rp = R_and_Rplus((4, 2))
     assert Fraction(rp, r) == Fraction(4, 3)
+
+
+def test_R_and_Rplus_raises_when_routes_disagree(monkeypatch):
+    monkeypatch.setattr(tableaux, "count_ssyt_by_total", lambda shape, flag, max_total: {})
+    with pytest.raises(ReconciliationError):
+        R_and_Rplus((2, 1))
+
+
+def test_R_and_Rplus_raises_under_optimize():
+    script = (
+        "import cde.tableaux as tb\n"
+        "from cde.errors import ReconciliationError\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "tb.count_ssyt_by_total = lambda shape, flag, max_total: {}\n"
+        "try:\n"
+        "    tb.R_and_Rplus((2, 1))\n"
+        "except ReconciliationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('R_and_Rplus accepted a wrong count')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_tableau_formulas_match_poset_statistics():
