@@ -17,7 +17,7 @@ from . import permutations as perm
 from . import poset as ps
 from . import tableaux as tb
 from . import verify
-from .errors import CdeError
+from .errors import CdeError, MalformedInputError
 
 _BUILDER_KEYS = ("n", "a", "b", "c", "d")
 
@@ -41,10 +41,17 @@ def _emit(data: dict, args, order=None):
         print(line)
 
 
+def _ints(text: str, parts, what: str) -> list[int]:
+    try:
+        return [int(v) for v in parts if v]
+    except ValueError as exc:
+        raise MalformedInputError(f"{what} {text!r} is not a list of integers") from exc
+
+
 def _parse_shape(text: str):
     if text in ("", "0"):
         return ()
-    return tb.check_partition(int(v) for v in text.replace(" ", ",").split(",") if v)
+    return tb.check_partition(_ints(text, text.replace(" ", ",").split(","), "shape"))
 
 
 def _parse_perm(text: str):
@@ -52,14 +59,14 @@ def _parse_perm(text: str):
         parts = text.replace(",", " ").split()
     else:
         parts = list(text)
-    return perm.check_permutation(int(v) for v in parts)
+    return perm.check_permutation(_ints(text, parts, "permutation"))
 
 
 def _perm_from_args(args):
     """Accept a permutation in one-line notation (--w) or as the 0-Hecke
     product of a comma-separated generator word (--word)."""
     if getattr(args, "word", None):
-        letters = [int(v) for v in args.word.replace(" ", ",").split(",") if v]
+        letters = _ints(args.word, args.word.replace(" ", ",").split(","), "word")
         n = args.n if getattr(args, "n", None) else (max(letters) + 1 if letters else 1)
         return perm.word_to_hecke(letters, n)
     if args.w:
@@ -69,8 +76,12 @@ def _perm_from_args(args):
 
 def _poset_from_args(args) -> ps.FinitePoset:
     if args.file:
-        with open(args.file) as fh:
-            p = ps.load_poset(fh.read())
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedInputError(f"cannot read {args.file!r}: {exc}") from exc
+        p = ps.load_poset(text)
     else:
         if not args.builder:
             raise CdeError("need --file or --builder")

@@ -46,7 +46,7 @@ class RangeError(CdeError):
 
 
 class NotCornerError(CdeError):
-    """The given cell is not an inner corner of the tableau shape."""
+    """The given cell is not a corner of the shape where one is required."""
 
 
 class MalformedInputError(CdeError):

@@ -20,6 +20,7 @@ from .errors import (
     MalformedInputError,
     NotCoverError,
     NotReducedError,
+    ReconciliationError,
     SizeError,
 )
 
@@ -484,70 +485,70 @@ def tamari(n: int) -> FinitePoset:
     return _validated(len(tris), covers, labels)
 
 
-def order_ideals(p: FinitePoset) -> list[frozenset[int]]:
-    """All order ideals (down-closed subsets), sorted for determinism."""
-    ideals = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for ideal in frontier:
+def _ideals(p: FinitePoset) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Every order ideal of p as a bitmask, and the covers of J(P).
+
+    Ideals come by size, then lexicographically on their sorted elements; a
+    cover (i, j, e) says ideal j is ideal i plus element e, and covers come
+    sorted by i.  This is the one walk over ideals in the package.
+    """
+    lower = [sum(1 << z for z in zs) for zs in p.lower_covers]
+    cap = capacity()
+    masks = [0]
+    covers = []
+    start = 0
+    while start < len(masks):
+        end = len(masks)
+        grown = []
+        fresh = set()
+        for i in range(start, end):
+            m = masks[i]
             for e in range(p.n):
-                if e in ideal:
-                    continue
-                if all(z in ideal for z in p.lower_covers[e]):
-                    bigger = ideal | {e}
-                    if bigger not in ideals:
-                        ideals.add(bigger)
-                        nxt.append(bigger)
-                        _check_capacity(len(ideals), "order ideal enumeration")
-        frontier = nxt
-    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+                if not (m >> e) & 1 and lower[e] & m == lower[e]:
+                    grown.append((i, m | 1 << e, e))
+                    fresh.add(m | 1 << e)
+                    if end + len(fresh) > cap:
+                        _check_capacity(end + len(fresh), "order ideal enumeration")
+        # descending on the bits read from element 0 up: a smaller first
+        # differing element comes first
+        masks += sorted(fresh, key=lambda g: format(g, f"0{p.n}b")[::-1], reverse=True)
+        index = {g: j for j, g in enumerate(masks[end:], end)}
+        covers += [(i, index[g], e) for i, g, e in grown]
+        start = end
+    return masks, covers
+
+
+def _members(mask: int, n: int) -> list[int]:
+    return [e for e in range(n) if (mask >> e) & 1]
+
+
+def order_ideals(p: FinitePoset) -> list[frozenset[int]]:
+    """All order ideals (down-closed subsets), by size, then lexicographically."""
+    return [frozenset(_members(m, p.n)) for m in _ideals(p)[0]]
 
 
 def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     """Distributive lattice of order ideals, ordered by containment."""
-    ideals = order_ideals(p)
-    index = {ideal: i for i, ideal in enumerate(ideals)}
-    covers = set()
-    for ideal in ideals:
-        for e in range(p.n):
-            if e in ideal:
-                continue
-            if all(z in ideal for z in p.lower_covers[e]):
-                covers.add((index[ideal], index[ideal | {e}]))
-    labels = ["{" + ",".join(p.label(e) for e in sorted(ideal)) + "}" for ideal in ideals]
-    return _validated(len(ideals), covers, labels)
+    masks, covers = _ideals(p)
+    labels = ["{" + ",".join(p.label(e) for e in _members(m, p.n)) + "}" for m in masks]
+    return _validated(len(masks), {(i, j) for i, j, _ in covers}, labels)
 
 
 def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     """In the ideal lattice of `base`, check that under the m-multichain
     distribution each base element is as likely to be maximal in the ideal as
-    minimal in its complement."""
+    minimal in its complement.
+
+    A cover (i, j, e) of J says e is maximal in ideal j and minimal in the
+    complement of ideal i, and every such incidence is one cover.
+    """
     _require_nonempty(base)
-    ideals = order_ideals(base)
-    index = {ideal: i for i, ideal in enumerate(ideals)}
-    covers = set()
-    for ideal in ideals:
-        for e in range(base.n):
-            if e not in ideal and all(z in ideal for z in base.lower_covers[e]):
-                covers.add((index[ideal], index[ideal | {e}]))
-    J = _validated(len(ideals), covers)
-    counts = multichain_counts(J, m)
-    for e in range(base.n):
-        ups = base.upper_covers[e]
-        downs = base.lower_covers[e]
-        in_max = 0
-        in_min_complement = 0
-        for i, ideal in enumerate(ideals):
-            if e in ideal:
-                if not any(f in ideal for f in ups):
-                    in_max += counts[i]
-            else:
-                if all(z in ideal for z in downs):
-                    in_min_complement += counts[i]
-        if in_max != in_min_complement:
-            return False
-    return True
+    masks, covers = _ideals(base)
+    counts = multichain_counts(_validated(len(masks), {(i, j) for i, j, _ in covers}), m)
+    balance = [0] * base.n
+    for i, j, e in covers:
+        balance[e] += counts[j] - counts[i]
+    return not any(balance)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +556,6 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
 
 
 def _refine_colors(p: FinitePoset):
-    colors = [0] * p.n
     sig = [(p.down_degree(x), len(p.upper_covers[x])) for x in range(p.n)]
     palette = {s: i for i, s in enumerate(sorted(set(sig)))}
     colors = [palette[s] for s in sig]
@@ -628,7 +628,7 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset, node_budget: int = 200_000) ->
 
 def canonical_key(p: FinitePoset) -> tuple:
     """Canonical form for small posets (n <= 7): the lexicographically least
-    cover list over all relabelings, pruned by refinement colors."""
+    sorted cover list over all n! relabelings, tried exhaustively."""
     if p.n > 7:
         raise CapacityError("canonical_key is meant for tiny posets")
     best = None
@@ -682,32 +682,19 @@ def linear_extension_count(p: FinitePoset) -> int:
         den = 1
         for s in sizes:
             den *= s
-        assert num % den == 0
+        if num % den:
+            raise ReconciliationError(f"hook product {den} does not divide {p.n}!")
         return num // den
     return _linear_extensions_by_ideals(p)
 
 
 def _linear_extensions_by_ideals(p: FinitePoset) -> int:
-    lower = [frozenset(s) for s in map(set, p.lower_covers)]
-    upper = [frozenset(s) for s in map(set, p.upper_covers)]
-    memo = {frozenset(): 1}
-    # breadth-first over ideals, one size layer at a time
-    frontier = [frozenset()]
-    while frontier:
-        nxt = set()
-        for ideal in frontier:
-            for e in range(p.n):
-                if e not in ideal and lower[e] <= ideal:
-                    nxt.add(ideal | {e})
-        _check_capacity(len(memo) + len(nxt), "linear extension DP")
-        for ideal in nxt:
-            memo[ideal] = sum(
-                memo[ideal - {e}]
-                for e in ideal
-                if not (upper[e] & ideal)
-            )
-        frontier = nxt
-    return memo[frozenset(range(p.n))]
+    """Maximal chains of J(P): paths from the empty ideal to the full one."""
+    masks, covers = _ideals(p)
+    paths = [1] + [0] * (len(masks) - 1)
+    for i, j, _ in covers:
+        paths[j] += paths[i]
+    return paths[-1]
 
 
 def forest_merge_ratio(p: FinitePoset, i: int, j: int) -> Fraction:

@@ -113,23 +113,27 @@ def removable_corners(shape) -> list[tuple[int, int]]:
 
 
 def add_corner(shape, corner) -> tuple[int, ...]:
+    """Add the outside corner (i, j), 1-indexed; NotCornerError otherwise."""
     i, j = corner
-    shape = list(shape)
-    if i == len(shape) + 1:
-        shape.append(0)
-    shape[i - 1] += 1
-    assert shape[i - 1] == j
-    return tuple(shape)
+    rows = list(shape) + [0]
+    if not (1 <= i <= len(rows) and rows[i - 1] + 1 == j and (i == 1 or rows[i - 2] >= j)):
+        raise NotCornerError(f"{corner} is not an outside corner of {tuple(shape)}")
+    rows[i - 1] += 1
+    if rows[-1] == 0:
+        rows.pop()
+    return tuple(rows)
 
 
 def remove_corner(shape, corner) -> tuple[int, ...]:
+    """Remove the corner (i, j), 1-indexed; NotCornerError otherwise."""
     i, j = corner
-    shape = list(shape)
-    assert shape[i - 1] == j
-    shape[i - 1] -= 1
-    if shape and shape[-1] == 0:
-        shape.pop()
-    return tuple(shape)
+    rows = list(shape) + [0]
+    if not (1 <= i < len(rows) and rows[i - 1] == j and rows[i] < j):
+        raise NotCornerError(f"{corner} is not a removable corner of {tuple(shape)}")
+    rows[i - 1] -= 1
+    while rows and rows[-1] == 0:
+        rows.pop()
+    return tuple(rows)
 
 
 def rect_staircase(d: int, a: int, b: int) -> tuple[int, ...]:
@@ -247,7 +251,8 @@ def hook_f(shape) -> int:
     for row in hook_lengths(shape):
         for h in row:
             den *= h
-    assert factorial(n) % den == 0
+    if factorial(n) % den:
+        raise ReconciliationError(f"hook product {den} does not divide {n}!")
     return factorial(n) // den
 
 
@@ -881,5 +886,6 @@ def hook_content_count(shape, t: int) -> int:
     for i in range(len(shape)):
         for j in range(shape[i]):
             out *= Fraction(t + (j - i), hooks[i][j])
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise ReconciliationError(f"hook-content product {out} is not an integer")
     return int(out)

@@ -205,6 +205,19 @@ def multichains_through(leq, n, m):
     return counts
 
 
+def order_ideals(covers, n) -> list[frozenset[int]]:
+    """All order ideals of the poset on 0..n-1 with the given covers: each of
+    the 2^n subsets, by size and then lexicographically, kept when no cover
+    leads down out of it."""
+    out = []
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            chosen = set(subset)
+            if all(a in chosen for a, b in covers if b in chosen):
+                out.append(frozenset(chosen))
+    return out
+
+
 def linear_extensions(covers, n) -> int:
     """Count linear extensions by brute-force permutation filtering for tiny
     posets (n <= 8)."""

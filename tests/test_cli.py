@@ -142,6 +142,25 @@ def test_malformed_input_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("young", "stats", "--shape", "a"),
+        ("perm", "stats", "--w", "12a"),
+        ("perm", "stats", "--word", "1,x"),
+        ("poset", "stats", "--file", "no-such-dir/missing.poset"),
+        ("poset", "stats", "--file", "."),
+        ("poset", "stats", "--builder", "chain"),
+        ("poset", "stats", "--builder", "chain", "--n", "3", "--a", "2"),
+        ("poset", "stats", "--builder", "nope", "--n", "3"),
+    ],
+)
+def test_unparsable_input_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_approx_flag(capsys):
     code, out, _ = run_cli(capsys, "--approx", "young", "stats", "--shape", "3,1,1")
     assert code == 0

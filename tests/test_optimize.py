@@ -1,0 +1,62 @@
+"""Every library check raises a real error, so none is lost under python -O."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_library_has_no_assert_statements():
+    for path in sorted((SRC / "cde").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} uses assert on lines {lines}"
+
+
+# (setup, call, error): after `setup`, `call` must raise `error`
+_CHECKS = [
+    ("", "tb.add_corner((2, 1), (1, 2))", "NotCornerError"),
+    ("", "tb.add_corner((2, 2), (2, 3))", "NotCornerError"),
+    ("", "tb.remove_corner((2, 2), (1, 2))", "NotCornerError"),
+    ("tb.hook_lengths = lambda shape: [[7]]", "tb.hook_f((2, 1))", "ReconciliationError"),
+    (
+        "tb.hook_lengths = lambda shape: [[7, 1], [1]]",
+        "tb.hook_content_count((2, 1), 2)",
+        "ReconciliationError",
+    ),
+    (
+        "ps._down_set_sizes = lambda p: [7] * p.n",
+        "ps.linear_extension_count(ps.chain(3))",
+        "ReconciliationError",
+    ),
+]
+
+
+@pytest.mark.parametrize("setup, call, error", _CHECKS)
+def test_check_raises_under_optimize(setup, call, error):
+    script = (
+        "import cde.poset as ps\n"
+        "import cde.tableaux as tb\n"
+        f"from cde.errors import {error}\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        f"{setup}\n"
+        "try:\n"
+        f"    {call}\n"
+        f"except {error}:\n"
+        "    raise SystemExit(0)\n"
+        f"raise SystemExit({call!r} + ' raised nothing')\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cde.poset as poset
 from cde.errors import (
@@ -46,6 +47,7 @@ from cde.poset import (
     validate,
 )
 
+import bruteforce
 from bruteforce import linear_extensions, multichains_through
 
 
@@ -219,6 +221,65 @@ def test_order_ideal_lattice_of_grid():
 
 def test_order_ideals_of_antichain():
     assert len(order_ideals(antichain(3))) == 8
+
+
+@st.composite
+def _posets(draw, max_n=9):
+    """A poset on at most max_n elements: a random relation along a hidden
+    linear order, closed transitively, reduced to its covers, relabeled."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    relation = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    below = [{a for a, c in relation if c == b} for b in range(n)]
+    for b in range(n):  # every a < b in the hidden order is already closed
+        for a in list(below[b]):
+            below[b] |= below[a]
+    covers = {
+        (a, b) for b in range(n) for a in below[b] if not any(a in below[c] for c in below[b])
+    }
+    relabel = draw(st.permutations(range(n)))
+    p = FinitePoset(n, frozenset((relabel[a], relabel[b]) for a, b in covers))
+    validate(p)
+    return p
+
+
+def _check_ideal_views(p):
+    ideals = order_ideals(p)
+    assert ideals == bruteforce.order_ideals(p.covers, p.n)
+    J = order_ideal_lattice(p)
+    assert J.n == len(ideals)
+    assert J.covers == {
+        (i, j)
+        for i, small in enumerate(ideals)
+        for j, big in enumerate(ideals)
+        if small < big and len(big) == len(small) + 1
+    }
+    assert J.labels == tuple("{" + ",".join(map(str, sorted(s))) + "}" for s in ideals)
+    if p.n <= 8:  # the permutation filter is too slow beyond 8 elements
+        want = linear_extensions(p.covers, p.n)
+        assert linear_extension_count(p) == want
+        assert poset._linear_extensions_by_ideals(p) == want
+
+
+@given(_posets())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_ideal_views_match_bruteforce(p):
+    _check_ideal_views(p)
+
+
+def test_ideal_views_on_every_small_poset():
+    from cde.verify import all_posets_upto_iso
+
+    for n in range(1, 6):
+        for p in all_posets_upto_iso(n):
+            _check_ideal_views(p)
+            assert toggle_symmetry_check(p, 2)
+
+
+def test_toggle_symmetry_check_detects_imbalance(monkeypatch):
+    # weights that grow along J(P) make every element likelier maximal
+    monkeypatch.setattr(poset, "multichain_counts", lambda J, m: list(range(J.n)))
+    assert not toggle_symmetry_check(chain(2), 2)
 
 
 def test_toggle_symmetry():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cde.errors import MalformedInputError, UnknownSuiteError
+from cde.errors import MalformedInputError, SizeError, UnknownSuiteError
+from cde import verify
 from cde.poset import expectation_Xm, is_forest, is_mCDE_upto, product
 from cde.verify import (
     CheckReport,
@@ -81,6 +82,29 @@ def test_all_posets_upto_iso_counts():
         assert len(all_posets_upto_iso(n)) == want
 
 
+def test_all_posets_upto_iso_representatives_pinned():
+    # prop-toggle reports carry each representative's covers, so the first
+    # poset seen per isomorphism class must not change
+    assert [sorted(p.covers) for p in all_posets_upto_iso(4)] == [
+        [],
+        [(0, 3)],
+        [(0, 2), (0, 3)],
+        [(0, 1), (0, 2), (0, 3)],
+        [(0, 1), (0, 2), (1, 3)],
+        [(0, 1), (0, 2), (1, 3), (2, 3)],
+        [(0, 1), (1, 2), (1, 3)],
+        [(0, 2), (0, 3), (1, 3)],
+        [(0, 2), (0, 3), (1, 2), (1, 3)],
+        [(0, 2), (2, 3)],
+        [(0, 1), (1, 2), (2, 3)],
+        [(0, 2), (1, 2), (2, 3)],
+        [(0, 2), (1, 3), (2, 3)],
+        [(0, 3), (1, 3)],
+        [(0, 3), (1, 3), (2, 3)],
+        [(0, 2), (1, 3)],
+    ]
+
+
 def test_mcde_product_search_small():
     assert search_mcde_product_counterexample(1, 4) is None
     assert search_mcde_product_counterexample(3, 4) is None
@@ -103,6 +127,25 @@ def test_build_poset_specs():
     assert is_forest(build_poset("chain:5"))
     with pytest.raises(MalformedInputError):
         build_poset("nope:3")
+    assert build_poset("zigzag:4").covers == {(0, 1), (2, 1), (2, 3)}
+    assert build_poset("v").covers == {(0, 1), (0, 2)}
+    assert build_poset("pabcd:1,1,2,1").n == 5
+    assert build_poset("young").n == 1
+    for bad in ("chain", "chain:x", "chain:3,4", "grid", "pabcd:1,2", "m3:1",
+                "ordinal-sum-antichains:2", "young:3,a"):
+        with pytest.raises(MalformedInputError):
+            build_poset(bad)
+    # hand-built posets are validated like every other builder's
+    with pytest.raises(SizeError):
+        build_poset("zigzag:-1")
+
+
+def test_thm_main_b_precondition_is_part_of_the_verdict():
+    # 1432 is vexillary but neither Grassmannian nor inverse Grassmannian
+    (check,) = verify._suite_thm_main_b({"w": "1432"})
+    assert check.run()[2] is False
+    (check,) = verify._suite_thm_main_b({"w": "2413"})
+    assert check.run()[2] is True
 
 
 def test_format_reports_table():
