@@ -3,7 +3,7 @@
 Numeric output is exact: rationals print as p/q and polynomials as
 coefficient lists from the constant term up.  Pass --approx for an extra
 decimal rendering.  Exit codes: 0 success, 1 when a verification report
-fails, 2 on usage errors.
+fails or errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -41,36 +41,13 @@ def _emit(data: dict, args, order=None):
         print(line)
 
 
-def _ints(text: str, parts, what: str) -> list[int]:
-    try:
-        return [int(v) for v in parts if v]
-    except ValueError as exc:
-        raise MalformedInputError(f"{what} {text!r} is not a list of integers") from exc
-
-
-def _parse_shape(text: str):
-    if text in ("", "0"):
-        return ()
-    return tb.check_partition(_ints(text, text.replace(" ", ",").split(","), "shape"))
-
-
-def _parse_perm(text: str):
-    if "," in text or " " in text:
-        parts = text.replace(",", " ").split()
-    else:
-        parts = list(text)
-    return perm.check_permutation(_ints(text, parts, "permutation"))
-
-
 def _perm_from_args(args):
     """Accept a permutation in one-line notation (--w) or as the 0-Hecke
     product of a comma-separated generator word (--word)."""
     if getattr(args, "word", None):
-        letters = _ints(args.word, args.word.replace(" ", ",").split(","), "word")
-        n = args.n if getattr(args, "n", None) else (max(letters) + 1 if letters else 1)
-        return perm.word_to_hecke(letters, n)
+        return perm.word_to_hecke(perm.parse_word(args.word), args.n or None)
     if args.w:
-        return _parse_perm(args.w)
+        return perm.parse_perm(args.w)
     raise CdeError("need --w or --word")
 
 
@@ -104,9 +81,17 @@ def _poset_stats_payload(p: ps.FinitePoset, xm: int) -> dict:
         "rank": st.rank,
         "is_CDE": st.is_CDE,
     }
+    data.update(_multichain_payload(p, xm))
+    return data
+
+
+def _multichain_payload(p: ps.FinitePoset, xm: int) -> dict:
+    """E(X^(m)) for m = 1..xm and, when xm > 0, the bounded multichain-CDE
+    verdict (the --xm option of `poset stats` and `perm stats`)."""
+    if xm < 0:
+        raise MalformedInputError(f"--xm must be nonnegative, got {xm}")
+    data = {f"EX^({m})": ps.expectation_Xm(p, m) for m in range(1, xm + 1)}
     if xm:
-        for m in range(1, xm + 1):
-            data[f"EX^({m})"] = ps.expectation_Xm(p, m)
         data[f"is_mCDE_upto_{xm}"] = ps.is_mCDE_upto(p, xm)
     return data
 
@@ -118,7 +103,7 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_young(args) -> int:
-    shape = _parse_shape(args.shape)
+    shape = tb.parse_shape(args.shape)
     if args.emit == "tableaux":
         for t in tb.enumerate_standard_barely(shape):
             print(tb.format_tableau(t))
@@ -129,7 +114,7 @@ def _cmd_young(args) -> int:
     f = tb.hook_f(shape)
     fp = tb.f_plus_one(shape)
     data = {
-        "shape": args.shape,
+        "shape": tb.shape_label(shape),
         "cells": n,
         "f": f,
         "f_plus": fp,
@@ -144,11 +129,11 @@ def _cmd_young(args) -> int:
 
 
 def _cmd_shifted(args) -> int:
-    shape = tb.check_strict_partition(_parse_shape(args.shape))
+    shape = tb.check_strict_partition(tb.parse_shape(args.shape))
     p = tb.shifted_interval(shape)
     st = ps.stats(p)
     data = {
-        "shape": args.shape,
+        "shape": tb.shape_label(shape),
         "interval_size": p.n,
         "edge_count": st.edge_count,
         "EX": st.EX,
@@ -163,7 +148,7 @@ def _cmd_perm(args) -> int:
     w = _perm_from_args(args)
     cls = perm.classify(w)
     data = {
-        "w": ",".join(map(str, w)) if len(w) > 9 else "".join(map(str, w)),
+        "w": perm.perm_label(w),
         "n": len(w),
         "length": perm.length(w),
         "code": ",".join(map(str, perm.lehmer_code(w))),
@@ -174,7 +159,7 @@ def _cmd_perm(args) -> int:
         "inverse_grassmannian": cls.inverse_grassmannian,
     }
     if cls.vexillary:
-        data["shape"] = ",".join(map(str, cls.shape)) or "0"
+        data["shape"] = tb.shape_label(cls.shape)
         data["flag"] = ",".join(map(str, perm.rothe(w).flag_w)) or "-"
     members = perm.weak_interval_elements(w)
     data["interval_size"] = len(members)
@@ -184,10 +169,7 @@ def _cmd_perm(args) -> int:
     data["EY"] = perm.expectation_Y_words(w)
     data["is_CDE"] = data["EX"] == data["EY"]
     if args.xm:
-        p = perm.weak_interval(w)
-        for m in range(1, args.xm + 1):
-            data[f"EX^({m})"] = ps.expectation_Xm(p, m)
-        data[f"is_mCDE_upto_{args.xm}"] = ps.is_mCDE_upto(p, args.xm)
+        data.update(_multichain_payload(perm.weak_interval(w), args.xm))
     _emit(data, args)
     return 0
 
@@ -195,7 +177,7 @@ def _cmd_perm(args) -> int:
 def _cmd_fk(args) -> int:
     w = _perm_from_args(args)
     data = {
-        "w": ",".join(map(str, w)) if len(w) > 9 else "".join(map(str, w)),
+        "w": perm.perm_label(w),
         "L": args.L,
         "via": args.via,
     }
@@ -225,7 +207,7 @@ def _cmd_verify(args) -> int:
             print(r.to_json())
     else:
         print(verify.format_reports(reports))
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    return 1 if any(r.status in ("fail", "error") for r in reports) else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

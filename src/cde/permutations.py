@@ -20,10 +20,12 @@ from .errors import (
     RangeError,
 )
 from .poset import FinitePoset, _check_capacity, _validated, capacity
-from .tableaux import count_ssyt_by_total, rect_staircase
+from .tableaux import _ints, count_ssyt_by_total, rect_staircase
 
 __all__ = [
     "check_permutation",
+    "parse_perm",
+    "perm_label",
     "identity",
     "inverse",
     "compose",
@@ -40,6 +42,7 @@ __all__ = [
     "inverse_grassmannian_of_shape",
     "hecke_product",
     "word_to_hecke",
+    "parse_word",
     "left_factor_check",
     "weak_interval_elements",
     "weak_interval",
@@ -67,6 +70,24 @@ def check_permutation(w) -> tuple[int, ...]:
     if sorted(w) != list(range(1, len(w) + 1)):
         raise MalformedInputError(f"{w} is not a permutation of 1..{len(w)}")
     return w
+
+
+def parse_perm(text: str) -> tuple[int, ...]:
+    """Read one-line notation: run-together digits ("4231") or a comma or
+    space separated list ("4,2,3,1"), which n >= 10 needs."""
+    if "," in text or " " in text:
+        parts = text.replace(",", " ").split()
+    else:
+        parts = list(text)
+    return check_permutation(_ints(text, parts, "permutation"))
+
+
+def perm_label(w) -> str:
+    """The text form read back by parse_perm: digits run together up to
+    n = 9, comma separated from n = 10 on."""
+    if len(w) <= 9:
+        return "".join(map(str, w))
+    return ",".join(map(str, w))
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -237,6 +258,11 @@ def word_to_hecke(word, n: int | None = None) -> tuple[int, ...]:
     return u
 
 
+def parse_word(text: str) -> tuple[int, ...]:
+    """Read a generator word written as a comma or space separated list."""
+    return tuple(_ints(text, text.replace(",", " ").split(), "word"))
+
+
 def left_factor_check(u, w) -> bool:
     """u <= w in right weak order, tested by inversion-set containment."""
     if len(u) != len(w):
@@ -260,12 +286,6 @@ def weak_interval_elements(w) -> set[tuple[int, ...]]:
     return seen
 
 
-def _perm_label(u) -> str:
-    if len(u) <= 9:
-        return "".join(map(str, u))
-    return ",".join(map(str, u))
-
-
 def weak_interval(w) -> FinitePoset:
     """The interval below w in right weak order, as a validated poset."""
     members = weak_interval_elements(w)
@@ -278,7 +298,7 @@ def weak_interval(w) -> FinitePoset:
                 v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
                 if v in index:
                     covers.add((index[u], index[v]))
-    return _validated(len(ordered), covers, [_perm_label(u) for u in ordered])
+    return _validated(len(ordered), covers, [perm_label(u) for u in ordered])
 
 
 def weak_order_full(n: int) -> FinitePoset:
@@ -304,7 +324,7 @@ def strong_bruhat(n: int) -> FinitePoset:
                     v = tuple(v)
                     if length(v) == lu + 1:
                         covers.add((index[u], index[v]))
-    return _validated(len(elements), covers, [_perm_label(u) for u in elements])
+    return _validated(len(elements), covers, [perm_label(u) for u in elements])
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +584,8 @@ def fk_polynomial(w, L: int, via: str = "words") -> IntPolynomial:
 
     via='words' runs a weight-propagating product over the 0-Hecke monoid;
     via='tableaux' (vexillary w only) assembles the polynomial from flagged
-    set-valued tableau counts and Stirling numbers; via='both' computes both
-    and insists they agree.
+    set-valued tableau counts and Stirling numbers.  The verify `fk-theorem`
+    suite checks the two routes against each other.
     """
     w = check_permutation(w)
     if L < 0:
@@ -574,14 +594,6 @@ def fk_polynomial(w, L: int, via: str = "words") -> IntPolynomial:
         return _fk_words(w, L)
     if via == "tableaux":
         return _fk_tableaux(w, L)
-    if via == "both":
-        words = _fk_words(w, L)
-        tab = _fk_tableaux(w, L)
-        if words != tab:
-            raise AssertionError(
-                f"word and tableau routes disagree for {w}, L={L}: {words} vs {tab}"
-            )
-        return words
     raise MalformedInputError(f"unknown route {via!r}")
 
 

@@ -45,6 +45,7 @@ _STATUSES = {
     "conjecture-consistent",
     "conjecture-violated",
     "skipped(capacity)",
+    "error",
 }
 
 
@@ -106,20 +107,6 @@ class _Check:
 
 # ---------------------------------------------------------------------------
 # small shared helpers
-
-
-def _parse_perm(text: str) -> tuple[int, ...]:
-    if "," in text or " " in text:
-        parts = text.replace(",", " ").split()
-    else:
-        parts = list(text)
-    return perm.check_permutation(int(v) for v in parts)
-
-
-def _parse_shape(text: str) -> tuple[int, ...]:
-    if not text or text == "0":
-        return ()
-    return tb.check_partition(int(v) for v in text.split(","))
 
 
 def _grid(first, *rest) -> ps.FinitePoset:
@@ -294,7 +281,7 @@ def _young_EY(shape) -> Fraction:
 
 
 def _suite_thm_main_a(params):
-    w = _parse_perm(params["w"])
+    w = perm.parse_perm(params["w"])
     cls = perm.classify(w)
 
     def run():
@@ -302,15 +289,11 @@ def _suite_thm_main_a(params):
         rhs = _young_EY(cls.shape)
         return (str(rhs), str(lhs), cls.vexillary and lhs == rhs)
 
-    return [_Check("thm-main-a", {"w": params["w"], "shape": _label(cls.shape)}, run)]
-
-
-def _label(shape) -> str:
-    return ",".join(map(str, shape)) if shape else "0"
+    return [_Check("thm-main-a", {"w": params["w"], "shape": tb.shape_label(cls.shape)}, run)]
 
 
 def _suite_thm_main_b(params):
-    w = _parse_perm(params["w"])
+    w = perm.parse_perm(params["w"])
     cls = perm.classify(w)
 
     def run():
@@ -319,14 +302,14 @@ def _suite_thm_main_b(params):
         ok = (cls.grassmannian or cls.inverse_grassmannian) and lhs == rhs
         return (str(rhs), str(lhs), ok)
 
-    return [_Check("thm-main-b", {"w": params["w"], "shape": _label(cls.shape)}, run)]
+    return [_Check("thm-main-b", {"w": params["w"], "shape": tb.shape_label(cls.shape)}, run)]
 
 
 def _suite_thm_main_c(params):
     d, a, b = int(params["d"]), int(params["a"]), int(params["b"])
     lam = tb.rect_staircase(d, a, b)
     target = Fraction((d - 1) * a * b, a + b)
-    instance = {"d": d, "a": a, "b": b, "shape": _label(lam)}
+    instance = {"d": d, "a": a, "b": b, "shape": tb.shape_label(lam)}
 
     def run():
         values = {}
@@ -488,7 +471,7 @@ def _suite_recurrences(params):
     shapes = [s for s in _partitions_upto(max_size) if s]
     checks = []
     for shape in shapes:
-        instance = {"kind": kind, "shape": _label(shape)}
+        instance = {"kind": kind, "shape": tb.shape_label(shape)}
         if kind == "fplus":
             def run(shape=shape):
                 rec = tb.f_plus_one(shape)
@@ -504,10 +487,16 @@ def _suite_recurrences(params):
                 return (str(direct), str(rec), rec == direct)
         elif kind == "rplus":
             def run(shape=shape):
-                r, rp = tb.R_and_Rplus(shape)  # raises if its two routes disagree
+                r, rp = tb.R_and_Rplus(shape)
+                n = sum(shape)
+                counts = tb.count_ssyt_by_total(shape, tb.default_flag(shape), n + 1)
+                flagged = (counts.get(n, 0), counts.get(n + 1, 0))
                 p = tb.young_interval(shape)
-                ok = p.n == r and len(p.covers) == rp
-                return (f"({p.n},{len(p.covers)})", f"({r},{rp})", ok)
+                ok = (r, rp) == flagged == (p.n, len(p.covers))
+                computed = f"({r},{rp})"
+                if not ok:  # the pinned strings leave the flagged count out
+                    computed += " flagged=({},{})".format(*flagged)
+                return (f"({p.n},{len(p.covers)})", computed, ok)
         elif kind == "kerov":
             def run(shape=shape):
                 ok = tb.kerov_mean_zero_check(shape)
@@ -537,7 +526,7 @@ def _suite_bijections(params):
                 ok = count == tb.f_plus_one(shape)
                 return (str(tb.f_plus_one(shape)), str(count), ok)
 
-            checks.append(_Check("bijections", {"kind": kind, "shape": _label(shape)}, run))
+            checks.append(_Check("bijections", {"kind": kind, "shape": tb.shape_label(shape)}, run))
     elif kind == "flagged-roundtrip":
         max_size = int(params["max_size"])
         for shape in _partitions_upto(max_size):
@@ -553,9 +542,9 @@ def _suite_bijections(params):
                         return ("identity", f"broken at {t.rows}", False)
                 return ("identity", f"{len(listed)} round trips", True)
 
-            checks.append(_Check("bijections", {"kind": kind, "shape": _label(shape)}, run))
+            checks.append(_Check("bijections", {"kind": kind, "shape": tb.shape_label(shape)}, run))
     elif kind == "chain-maps":
-        shape = _parse_shape(params["shape"])
+        shape = tb.parse_shape(params["shape"])
 
         def run():
             standard = tb.enumerate_standard_tableaux(shape)
@@ -625,7 +614,7 @@ def _vexillary_in(n):
 
 def _suite_vexillary(params):
     if params.get("kind") == "grassmannian-iso":
-        shape = _parse_shape(params["shape"])
+        shape = tb.parse_shape(params["shape"])
 
         def run():
             w = perm.grassmannian_of_shape(shape)
@@ -657,14 +646,9 @@ def _suite_vexillary(params):
                 ok,
             )
 
-        checks.append(
-            _Check("vexillary", {"n": n, "w": _perm_str(w), "shape": _label(cls.shape)}, run)
-        )
+        instance = {"n": n, "w": perm.perm_label(w), "shape": tb.shape_label(cls.shape)}
+        checks.append(_Check("vexillary", instance, run))
     return checks
-
-
-def _perm_str(w) -> str:
-    return "".join(map(str, w)) if len(w) <= 9 else ",".join(map(str, w))
 
 
 def _suite_forest(params):
@@ -738,7 +722,7 @@ def _suite_forest(params):
 
 def _suite_fk_theorem(params):
     if params.get("kind") == "leading":
-        w = _parse_perm(params["w"])
+        w = perm.parse_perm(params["w"])
         L = int(params["L"])
 
         def run():
@@ -762,7 +746,7 @@ def _suite_fk_theorem(params):
                     return ("two routes agree", f"differ at L={L}", False)
             return ("two routes agree", f"L={ell}..{ell+2} agree", True)
 
-        checks.append(_Check("fk-theorem", {"n": n, "w": _perm_str(w)}, run))
+        checks.append(_Check("fk-theorem", {"n": n, "w": perm.perm_label(w)}, run))
     return checks
 
 
@@ -791,7 +775,7 @@ def _suite_conj_fk(params):
 def _suite_conj_shifted_1(params):
     ell, k = int(params["l"]), int(params["k"])
     lam = tuple(ell - 2 * i for i in range(k + 1))
-    instance = {"l": ell, "k": k, "shape": _label(lam)}
+    instance = {"l": ell, "k": k, "shape": tb.shape_label(lam)}
 
     def run():
         p = tb.shifted_interval(lam)
@@ -822,7 +806,7 @@ def _suite_conj_shifted_2(params):
             ok = lam1 == lam2 and v1 == v2 == Fraction(N, 2)
             return (
                 f"shapes coincide with value {Fraction(N, 2)}",
-                f"{_label(lam1)} vs {_label(lam2)}: {v1} vs {v2}",
+                f"{tb.shape_label(lam1)} vs {tb.shape_label(lam2)}: {v1} vs {v2}",
                 ok,
             )
 
@@ -832,7 +816,7 @@ def _suite_conj_shifted_2(params):
     if d <= a * (e - 1) + 1:
         raise MalformedInputError("need d > a(e-1)+1")
     lam = _shifted2_shape(a, d, e)
-    instance = {"a": a, "d": d, "e": e, "shape": _label(lam)}
+    instance = {"a": a, "d": d, "e": e, "shape": tb.shape_label(lam)}
 
     def run():
         p = tb.shifted_interval(lam)
@@ -860,8 +844,8 @@ def _suite_conj_vexillary_staircase(params):
         settled = cls.dominant or cls.grassmannian or cls.inverse_grassmannian
         instance = {
             "n": n,
-            "w": _perm_str(w),
-            "shape": _label(cls.shape),
+            "w": perm.perm_label(w),
+            "shape": tb.shape_label(cls.shape),
             "params": str(reps[0]),
             "settled": str(settled),
         }
@@ -974,20 +958,23 @@ def suite_ids() -> list[str]:
     return seen
 
 
-def _skipped(check_id, instance, conjectural=False) -> CheckReport:
+def _not_run(check_id, instance, exc=None, conjectural=False) -> CheckReport:
+    """The report of a check that gave no verdict: skipped(capacity) when the
+    budget ran out (exc is None) or the capacity bound tripped, error with
+    the exception's type and message when it raised anything else."""
+    if exc is None or isinstance(exc, CapacityError):
+        expected, computed, status = "skipped", "not run", "skipped(capacity)"
+    else:
+        expected, computed, status = "no exception", f"{type(exc).__name__}: {exc}", "error"
     return CheckReport(
-        check_id,
-        instance,
-        "conjectural" if conjectural else "skipped",
-        "not run",
-        "skipped(capacity)",
-        0.0,
+        check_id, instance, "conjectural" if conjectural else expected, computed, status, 0.0
     )
 
 
 def run_suite(suite_id: str, budget: float = 600.0) -> list[CheckReport]:
     """Run every instance of one suite, in manifest order, within a time
-    budget; instances not run are reported as skipped(capacity)."""
+    budget; instances not run are reported as skipped(capacity), and an
+    instance that raises is reported as error without stopping the rest."""
     if suite_id not in _SUITES:
         raise UnknownSuiteError(f"no suite named {suite_id!r}")
     rows = [(s, p) for s, p in _manifest_rows() if s == suite_id]
@@ -998,26 +985,22 @@ def run_suite(suite_id: str, budget: float = 600.0) -> list[CheckReport]:
     for _, raw_params in rows:
         params = dict(raw_params)
         if time.monotonic() > deadline:
-            reports.append(_skipped(suite_id, params))
+            reports.append(_not_run(suite_id, params))
             continue
         try:
             checks = _SUITES[suite_id](params)
-        except CapacityError:
-            reports.append(_skipped(suite_id, params))
+        except Exception as exc:
+            reports.append(_not_run(suite_id, params, exc))
             continue
         for check in checks:
             if time.monotonic() > deadline:
-                reports.append(
-                    _skipped(check.check_id, check.instance, check.conjectural)
-                )
+                reports.append(_not_run(check.check_id, check.instance, None, check.conjectural))
                 continue
             start = time.monotonic()
             try:
                 expected, computed, ok = check.run()
-            except CapacityError:
-                reports.append(
-                    _skipped(check.check_id, check.instance, check.conjectural)
-                )
+            except Exception as exc:
+                reports.append(_not_run(check.check_id, check.instance, exc, check.conjectural))
                 continue
             elapsed = time.monotonic() - start
             if check.conjectural:

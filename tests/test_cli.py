@@ -98,6 +98,12 @@ def test_shifted_stats(capsys):
     assert data["EX"] == "1" and data["EY"] == "1" and data["is_CDE"] is True
 
 
+def test_shapes_print_in_one_text_form(capsys):
+    assert run_json(capsys, "young", "stats", "--shape", "3 1")["shape"] == "3,1"
+    assert run_json(capsys, "shifted", "stats", "--shape", "3, 1")["shape"] == "3,1"
+    assert run_json(capsys, "young", "stats", "--shape", "")["shape"] == "0"
+
+
 def test_emit_tableaux(capsys):
     code, out, _ = run_cli(capsys, "--emit", "tableaux", "young", "stats", "--shape", "2,1")
     assert code == 0
@@ -153,6 +159,8 @@ def test_malformed_input_exit_code(capsys):
         ("poset", "stats", "--builder", "chain"),
         ("poset", "stats", "--builder", "chain", "--n", "3", "--a", "2"),
         ("poset", "stats", "--builder", "nope", "--n", "3"),
+        ("poset", "stats", "--builder", "chain", "--n", "3", "--xm", "-1"),
+        ("perm", "stats", "--w", "321", "--xm", "-2"),
     ],
 )
 def test_unparsable_input_exits_2(capsys, argv):

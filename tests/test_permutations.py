@@ -30,6 +30,9 @@ from cde.permutations import (
     lehmer_code,
     length,
     noninversion_poset,
+    parse_perm,
+    parse_word,
+    perm_label,
     permutation_from_code,
     prepend_identity,
     rothe,
@@ -64,6 +67,39 @@ from cde.tableaux import (
 )
 
 from bruteforce import hecke_words_bruteforce
+
+
+def test_perm_text_round_trip():
+    count = 0
+    for n in range(8):
+        for w in iperm(range(1, n + 1)):
+            assert parse_perm(perm_label(w)) == w
+            count += 1
+    assert count == 5914  # 0! + 1! + ... + 7!
+    rng = random.Random(10)
+    for n in (9, 10, 11):
+        for _ in range(20):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            assert parse_perm(perm_label(w)) == w
+    assert perm_label((2, 1, 3)) == "213"
+    assert perm_label(tuple(range(10, 0, -1))) == "10,9,8,7,6,5,4,3,2,1"
+
+
+def test_parse_perm_separators():
+    for text in ("4231", "4,2,3,1", "4 2 3 1", "4, 2, 3, 1"):
+        assert parse_perm(text) == (4, 2, 3, 1)
+    assert parse_word("1,2,1") == parse_word("1 2 1") == (1, 2, 1)
+
+
+@pytest.mark.parametrize("text", ["a", "12a", "1,1", "1,3", "0"])
+def test_parse_perm_rejects_malformed_text(text):
+    with pytest.raises(MalformedInputError):
+        parse_perm(text)
+
+
+def test_parse_word_rejects_malformed_text():
+    with pytest.raises(MalformedInputError):
+        parse_word("1,x")
 
 
 def test_lehmer_code_examples():
@@ -363,7 +399,10 @@ def test_fk_routes_agree_small():
     cases = [((3, 2, 1), 3), ((3, 2, 1), 4), ((3, 2, 1), 5),
              ((4, 2, 3, 1), 7), ((2, 3, 6, 1, 4, 5), 6), ((2, 5, 3, 1, 4), 8)]
     for w, L in cases:
-        assert fk_polynomial(w, L, via="both") == fk_polynomial(w, L, via="words")
+        assert fk_polynomial(w, L, via="tableaux") == fk_polynomial(w, L, via="words")
+    # comparing the routes is the caller's job; the library offers no "both"
+    with pytest.raises(MalformedInputError):
+        fk_polynomial((3, 2, 1), 3, via="both")
 
 
 def test_fk_leading_coefficient_counts_words():

@@ -1,21 +1,15 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cde import tableaux
 from cde.core import IntPolynomial
 from cde.errors import (
     MalformedInputError,
     NotBarelySetValuedError,
     NotCornerError,
     RangeError,
-    ReconciliationError,
 )
 from cde.poset import expectation_X, expectation_Y, is_isomorphic, chain, stats
 from cde.tableaux import (
@@ -41,10 +35,12 @@ from cde.tableaux import (
     hook_f,
     kerov_mean_zero_check,
     outside_corners,
+    parse_shape,
     partition_to_flagged,
     rank_generating_function,
     rect_staircase,
     removable_corners,
+    shape_label,
     shifted_interval,
     standard_to_chain,
     strict_subpartitions,
@@ -70,6 +66,27 @@ def all_partitions(n):
 
     rec(n, n, [])
     return sorted(set(out), key=lambda m: (sum(m), m))
+
+
+def test_shape_text_round_trip():
+    shapes = all_partitions(10)
+    assert len(shapes) == 139  # p(0) + ... + p(10)
+    for shape in shapes:
+        assert parse_shape(shape_label(shape)) == shape
+    assert shape_label(()) == "0"
+    assert parse_shape("0") == parse_shape("") == ()
+    assert shape_label((10, 2)) == "10,2"
+
+
+def test_parse_shape_separators():
+    for text in ("3 1", "3,1", "3, 1", " 3 ,1 "):
+        assert parse_shape(text) == (3, 1)
+
+
+@pytest.mark.parametrize("text", ["a", "12a", "3,x", "1,2", "0,1", "2,-1"])
+def test_parse_shape_rejects_malformed_text(text):
+    with pytest.raises(MalformedInputError):
+        parse_shape(text)
 
 
 def test_rect_staircase():
@@ -304,36 +321,6 @@ def test_R_and_Rplus():
     assert R_and_Rplus((1,)) == (2, 1)
     r, rp = R_and_Rplus((4, 2))
     assert Fraction(rp, r) == Fraction(4, 3)
-
-
-def test_R_and_Rplus_raises_when_routes_disagree(monkeypatch):
-    monkeypatch.setattr(tableaux, "count_ssyt_by_total", lambda shape, flag, max_total: {})
-    with pytest.raises(ReconciliationError):
-        R_and_Rplus((2, 1))
-
-
-def test_R_and_Rplus_raises_under_optimize():
-    script = (
-        "import cde.tableaux as tb\n"
-        "from cde.errors import ReconciliationError\n"
-        "if __debug__:\n"
-        "    raise SystemExit('not running under -O')\n"
-        "tb.count_ssyt_by_total = lambda shape, flag, max_total: {}\n"
-        "try:\n"
-        "    tb.R_and_Rplus((2, 1))\n"
-        "except ReconciliationError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('R_and_Rplus accepted a wrong count')\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
-    assert run.returncode == 0, run.stderr
 
 
 def test_tableau_formulas_match_poset_statistics():

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cde.cli import main
 from cde.errors import MalformedInputError, SizeError, UnknownSuiteError
-from cde import verify
+from cde import tableaux, verify
+from cde.permutations import parse_perm, perm_label
 from cde.poset import expectation_Xm, is_forest, is_mCDE_upto, product
 from cde.verify import (
     CheckReport,
@@ -14,6 +20,9 @@ from cde.verify import (
     search_mcde_product_counterexample,
     suite_ids,
 )
+from cde.tableaux import parse_shape, shape_label
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_suite_ids_order():
@@ -167,3 +176,82 @@ def test_vexillary_staircase_instances_have_settled_flag():
             assert r.status in ("conjecture-consistent", "conjecture-violated")
             seen_conj = True
     assert seen_settled and seen_conj
+
+
+def _wrong_flagged_count(shape, flag, max_total):
+    return {}
+
+
+def _assert_rplus_fails_alone(reports):
+    assert len(reports) == 685  # every report, none lost to the disagreement
+    for r in reports:
+        want = "fail" if r.instance["kind"] == "rplus" else "pass"
+        assert r.status == want, r
+    assert sum(r.status == "fail" for r in reports) == 138
+
+
+def test_recurrences_report_a_wrong_flagged_count_as_rplus_failures(monkeypatch):
+    monkeypatch.setattr(tableaux, "count_ssyt_by_total", _wrong_flagged_count)
+    reports = run_suite("recurrences")
+    _assert_rplus_fails_alone(reports)
+    first = next(r for r in reports if r.status == "fail")
+    assert first.computed == "(2,1) flagged=(0,0)"
+
+
+def test_recurrences_report_a_wrong_flagged_count_under_optimize():
+    script = (
+        "import json\n"
+        "import cde.tableaux as tb\n"
+        "from cde.verify import run_suite\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "tb.count_ssyt_by_total = lambda shape, flag, max_total: {}\n"
+        "for r in run_suite('recurrences'):\n"
+        "    print(r.to_json())\n"
+    )
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    _assert_rplus_fails_alone([CheckReport.from_json(line) for line in run.stdout.splitlines()])
+
+
+def _raise(*args):
+    raise ValueError("boom")
+
+
+def test_a_raising_instance_is_an_error_report_and_the_campaign_goes_on(monkeypatch, capsys):
+    rows = [row for row in verify._manifest_rows()
+            if row[0] in ("cor-tamari", "negatives", "prop-self-dual")]
+    monkeypatch.setattr(verify, "_manifest_rows", lambda: tuple(rows))
+    monkeypatch.setitem(verify._SUITES, "negatives", _raise)  # the suite builder raises
+    monkeypatch.setattr(verify.ps, "tamari", _raise)  # each cor-tamari check raises
+    reports = verify.run_all(60)
+    assert len(reports) == 5 + 7 + 4
+    by_suite = {}
+    for r in reports:
+        by_suite.setdefault(r.check_id, set()).add(r.status)
+    assert by_suite == {"prop-self-dual": {"pass"}, "cor-tamari": {"error"}, "negatives": {"error"}}
+    errors = [r for r in reports if r.status == "error"]
+    assert all(r.computed == "ValueError: boom" for r in errors)
+    assert {r.instance.get("case") for r in errors} >= {"strong-bruhat-3", "j-cube"}
+    assert CheckReport.from_json(errors[0].to_json()) == errors[0]
+    assert main(["verify", "--suite", "all", "--budget", "60"]) == 1
+    assert "error" in capsys.readouterr().out
+
+
+def test_manifest_perms_and_shapes_print_back_unchanged():
+    seen = 0
+    for _, params in verify._manifest_rows():
+        for key, text in params:
+            if key == "w":
+                assert perm_label(parse_perm(text)) == text
+                seen += 1
+            elif key == "shape":
+                assert shape_label(parse_shape(text)) == text
+                seen += 1
+    assert seen == 24
