@@ -3,13 +3,14 @@
 Numeric output is exact: rationals print as p/q and polynomials as
 coefficient lists from the constant term up.  Pass --approx for an extra
 decimal rendering.  Exit codes: 0 success, 1 when a verification report
-fails or errors, 2 on usage errors.
+fails or errors, 2 on usage errors, 141 when stdout is closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -198,6 +199,8 @@ def _cmd_fk(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not args.budget >= 0:  # also false for NaN
+        raise MalformedInputError(f"--budget must be nonnegative, got {args.budget}")
     if args.suite == "all":
         reports = verify.run_all(args.budget)
     else:
@@ -267,6 +270,12 @@ def main(argv=None) -> int:
     except CdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (`| head`): keep the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports it
 
 
 if __name__ == "__main__":

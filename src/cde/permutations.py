@@ -19,7 +19,7 @@ from .errors import (
     NotVexillaryError,
     RangeError,
 )
-from .poset import FinitePoset, _check_capacity, _validated, capacity
+from .poset import FinitePoset, _check_capacity, capacity
 from .tableaux import _ints, count_ssyt_by_total, rect_staircase
 
 __all__ = [
@@ -237,12 +237,17 @@ def inverse_grassmannian_of_shape(shape) -> tuple[int, ...]:
 # 0-Hecke products and the weak order
 
 
+def _swap(u, s: int) -> tuple[int, ...]:
+    """u * s: u with the entries at positions s and s+1 exchanged."""
+    return u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
+
+
 def hecke_product(u, s: int) -> tuple[int, ...]:
     """u * T_s: apply s when it increases length, absorb it otherwise."""
     if not 1 <= s <= len(u) - 1:
         raise RangeError(f"generator {s} out of range for n={len(u)}")
     if u[s - 1] < u[s]:
-        return u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
+        return _swap(u, s)
     return u
 
 
@@ -270,35 +275,56 @@ def left_factor_check(u, w) -> bool:
     return left_inversions(u) <= left_inversions(w)
 
 
+def _weak_walk(w):
+    """Walk down from w by descents, breadth first: the one walk over a weak
+    interval in the package.
+
+    Returns (elements, below, down).  elements starts with w, lists every
+    element after all the elements above it and ends with the identity;
+    below[i] holds the indices of the lower covers of elements[i]; down[i]
+    is the number of paths from w down to elements[i].
+    """
+    cap = capacity()
+    n = len(w)
+    elements = [w]
+    index = {w: 0}
+    below = []
+    down = [1]
+    for i, u in enumerate(elements):
+        lower = []
+        for s in range(1, n):
+            if u[s - 1] > u[s]:
+                v = _swap(u, s)
+                j = index.get(v)
+                if j is None:
+                    j = index[v] = len(elements)
+                    elements.append(v)
+                    down.append(0)
+                    if j >= cap:
+                        _check_capacity(j + 1, "weak order interval")
+                down[j] += down[i]
+                lower.append(j)
+        below.append(lower)
+    return elements, below, down
+
+
 def weak_interval_elements(w) -> set[tuple[int, ...]]:
-    """All u below w in right weak order, found by walking descents down."""
-    w = check_permutation(w)
-    seen = {w}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        for s in descents(u):
-            v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-                _check_capacity(len(seen), "weak order interval")
-    return seen
+    """All u below w in right weak order."""
+    return set(_weak_walk(check_permutation(w))[0])
 
 
 def weak_interval(w) -> FinitePoset:
-    """The interval below w in right weak order, as a validated poset."""
-    members = weak_interval_elements(w)
-    ordered = sorted(members, key=lambda u: (length(u), u))
-    index = {u: i for i, u in enumerate(ordered)}
-    covers = set()
-    for u in ordered:
-        for s in range(1, len(u)):
-            if u[s - 1] < u[s]:
-                v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
-                if v in index:
-                    covers.add((index[u], index[v]))
-    return _validated(len(ordered), covers, [perm_label(u) for u in ordered])
+    """The interval below w in right weak order, as a validated poset whose
+    elements come by length, then lexicographically."""
+    elements, below, _ = _weak_walk(check_permutation(w))
+    depth = [0] * len(elements)
+    for i, lower in enumerate(below):
+        for j in lower:
+            depth[j] = depth[i] + 1
+    ordered = sorted(range(len(elements)), key=lambda i: (-depth[i], elements[i]))
+    position = {i: k for k, i in enumerate(ordered)}
+    covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
+    return FinitePoset(len(ordered), covers, [perm_label(elements[i]) for i in ordered])
 
 
 def weak_order_full(n: int) -> FinitePoset:
@@ -324,23 +350,35 @@ def strong_bruhat(n: int) -> FinitePoset:
                     v = tuple(v)
                     if length(v) == lu + 1:
                         covers.add((index[u], index[v]))
-    return _validated(len(elements), covers, [perm_label(u) for u in elements])
+    return FinitePoset(len(elements), covers, [perm_label(u) for u in elements])
 
 
 # ---------------------------------------------------------------------------
 # word counting
 
 
-@lru_cache(maxsize=None)
 def count_reduced(w) -> int:
     """Number of reduced words, i.e. maximal chains of the weak interval."""
-    des = descents(w)
-    if not des:
-        return 1
-    total = 0
-    for s in des:
-        total += count_reduced(w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :])
-    return total
+    return _weak_walk(check_permutation(w))[2][-1]
+
+
+def _word_counts(w) -> tuple[int, int]:
+    """Reduced and nearly reduced word counts of w from one walk.
+
+    A nearly reduced word repeats one descent of a prefix of a reduced word,
+    so it is a path from w down to some u, a descent of u, and a path from u
+    down to the identity.  One upward pass gives up[i], the paths from
+    elements[i] down to the identity, so up[0] counts the reduced words and
+    the sum of des(u) * up * down over the interval the nearly reduced ones.
+    """
+    elements, below, down = _weak_walk(w)
+    up = [1] * len(elements)
+    nearly = 0
+    for i in range(len(elements) - 1, -1, -1):
+        if below[i]:
+            up[i] = sum(up[j] for j in below[i])
+            nearly += len(below[i]) * up[i] * down[i]
+    return up[0], nearly
 
 
 def enumerate_reduced(w) -> list[tuple[int, ...]]:
@@ -350,8 +388,7 @@ def enumerate_reduced(w) -> list[tuple[int, ...]]:
         return [()]
     out = []
     for s in des:
-        u = w[: s - 1] + (w[s], w[s - 1]) + w[s + 1 :]
-        out.extend(word + (s,) for word in enumerate_reduced(u))
+        out.extend(word + (s,) for word in enumerate_reduced(_swap(w, s)))
     return sorted(out)
 
 
@@ -362,13 +399,7 @@ def count_nearly_reduced(w) -> int:
     of its prefixes, so the count is a descent-weighted sum of path counts
     through the weak interval.
     """
-    w = check_permutation(w)
-    total = 0
-    for u in weak_interval_elements(w):
-        d = len(descents(u))
-        if d:
-            total += d * count_reduced(u) * count_reduced(compose(inverse(u), w))
-    return total
+    return _word_counts(check_permutation(w))[1]
 
 
 def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
@@ -404,22 +435,21 @@ def expectation_Y_words(w) -> Fraction:
     """Chain-weighted down-degree expectation of the weak interval, straight
     from word counts."""
     w = check_permutation(w)
-    return Fraction(count_nearly_reduced(w), (length(w) + 1) * count_reduced(w))
+    reduced, nearly = _word_counts(w)
+    return Fraction(nearly, (length(w) + 1) * reduced)
 
 
 def expectation_X_complementary(w) -> Fraction:
     """Edge density of the weak interval via the complementary count of
     up-steps that leave the interval."""
     w = check_permutation(w)
-    members = weak_interval_elements(w)
+    members = set(_weak_walk(w)[0])
     n = len(w)
     missing = 0
     for u in members:
         for s in range(1, n):
-            if u[s - 1] < u[s]:
-                v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
-                if v not in members:
-                    missing += 1
+            if u[s - 1] < u[s] and _swap(u, s) not in members:
+                missing += 1
     return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(members)))
 
 
@@ -443,7 +473,7 @@ def noninversion_poset(w) -> FinitePoset:
         for b in range(n):
             if rel[a][b] and not any(rel[a][z] and rel[z][b] for z in range(n)):
                 covers.add((a, b))
-    return _validated(n, covers, [str(v) for v in range(1, n + 1)])
+    return FinitePoset(n, covers, [str(v) for v in range(1, n + 1)])
 
 
 def dominant_EX_closed_form(d: int, a: int, b: int) -> Fraction:

@@ -92,7 +92,8 @@ def _check_capacity(count: int, what: str):
 class FinitePoset:
     """A finite poset given by its transitively reduced cover relation.
 
-    ``covers`` holds ordered pairs (a, b) meaning a is covered by b.
+    ``covers`` holds ordered pairs (a, b) meaning a is covered by b.  Every
+    instance is validated on construction, so an invalid one cannot be built.
     """
 
     n: int
@@ -104,6 +105,9 @@ class FinitePoset:
 
     def __post_init__(self):
         object.__setattr__(self, "covers", frozenset(self.covers))
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+        validate(self)
 
     def _adj(self):
         cache = object.__getattribute__(self, "_up")
@@ -205,12 +209,6 @@ def validate(p: FinitePoset) -> None:
         for z in p.lower_covers[b]:
             if z != a and (strict_below[z] >> a) & 1:
                 raise NotReducedError((a, b))
-
-
-def _validated(n, covers, labels=None) -> FinitePoset:
-    p = FinitePoset(n, frozenset(covers), tuple(labels) if labels is not None else None)
-    validate(p)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +335,13 @@ def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
 def chain(a: int) -> FinitePoset:
     if a < 1:
         raise SizeError("chain needs a >= 1 element")
-    return _validated(a, {(i, i + 1) for i in range(a - 1)})
+    return FinitePoset(a, {(i, i + 1) for i in range(a - 1)})
 
 
 def antichain(a: int) -> FinitePoset:
     if a < 1:
         raise SizeError("antichain needs a >= 1 element")
-    return _validated(a, set())
+    return FinitePoset(a, set())
 
 
 def boolean(n: int) -> FinitePoset:
@@ -357,7 +355,7 @@ def boolean(n: int) -> FinitePoset:
             if not (s >> i) & 1:
                 covers.add((s, s | (1 << i)))
     labels = [format(s, f"0{max(n,1)}b")[::-1] for s in range(1 << n)]
-    return _validated(1 << n, covers, labels)
+    return FinitePoset(1 << n, covers, labels)
 
 
 def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
@@ -371,13 +369,13 @@ def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
         for x in range(p.n):
             covers.add((x * q.n + a, x * q.n + b))
     labels = [f"({p.label(x)},{q.label(y)})" for x in range(p.n) for y in range(q.n)]
-    return _validated(p.n * q.n, covers, labels)
+    return FinitePoset(p.n * q.n, covers, labels)
 
 
 def disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     covers = set(p.covers) | {(a + p.n, b + p.n) for a, b in q.covers}
     labels = [p.label(x) for x in range(p.n)] + [q.label(y) for y in range(q.n)]
-    return _validated(p.n + q.n, covers, labels)
+    return FinitePoset(p.n + q.n, covers, labels)
 
 
 def ordinal_sum(p: FinitePoset, q: FinitePoset) -> FinitePoset:
@@ -387,11 +385,11 @@ def ordinal_sum(p: FinitePoset, q: FinitePoset) -> FinitePoset:
     q_min = [y for y in range(q.n) if not q.lower_covers[y]]
     covers |= {(x, y + p.n) for x in p_max for y in q_min}
     labels = [p.label(x) for x in range(p.n)] + [q.label(y) for y in range(q.n)]
-    return _validated(p.n + q.n, covers, labels)
+    return FinitePoset(p.n + q.n, covers, labels)
 
 
 def dual(p: FinitePoset) -> FinitePoset:
-    return _validated(p.n, {(b, a) for a, b in p.covers}, p.labels)
+    return FinitePoset(p.n, {(b, a) for a, b in p.covers}, p.labels)
 
 
 def pabcd(a: int, b: int, c: int, d: int) -> FinitePoset:
@@ -414,7 +412,7 @@ def pabcd(a: int, b: int, c: int, d: int) -> FinitePoset:
         + [f"y{i+1}" for i in range(c)]
         + [f"z{i+1}" for i in range(d)]
     )
-    return _validated(n, covers, labels)
+    return FinitePoset(n, covers, labels)
 
 
 def _triangulations(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -482,7 +480,7 @@ def tamari(n: int) -> FinitePoset:
                 flipped = tuple(sorted(set(t) - {diag} | {(q_, s_)}))
                 covers.add((index[t], index[flipped]))
     labels = ["{" + ",".join(f"{i}-{j}" for i, j in t) + "}" for t in tris]
-    return _validated(len(tris), covers, labels)
+    return FinitePoset(len(tris), covers, labels)
 
 
 def _ideals(p: FinitePoset) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -531,7 +529,7 @@ def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     """Distributive lattice of order ideals, ordered by containment."""
     masks, covers = _ideals(p)
     labels = ["{" + ",".join(p.label(e) for e in _members(m, p.n)) + "}" for m in masks]
-    return _validated(len(masks), {(i, j) for i, j, _ in covers}, labels)
+    return FinitePoset(len(masks), {(i, j) for i, j, _ in covers}, labels)
 
 
 def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
@@ -544,7 +542,7 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     """
     _require_nonempty(base)
     masks, covers = _ideals(base)
-    counts = multichain_counts(_validated(len(masks), {(i, j) for i, j, _ in covers}), m)
+    counts = multichain_counts(FinitePoset(len(masks), {(i, j) for i, j, _ in covers}), m)
     balance = [0] * base.n
     for i, j, e in covers:
         balance[e] += counts[j] - counts[i]
@@ -761,7 +759,7 @@ def quotient_cover(p: FinitePoset, i: int, j: int) -> FinitePoset:
         labels = [
             p.label(x) if x != i else f"{p.label(i)}={p.label(j)}" for x in keep
         ]
-    return _validated(n, covers, labels)
+    return FinitePoset(n, covers, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +837,7 @@ def load_poset(text: str) -> FinitePoset:
     label_list = None
     if labels:
         label_list = [labels.get(x, str(x)) for x in range(n)]
-    return _validated(n, covers, label_list)
+    return FinitePoset(n, covers, label_list)
 
 
 def dump_poset(p: FinitePoset) -> str:

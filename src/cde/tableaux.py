@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _check_capacity, _validated
+from .poset import FinitePoset, _check_capacity
 
 __all__ = [
     "check_partition",
@@ -199,7 +199,7 @@ def _interval_from_elements(elements) -> FinitePoset:
             if bigger in index:
                 covers.add((index[m], index[bigger]))
     labels = [shape_label(m) for m in elements]
-    return _validated(len(elements), covers, labels)
+    return FinitePoset(len(elements), covers, labels)
 
 
 def young_interval(shape) -> FinitePoset:

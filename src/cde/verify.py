@@ -122,7 +122,7 @@ def _zigzag(n) -> ps.FinitePoset:
         covers.add((i - 1, i))
         if i + 1 < n:
             covers.add((i + 1, i))
-    return ps._validated(n, covers)
+    return ps.FinitePoset(n, covers)
 
 
 #: spec name -> builder; a spec's integer arguments must bind to its signature
@@ -139,8 +139,8 @@ _BUILDERS = {
     "strong-bruhat": perm.strong_bruhat,
     "ordinal-sum-antichains": lambda a, b: ps.ordinal_sum(ps.antichain(a), ps.antichain(b)),
     "zigzag": _zigzag,
-    "v": lambda: ps._validated(3, {(0, 1), (0, 2)}),
-    "m3": lambda: ps._validated(5, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}),
+    "v": lambda: ps.FinitePoset(3, {(0, 1), (0, 2)}),
+    "m3": lambda: ps.FinitePoset(5, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}),
 }
 
 

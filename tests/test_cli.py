@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,8 @@ def test_malformed_input_exit_code(capsys):
         ("poset", "stats", "--builder", "nope", "--n", "3"),
         ("poset", "stats", "--builder", "chain", "--n", "3", "--xm", "-1"),
         ("perm", "stats", "--w", "321", "--xm", "-2"),
+        ("verify", "--suite", "negatives", "--budget", "-1"),
+        ("verify", "--suite", "negatives", "--budget", "nan"),
     ],
 )
 def test_unparsable_input_exits_2(capsys, argv):
@@ -173,3 +179,23 @@ def test_approx_flag(capsys):
     code, out, _ = run_cli(capsys, "--approx", "young", "stats", "--shape", "3,1,1")
     assert code == 0
     assert "(~1.3" in out
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the tableaux of 4,3,2,1 print ~0.7 MB, far more than a pipe holds, so
+    # the command is still writing when the reader goes away after one line
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cde.cli", "--emit", "tableaux", "young", "stats", "--shape", "4,3,2,1"],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert child.stdout.readline().strip() == "{1}\t{2}\t{3}\t{4}"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert "Traceback" not in err, err

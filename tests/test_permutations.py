@@ -5,7 +5,8 @@ from itertools import permutations as iperm
 import pytest
 
 from cde.core import IntPolynomial, poly_divides
-from cde.errors import MalformedInputError, NotVexillaryError, RangeError
+from cde import poset
+from cde.errors import CapacityError, MalformedInputError, NotVexillaryError, RangeError
 from cde.permutations import (
     classify,
     compose,
@@ -45,7 +46,6 @@ from cde.permutations import (
 )
 from cde.poset import (
     FinitePoset,
-    _validated,
     dual,
     expectation_X,
     expectation_Xm,
@@ -66,6 +66,7 @@ from cde.tableaux import (
     young_interval,
 )
 
+import bruteforce
 from bruteforce import hecke_words_bruteforce
 
 
@@ -196,6 +197,71 @@ def test_count_reduced_and_nearly():
     assert count_reduced((2, 5, 3, 1, 4)) == hook_f((3, 1, 1))
 
 
+def test_word_counts_match_brute_force_words():
+    for n in range(1, 5):
+        for w in iperm(range(1, n + 1)):
+            ell = length(w)
+            assert count_reduced(w) == len(bruteforce.hecke_words_bruteforce(w, ell))
+            assert count_nearly_reduced(w) == len(bruteforce.hecke_words_bruteforce(w, ell + 1))
+    for w in iperm(range(1, 6)):
+        assert count_reduced(w) == len(enumerate_reduced(w))
+        assert count_nearly_reduced(w) == len(enumerate_hecke_words(w, length(w) + 1))
+
+
+def test_weak_interval_elements_are_the_inversion_set_order_ideal():
+    for n in range(1, 6):
+        group = list(iperm(range(1, n + 1)))
+        for w in group:
+            target = left_inversions(w)
+            assert weak_interval_elements(w) == {u for u in group if left_inversions(u) <= target}
+
+
+def test_weak_interval_pinned():
+    # elements by length, then lexicographically; covers as index pairs
+    p = weak_interval((4, 3, 2, 1))
+    assert p.labels == (
+        "1234", "1243", "1324", "2134", "1342", "1423", "2143", "2314",
+        "3124", "1432", "2341", "2413", "3142", "3214", "4123", "2431",
+        "3241", "3412", "4132", "4213", "3421", "4231", "4312", "4321",
+    )
+    assert sorted(p.covers) == [
+        (0, 1), (0, 2), (0, 3), (1, 5), (1, 6), (2, 4), (2, 8), (3, 6), (3, 7),
+        (4, 9), (4, 12), (5, 9), (5, 14), (6, 11), (7, 10), (7, 13), (8, 12),
+        (8, 13), (9, 18), (10, 15), (10, 16), (11, 15), (11, 19), (12, 17),
+        (13, 16), (14, 18), (14, 19), (15, 21), (16, 20), (17, 20), (17, 22),
+        (18, 22), (19, 21), (20, 23), (21, 23), (22, 23),
+    ]
+    p = weak_interval((5, 3, 1, 2, 4))
+    assert p.labels == (
+        "12345", "12354", "13245", "12534", "13254", "31245", "13524", "15234",
+        "31254", "15324", "31524", "51234", "35124", "51324", "53124",
+    )
+    assert sorted(p.covers) == [
+        (0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 7), (4, 6), (4, 8),
+        (5, 8), (6, 9), (6, 10), (7, 9), (7, 11), (8, 10), (9, 13), (10, 12),
+        (11, 13), (12, 14), (13, 14),
+    ]
+
+
+def test_count_reduced_checks_its_input():
+    with pytest.raises(MalformedInputError):
+        count_reduced((2, 2, 1))
+    assert count_reduced([3, 2, 1]) == 2
+
+
+def test_weak_walk_stops_at_the_capacity_bound(monkeypatch):
+    w = (5, 3, 1, 2, 4)
+    size = len(weak_interval_elements(w))
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size - 1)
+    for f in (weak_interval_elements, count_reduced, count_nearly_reduced):
+        with pytest.raises(CapacityError):
+            f(w)
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size)
+    assert len(weak_interval_elements(w)) == size
+    assert count_reduced(w) == 9
+    assert count_nearly_reduced(w) == 84
+
+
 def test_enumerate_words():
     assert enumerate_reduced((3, 2, 1)) == [(1, 2, 1), (2, 1, 2)]
     words = enumerate_hecke_words((3, 2, 1), 4)
@@ -261,7 +327,7 @@ def test_interval_translation_isomorphism():
                     t = v[: s - 1] + (v[s], v[s - 1]) + v[s + 1 :]
                     if t in index:
                         covers.add((index[v], index[t]))
-        sub = _validated(len(between), covers)
+        sub = FinitePoset(len(between), covers)
         assert is_isomorphic(sub, weak_interval(compose(inverse(u), w)))
 
 
@@ -300,7 +366,7 @@ def test_noninversion_poset():
     assert p.covers == frozenset()
     assert linear_extension_count(p) == 6
     q = noninversion_poset(identity(4))
-    assert is_isomorphic(q, _validated(4, {(0, 1), (1, 2), (2, 3)}))
+    assert is_isomorphic(q, FinitePoset(4, {(0, 1), (1, 2), (2, 3)}))
 
 
 def test_noninversion_forest_criterion():

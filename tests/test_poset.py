@@ -84,6 +84,18 @@ def test_validate_range():
         validate(FinitePoset(2, frozenset({(0, 5)})))
 
 
+def test_invalid_posets_cannot_be_built():
+    with pytest.raises(NotReducedError):
+        FinitePoset(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+    with pytest.raises(MalformedInputError):
+        FinitePoset(2, frozenset({(0, 5)}))
+    with pytest.raises(CycleError):
+        FinitePoset(2, frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(SizeError):
+        FinitePoset(-1, frozenset())
+    assert FinitePoset(2, [(0, 1)], ["a", "b"]).labels == ("a", "b")
+
+
 def test_expectation_X_chain():
     for n in range(1, 7):
         assert expectation_X(chain(n)) == Fraction(n - 1, n)
