@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _check_capacity
+from .poset import FinitePoset, _check_capacity, capacity
 
 __all__ = [
     "check_partition",
@@ -601,12 +601,15 @@ def enumerate_standard_tableaux(shape) -> list[tuple[tuple[int, ...], ...]]:
     """All standard Young tableaux, sorted by their row tuples."""
     shape = check_partition(shape) if shape else ()
     n = sum(shape)
+    cap = capacity()
     rows = [[0] * r for r in shape]
     fill = [0] * len(shape)
     out = []
 
     def rec(v):
         if v > n:
+            if len(out) >= cap:
+                _check_capacity(len(out) + 1, "standard tableau enumeration")
             out.append(tuple(tuple(r) for r in rows))
             return
         for i in range(len(shape)):
@@ -626,46 +629,46 @@ def enumerate_standard_tableaux(shape) -> list[tuple[tuple[int, ...], ...]]:
 
 def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
     """All standard barely set-valued tableaux, sorted by their row-major
-    cell tuples (the documented output order)."""
+    cell tuples (the documented output order).
+
+    One search places the values 1..n+1 in increasing order.  Value v goes
+    either into the next cell of row i, when row i is not full and the row
+    above is longer, or, once per tableau, as the second entry of the last
+    filled cell of row i, when the row below is shorter (that cell is a
+    corner of the filled shape).  No later value can break strictness:
+    when v goes in, the cells left of and above its cell hold only smaller
+    values, and the cells right of and below it are still empty, so every
+    value they get later is larger.  Each tableau comes from exactly one
+    placement sequence, so nothing is found twice.
+    """
     shape = check_partition(shape) if shape else ()
     n = sum(shape)
-    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-    found = set()
+    k = len(shape)
+    cap = capacity()
+    rows = [[] for _ in shape]
+    out = []
 
-    for double in cells:
-        content = {c: [] for c in cells}
+    def rec(v, doubled):
+        if v > n + 1:
+            if len(out) >= cap:
+                _check_capacity(len(out) + 1, "barely set-valued tableau enumeration")
+            out.append(tuple(map(tuple, rows)))
+            return
+        for i in range(k):
+            row = rows[i]
+            j = len(row)
+            if j < shape[i] and (i == 0 or len(rows[i - 1]) > j):
+                row.append((v,))
+                rec(v + 1, doubled)
+                row.pop()
+            if not doubled and j and (i + 1 == k or len(rows[i + 1]) < j):
+                last = row[-1]
+                row[-1] = (last[0], v)
+                rec(v + 1, True)
+                row[-1] = last
 
-        def eligible(i, j):
-            if j > 0 and not content[(i, j - 1)]:
-                return False
-            if i > 0 and not content[(i - 1, j)]:
-                return False
-            if j + 1 < shape[i] and content[(i, j + 1)]:
-                return False
-            if i + 1 < len(shape) and j < shape[i + 1] and content[(i + 1, j)]:
-                return False
-            return True
-
-        def rec(v):
-            if v > n + 1:
-                if len(content[double]) == 2:
-                    found.add(
-                        tuple(
-                            tuple(tuple(content[(i, j)]) for j in range(shape[i]))
-                            for i in range(len(shape))
-                        )
-                    )
-                return
-            for (i, j) in cells:
-                cap = 2 if (i, j) == double else 1
-                if len(content[(i, j)]) >= cap or not eligible(i, j):
-                    continue
-                content[(i, j)].append(v)
-                rec(v + 1)
-                content[(i, j)].pop()
-
-        rec(1)
-    return [SetValuedTableau(rows) for rows in sorted(found)]
+    rec(1, False)
+    return [SetValuedTableau(t) for t in sorted(out)]
 
 
 def _shape_of_cells(cells) -> tuple[int, ...]:

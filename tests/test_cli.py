@@ -116,6 +116,30 @@ def test_emit_tableaux(capsys):
     assert "{1,2}\t{3}\n{4}" in out
 
 
+def test_emit_tableaux_21_text(capsys):
+    code, out, _ = run_cli(capsys, "--emit", "tableaux", "young", "stats", "--shape", "2,1")
+    assert code == 0
+    assert out == (
+        "{1}\t{2}\n{3,4}\n\n"
+        "{1}\t{2,3}\n{4}\n\n"
+        "{1}\t{2,4}\n{3}\n\n"
+        "{1}\t{3}\n{2,4}\n\n"
+        "{1}\t{3,4}\n{2}\n\n"
+        "{1}\t{4}\n{2,3}\n\n"
+        "{1,2}\t{3}\n{4}\n\n"
+        "{1,2}\t{4}\n{3}\n\n"
+    )
+
+
+def test_emit_tableaux_over_capacity_exits_2(capsys, monkeypatch):
+    # (3,2,1) has 168 barely set-valued tableaux, far more than the bound of 10
+    monkeypatch.setenv("CDE_CAPACITY", "10")
+    code, out, err = run_cli(capsys, "--emit", "tableaux", "young", "stats", "--shape", "3,2,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: barely set-valued tableau enumeration")
+
+
 def test_verify_cli(capsys):
     code, out, _ = run_cli(capsys, "--emit", "json", "verify", "--suite", "negatives", "--budget", "60")
     assert code == 0

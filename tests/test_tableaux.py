@@ -4,8 +4,10 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cde import poset
 from cde.core import IntPolynomial
 from cde.errors import (
+    CapacityError,
     MalformedInputError,
     NotBarelySetValuedError,
     NotCornerError,
@@ -431,6 +433,54 @@ def test_enumerate_standard_barely_21():
     }
     assert {t.rows for t in listed} == expected
     assert [t.rows for t in listed] == sorted(expected)
+
+
+def test_enumerate_standard_barely_matches_bruteforce():
+    # the brute force restarts its search per doubleton cell, an independent route
+    for shape in all_partitions(7):
+        listed = [t.rows for t in enumerate_standard_barely(shape)]
+        assert listed == sorted(bruteforce.standard_barely_set_valued(shape)), shape
+
+
+@st.composite
+def _small_partitions(draw, max_cells=8):
+    parts, left = [], max_cells
+    while left and draw(st.booleans()):
+        part = draw(st.integers(1, min(left, parts[-1] if parts else left)))
+        parts.append(part)
+        left -= part
+    return tuple(parts)
+
+
+@given(_small_partitions())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_enumerate_standard_barely_matches_bruteforce_drawn(shape):
+    listed = [t.rows for t in enumerate_standard_barely(shape)]
+    assert listed == sorted(bruteforce.standard_barely_set_valued(shape))
+
+
+def test_enumerate_standard_barely_is_increasing_and_counts_f_plus():
+    for shape in all_partitions(9):
+        listed = [t.rows for t in enumerate_standard_barely(shape)]
+        assert all(a < b for a, b in zip(listed, listed[1:])), shape
+        assert len(listed) == f_plus_one(shape), shape
+
+
+def test_enumerate_standard_barely_edge_cases():
+    assert enumerate_standard_barely(()) == []
+    assert [t.rows for t in enumerate_standard_barely((1,))] == [(((1, 2),),)]
+
+
+@pytest.mark.parametrize(
+    "enumerate_, count", [(enumerate_standard_barely, 168), (enumerate_standard_tableaux, 16)]
+)
+def test_standard_enumerators_stop_at_the_capacity_bound(monkeypatch, enumerate_, count):
+    shape = (3, 2, 1)
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", count - 1)
+    with pytest.raises(CapacityError):
+        enumerate_(shape)
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", count)
+    assert len(enumerate_(shape)) == count
 
 
 def test_chain_bijection_standard():
