@@ -162,15 +162,15 @@ def _cmd_perm(args) -> int:
     if cls.vexillary:
         data["shape"] = tb.shape_label(cls.shape)
         data["flag"] = ",".join(map(str, perm.rothe(w).flag_w)) or "-"
-    members = perm.weak_interval_elements(w)
-    data["interval_size"] = len(members)
-    data["reduced_words"] = perm.count_reduced(w)
-    data["nearly_reduced_words"] = perm.count_nearly_reduced(w)
-    data["EX"] = perm.expectation_X_complementary(w)
-    data["EY"] = perm.expectation_Y_words(w)
+    summary = perm._interval_summary(w)  # the one walk of the interval
+    data["interval_size"] = len(summary.walk[0])
+    data["reduced_words"] = summary.reduced
+    data["nearly_reduced_words"] = summary.nearly
+    data["EX"] = summary.EX
+    data["EY"] = summary.EY
     data["is_CDE"] = data["EX"] == data["EY"]
     if args.xm:
-        data.update(_multichain_payload(perm.weak_interval(w), args.xm))
+        data.update(_multichain_payload(perm._walk_poset(summary.walk), args.xm))
     _emit(data, args)
     return 0
 

@@ -36,6 +36,7 @@ __all__ = [
     "prepend_identity",
     "PermClass",
     "classify",
+    "vexillary_permutations",
     "permutation_from_code",
     "dominant_of_shape",
     "grassmannian_of_shape",
@@ -195,6 +196,48 @@ def classify(w) -> PermClass:
     return PermClass(vex, dom, grass, inv_grass, shape)
 
 
+def vexillary_permutations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The vexillary (2143-avoiding) permutations of 1..n in lexicographic
+    order, each paired with its shape: the nonzero Lehmer code entries in
+    decreasing order, as in `classify`.
+
+    The class grows by a generating tree instead of a filter over all n!.
+    Deleting the largest entry keeps the relative order of the others, so a
+    2143 in what is left would be one in w: the class is closed under that
+    deletion, and every vexillary w of 1..n is one of 1..n-1 with n inserted
+    at some position q.  A 2143 the insertion creates must use n, and n, the
+    largest entry, can only be its "4".  So the result is kept exactly when
+    no i1 < i2 < q has w(i2) < w(i1) < max(w(q+1), ..., w(n)).  Inserting n
+    at q gives it the code entry n - q and leaves the other entries alone,
+    so the shape grows along.  `classify` stays the oracle for this list.
+    """
+    if n < 0:
+        raise RangeError(f"n must be nonnegative, got {n}")
+    cap = capacity()
+    level = [((), ())]
+    for m in range(1, n + 1):
+        grown = []
+        for w, shape in level:
+            # high[p]: the largest entry that ends up after m inserted at p
+            high = [0] * m
+            for p in range(m - 2, -1, -1):
+                high[p] = max(w[p], high[p + 1])
+            # low: the smallest w(i1) over inversions i1 < i2 < p
+            low = m
+            for p in range(m):
+                if p >= 2:
+                    x = w[p - 1]
+                    low = min([low] + [v for v in w[: p - 1] if v > x])
+                if low > high[p]:
+                    k = m - 1 - p  # the code entry of m at p
+                    grown_shape = tuple(sorted(shape + (k,), reverse=True)) if k else shape
+                    grown.append((w[:p] + (m,) + w[p:], grown_shape))
+        if len(grown) > cap:
+            _check_capacity(len(grown), "vexillary permutation generation")
+        level = grown
+    return sorted(level)
+
+
 def permutation_from_code(code) -> tuple[int, ...]:
     n = len(code)
     if any(not 0 <= code[i] <= n - 1 - i for i in range(n)):
@@ -294,7 +337,7 @@ def _weak_walk(w):
         lower = []
         for s in range(1, n):
             if u[s - 1] > u[s]:
-                v = _swap(u, s)
+                v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]  # _swap(u, s), inlined in a hot loop
                 j = index.get(v)
                 if j is None:
                     j = index[v] = len(elements)
@@ -316,7 +359,12 @@ def weak_interval_elements(w) -> set[tuple[int, ...]]:
 def weak_interval(w) -> FinitePoset:
     """The interval below w in right weak order, as a validated poset whose
     elements come by length, then lexicographically."""
-    elements, below, _ = _weak_walk(check_permutation(w))
+    return _walk_poset(_weak_walk(check_permutation(w)))
+
+
+def _walk_poset(walk) -> FinitePoset:
+    """The poset of a finished `_weak_walk`, ordered as in weak_interval."""
+    elements, below, _ = walk
     depth = [0] * len(elements)
     for i, lower in enumerate(below):
         for j in lower:
@@ -362,8 +410,8 @@ def count_reduced(w) -> int:
     return _weak_walk(check_permutation(w))[2][-1]
 
 
-def _word_counts(w) -> tuple[int, int]:
-    """Reduced and nearly reduced word counts of w from one walk.
+def _word_counts(walk) -> tuple[int, int]:
+    """Reduced and nearly reduced word counts from a finished `_weak_walk`.
 
     A nearly reduced word repeats one descent of a prefix of a reduced word,
     so it is a path from w down to some u, a descent of u, and a path from u
@@ -371,7 +419,7 @@ def _word_counts(w) -> tuple[int, int]:
     elements[i] down to the identity, so up[0] counts the reduced words and
     the sum of des(u) * up * down over the interval the nearly reduced ones.
     """
-    elements, below, down = _weak_walk(w)
+    elements, below, down = walk
     up = [1] * len(elements)
     nearly = 0
     for i in range(len(elements) - 1, -1, -1):
@@ -399,7 +447,7 @@ def count_nearly_reduced(w) -> int:
     of its prefixes, so the count is a descent-weighted sum of path counts
     through the weak interval.
     """
-    return _word_counts(check_permutation(w))[1]
+    return _word_counts(_weak_walk(check_permutation(w)))[1]
 
 
 def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
@@ -435,7 +483,10 @@ def expectation_Y_words(w) -> Fraction:
     """Chain-weighted down-degree expectation of the weak interval, straight
     from word counts."""
     w = check_permutation(w)
-    reduced, nearly = _word_counts(w)
+    return _expectation_Y(w, *_word_counts(_weak_walk(w)))
+
+
+def _expectation_Y(w, reduced: int, nearly: int) -> Fraction:
     return Fraction(nearly, (length(w) + 1) * reduced)
 
 
@@ -443,14 +494,41 @@ def expectation_X_complementary(w) -> Fraction:
     """Edge density of the weak interval via the complementary count of
     up-steps that leave the interval."""
     w = check_permutation(w)
-    members = set(_weak_walk(w)[0])
-    n = len(w)
+    return _expectation_X(_weak_walk(w)[0])
+
+
+def _expectation_X(elements) -> Fraction:
+    """The ascent-membership count behind expectation_X_complementary, over
+    the elements of a finished `_weak_walk`."""
+    members = set(elements)
+    n = len(elements[0])
     missing = 0
     for u in members:
         for s in range(1, n):
-            if u[s - 1] < u[s] and _swap(u, s) not in members:
+            # an ascent s whose u * s (_swap, inlined in a hot loop) is not a member
+            if u[s - 1] < u[s] and u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :] not in members:
                 missing += 1
     return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(members)))
+
+
+@dataclass(frozen=True)
+class _IntervalSummary:
+    walk: tuple  # (elements, below, down) of _weak_walk; elements are the members
+    reduced: int
+    nearly: int
+    EX: Fraction
+    EY: Fraction
+
+
+def _interval_summary(w) -> _IntervalSummary:
+    """One walk of the weak interval below w, with what count_reduced,
+    count_nearly_reduced, expectation_X_complementary and expectation_Y_words
+    each compute from a walk of their own."""
+    w = check_permutation(w)
+    walk = _weak_walk(w)
+    ex = _expectation_X(walk[0])
+    reduced, nearly = _word_counts(walk)
+    return _IntervalSummary(walk, reduced, nearly, ex, _expectation_Y(w, reduced, nearly))
 
 
 # ---------------------------------------------------------------------------

@@ -598,10 +598,14 @@ def crowd(t_plus, corner, i0: int) -> SetValuedTableau:
 
 
 def enumerate_standard_tableaux(shape) -> list[tuple[tuple[int, ...], ...]]:
-    """All standard Young tableaux, sorted by their row tuples."""
+    """All standard Young tableaux, sorted by their row tuples.
+
+    Raises CapacityError before the search when the hook-length count is
+    over the capacity bound."""
     shape = check_partition(shape) if shape else ()
     n = sum(shape)
     cap = capacity()
+    _check_capacity(hook_f(shape), "standard tableau enumeration")
     rows = [[0] * r for r in shape]
     fill = [0] * len(shape)
     out = []
@@ -640,11 +644,16 @@ def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
     values, and the cells right of and below it are still empty, so every
     value they get later is larger.  Each tableau comes from exactly one
     placement sequence, so nothing is found twice.
+
+    Raises CapacityError before the search when the closed-form count
+    f_plus_one(shape) is over the capacity bound; the search itself stays
+    the independent route that the `recurrences` suite compares with it.
     """
     shape = check_partition(shape) if shape else ()
     n = sum(shape)
     k = len(shape)
     cap = capacity()
+    _check_capacity(f_plus_one(shape), "barely set-valued tableau enumeration")
     rows = [[] for _ in shape]
     out = []
 

@@ -603,15 +603,6 @@ def _suite_bijections(params):
     return checks
 
 
-def _vexillary_in(n):
-    out = []
-    for w in iperm(range(1, n + 1)):
-        cls = perm.classify(w)
-        if cls.vexillary:
-            out.append((w, cls))
-    return out
-
-
 def _suite_vexillary(params):
     if params.get("kind") == "grassmannian-iso":
         shape = tb.parse_shape(params["shape"])
@@ -631,14 +622,15 @@ def _suite_vexillary(params):
 
     n = int(params["n"])
     checks = []
-    for w, cls in _vexillary_in(n):
-        if perm.length(w) == 0:
+    for w, shape in perm.vexillary_permutations(n):
+        if not shape:
             continue
 
-        def run(w=w, cls=cls):
-            red_ok = perm.count_reduced(w) == tb.hook_f(cls.shape)
-            nearly_ok = perm.count_nearly_reduced(w) == tb.f_plus_one(cls.shape)
-            ey_ok = perm.expectation_Y_words(w) == _young_EY(cls.shape)
+        def run(w=w, shape=shape):
+            summary = perm._interval_summary(w)
+            red_ok = summary.reduced == tb.hook_f(shape)
+            nearly_ok = summary.nearly == tb.f_plus_one(shape)
+            ey_ok = summary.EY == _young_EY(shape)
             ok = red_ok and nearly_ok and ey_ok
             return (
                 "word counts match tableau counts",
@@ -646,7 +638,7 @@ def _suite_vexillary(params):
                 ok,
             )
 
-        instance = {"n": n, "w": perm.perm_label(w), "shape": tb.shape_label(cls.shape)}
+        instance = {"n": n, "w": perm.perm_label(w), "shape": tb.shape_label(shape)}
         checks.append(_Check("vexillary", instance, run))
     return checks
 
@@ -735,7 +727,7 @@ def _suite_fk_theorem(params):
 
     n = int(params["n"])
     checks = []
-    for w, cls in _vexillary_in(n):
+    for w, _ in perm.vexillary_permutations(n):
         ell = perm.length(w)
 
         def run(w=w, ell=ell):
@@ -831,28 +823,30 @@ def _suite_conj_shifted_2(params):
 def _suite_conj_vexillary_staircase(params):
     n = int(params["n"])
     checks = []
-    for w, cls in _vexillary_in(n):
-        if not cls.shape:
+    targets = {}  # shape -> (its (d, a, b) list, the one predicted value or None)
+    for w, shape in perm.vexillary_permutations(n):
+        if not shape:
             continue
-        reps = _rect_staircase_params(cls.shape)
-        if not reps:
+        if shape not in targets:
+            reps = _rect_staircase_params(shape)
+            values = {Fraction((d - 1) * a * b, a + b) for d, a, b in reps}
+            targets[shape] = (reps, values.pop() if len(values) == 1 else None)
+        reps, target = targets[shape]
+        if target is None:
             continue
-        values = {Fraction((d - 1) * a * b, a + b) for d, a, b in reps}
-        if len(values) != 1:
-            continue
-        target = values.pop()
+        cls = perm.classify(w)
         settled = cls.dominant or cls.grassmannian or cls.inverse_grassmannian
         instance = {
             "n": n,
             "w": perm.perm_label(w),
-            "shape": tb.shape_label(cls.shape),
+            "shape": tb.shape_label(shape),
             "params": str(reps[0]),
             "settled": str(settled),
         }
 
         def run(w=w, target=target, settled=settled):
-            ex = perm.expectation_X_complementary(w)
-            ey = perm.expectation_Y_words(w)
+            summary = perm._interval_summary(w)
+            ex, ey = summary.EX, summary.EY
             ok = ex == ey == target
             expected = str(target) if settled else "conjectural"
             return (expected, f"EX={ex} EY={ey} predicted={target}", ok)

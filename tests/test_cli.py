@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cde import permutations
 from cde.cli import main
 from cde.poset import dump_poset, pabcd
 
@@ -55,6 +56,54 @@ def test_perm_stats_xm(capsys):
     assert data["EX^(1)"] == "4/3"
     assert data["EX^(2)"] == "206/155"
     assert data["is_mCDE_upto_3"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ("--w", "25314"),
+            (
+                '{"EX": "14/11", "EY": "23/18", "code": "1,3,1,0,0", "descents": "2,3", '
+                '"dominant": false, "flag": "2,2,3", "grassmannian": false, '
+                '"interval_size": 11, "inverse_grassmannian": false, "is_CDE": false, '
+                '"length": 5, "n": 5, "nearly_reduced_words": 46, "reduced_words": 6, '
+                '"shape": "3,1,1", "vexillary": true, "w": "25314"}'
+            ),
+        ),
+        (
+            ("--w", "53124", "--xm", "3"),
+            (
+                '{"EX": "4/3", "EX^(1)": "4/3", "EX^(2)": "206/155", '
+                '"EX^(3)": "1025/772", "EY": "4/3", "code": "4,2,0,0,0", '
+                '"descents": "1,2", "dominant": true, "flag": "1,2", '
+                '"grassmannian": false, "interval_size": 15, '
+                '"inverse_grassmannian": false, "is_CDE": true, "is_mCDE_upto_3": false, '
+                '"length": 6, "n": 5, "nearly_reduced_words": 84, "reduced_words": 9, '
+                '"shape": "4,2", "vexillary": true, "w": "53124"}'
+            ),
+        ),
+        (
+            ("--word", "1,2,1,1"),
+            (
+                '{"EX": "1", "EY": "1", "code": "2,1,0", "descents": "1,2", '
+                '"dominant": true, "flag": "1,2", "grassmannian": false, '
+                '"interval_size": 6, "inverse_grassmannian": false, "is_CDE": true, '
+                '"length": 3, "n": 3, "nearly_reduced_words": 8, "reduced_words": 2, '
+                '"shape": "2,1", "vexillary": true, "w": "321"}'
+            ),
+        ),
+    ],
+    ids=["w-25314", "w-53124-xm-3", "word-1,2,1,1"],
+)
+def test_perm_stats_walks_the_interval_once(capsys, monkeypatch, argv, line):
+    walks = []
+    real = permutations._weak_walk
+    monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real(w))
+    code, out, _ = run_cli(capsys, "--emit", "json", "perm", "stats", *argv)
+    assert code == 0
+    assert out == line + "\n"
+    assert len(walks) == 1
 
 
 def test_fk_command(capsys):
@@ -138,6 +187,18 @@ def test_emit_tableaux_over_capacity_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: barely set-valued tableau enumeration")
+
+
+def test_emit_tableaux_over_the_default_capacity_fails_before_searching(capsys, monkeypatch):
+    # f+ of (6,5,4,3,2,1) is 72,649,015,296: the closed form stops the call at once
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    code, out, err = run_cli(
+        capsys, "--emit", "tableaux", "young", "stats", "--shape", "6,5,4,3,2,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: barely set-valued tableau enumeration")
+    assert "72649015296" in err
 
 
 def test_verify_cli(capsys):

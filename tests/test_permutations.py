@@ -42,8 +42,10 @@ from cde.permutations import (
     weak_interval_elements,
     weak_order_full,
     strong_bruhat,
+    vexillary_permutations,
     word_to_hecke,
 )
+from cde import permutations
 from cde.poset import (
     FinitePoset,
     dual,
@@ -68,6 +70,7 @@ from cde.tableaux import (
 
 import bruteforce
 from bruteforce import hecke_words_bruteforce
+from cde.verify import _suite_conj_vexillary_staircase
 
 
 def test_perm_text_round_trip():
@@ -123,6 +126,30 @@ def test_classify_examples():
     assert c.vexillary and not c.dominant and not c.grassmannian
     assert not c.inverse_grassmannian
     assert c.shape == (3, 1, 1)
+
+
+def test_vexillary_permutations_match_the_classify_filter():
+    lengths = []
+    for n in range(1, 9):
+        oracle = []
+        for w in iperm(range(1, n + 1)):
+            c = classify(w)
+            if c.vexillary:
+                oracle.append((w, c.shape))
+        assert vexillary_permutations(n) == oracle, n  # order and shapes included
+        lengths.append(len(oracle))
+    assert lengths == [1, 2, 6, 23, 103, 513, 2761, 15767]  # OEIS A005802
+    assert vexillary_permutations(0) == [((), ())]
+    with pytest.raises(RangeError):
+        vexillary_permutations(-1)
+
+
+def test_vexillary_permutations_stop_at_the_capacity_bound(monkeypatch):
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", 102)
+    with pytest.raises(CapacityError):
+        vexillary_permutations(5)
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", 103)
+    assert len(vexillary_permutations(5)) == 103
 
 
 def test_dominant_of_shape():
@@ -294,6 +321,29 @@ def test_routes_agree_with_poset_statistics():
             p = weak_interval(w)
             assert expectation_X_complementary(w) == expectation_X(p)
             assert expectation_Y_words(w) == expectation_Y(p)
+
+
+def _assert_summary_matches_every_route(w):
+    summary = permutations._interval_summary(w)
+    interval = weak_interval(w)
+    st = stats(interval)
+    members = weak_interval_elements(w)
+    assert len(summary.walk[0]) == len(members) == interval.n
+    assert set(summary.walk[0]) == members
+    assert summary.reduced == count_reduced(w) == st.maximal_chain_count
+    assert summary.nearly == count_nearly_reduced(w)
+    assert summary.EX == expectation_X_complementary(w) == st.EX
+    assert summary.EY == expectation_Y_words(w) == st.EY
+    assert permutations._walk_poset(summary.walk) == interval
+
+
+def test_interval_summary_matches_the_public_functions():
+    for w in iperm(range(1, 6)):
+        _assert_summary_matches_every_route(w)
+    staircase = _suite_conj_vexillary_staircase({"n": "6"})
+    assert len(staircase) == 92
+    for check in staircase:
+        _assert_summary_matches_every_route(parse_perm(check.instance["w"]))
 
 
 def test_word_reversal_symmetry():

@@ -8,7 +8,7 @@ import pytest
 
 from cde.cli import main
 from cde.errors import MalformedInputError, SizeError, UnknownSuiteError
-from cde import tableaux, verify
+from cde import permutations, tableaux, verify
 from cde.permutations import parse_perm, perm_label
 from cde.poset import expectation_Xm, is_forest, is_mCDE_upto, product
 from cde.verify import (
@@ -176,6 +176,33 @@ def test_vexillary_staircase_instances_have_settled_flag():
             assert r.status in ("conjecture-consistent", "conjecture-violated")
             seen_conj = True
     assert seen_settled and seen_conj
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_vexillary_staircase_walks_each_instance_once(monkeypatch):
+    rows = [row for row in verify._manifest_rows()
+            if row == ("conj-vexillary-staircase", (("n", "6"),))]
+    assert len(rows) == 1
+    monkeypatch.setattr(verify, "_manifest_rows", lambda: tuple(rows))
+    walks = _counting(monkeypatch, permutations, "_weak_walk")
+    classified = _counting(monkeypatch, permutations, "classify")
+    reports = run_suite("conj-vexillary-staircase")
+    assert len(reports) == 92
+    assert all(r.status in ("pass", "conjecture-consistent") for r in reports)
+    # one walk per instance, and classify only for the instances kept
+    assert [perm_label(args[0]) for args in walks] == [r.instance["w"] for r in reports]
+    assert len(classified) == len(reports)
 
 
 def _wrong_flagged_count(shape, flag, max_total):
