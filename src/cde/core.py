@@ -10,38 +10,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DomainError
 
 __all__ = [
     "stirling2",
+    "stirling2_row",
     "pochhammer",
     "chu_vandermonde_check",
     "IntPolynomial",
     "poly_divides",
-    "lagrange_interpolate",
     "interpolate_integer_polynomial",
 ]
 
 
-@lru_cache(maxsize=None)
 def stirling2(L: int, j: int) -> int:
-    """Number of set partitions of {1..L} into j blocks.
-
-    Memoized on (L, j); out-of-range pairs return 0.
+    """Number of set partitions of {1..L} into j blocks; out-of-range pairs
+    return 0.
 
     >>> stirling2(4, 3)
     6
     """
-    if L < 0 or j < 0:
+    if L < 0 or not 0 <= j <= L:
         return 0
-    if L == 0:
-        return 1 if j == 0 else 0
-    if j == 0 or j > L:
-        return 0
-    return j * stirling2(L - 1, j) + stirling2(L - 1, j - 1)
+    return stirling2_row(L)[j]
+
+
+def stirling2_row(L: int) -> list[int]:
+    """[S(L, 0), ..., S(L, L)], built row by row from S(m+1, j) =
+    j S(m, j) + S(m, j-1).
+
+    >>> stirling2_row(4)
+    [0, 1, 7, 6, 1]
+    """
+    if L < 0:
+        raise DomainError("stirling2_row needs L >= 0")
+    row = [1]
+    for m in range(L):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m + 1)] + [1]
+    return row
 
 
 def pochhammer(z: Fraction | int, j: int) -> Fraction:
@@ -200,48 +208,37 @@ def poly_divides(p: IntPolynomial, q: IntPolynomial):
                 rem[k + i] -= c * pc
     if any(rem):
         return None
-    den = 1
-    for c in quot:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in quot))
     return IntPolynomial(tuple(int(c * den) for c in quot)), den
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def lagrange_interpolate(points) -> list[Fraction]:
-    """Coefficients (low to high) of the unique polynomial of degree
-    < len(points) through the given (x, y) pairs, as exact Fractions."""
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    n = len(pts)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(pts):
-        # numerator polynomial prod_{j != i} (x - xj), built densely
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            basis = nxt
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    while len(coeffs) > 0 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def interpolate_integer_polynomial(points) -> IntPolynomial:
-    """Interpolate and insist on integer coefficients."""
-    coeffs = lagrange_interpolate(points)
-    if any(c.denominator != 1 for c in coeffs):
-        raise DomainError(f"interpolation produced non-integer coefficients {coeffs}")
-    return IntPolynomial(tuple(int(c) for c in coeffs))
+    """The polynomial of degree < len(points) through the given (x, y)
+    pairs, which must have distinct integer x and integer coefficients.
+
+    Newton divided differences in integers: for an integer polynomial every
+    divided difference over integer nodes is an integer, and when they all
+    are, the Newton form expands to integer coefficients.  So a division
+    leaves a remainder exactly when some coefficient is not an integer, and
+    that raises DomainError, as does a repeated x.
+    """
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise DomainError(f"interpolation nodes repeat: {xs}")
+    # after round k, diff[i] is the divided difference over xs[i-k..i]
+    diff = [y for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            q, r = divmod(diff[i] - diff[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise DomainError(f"interpolation through {list(points)} has a non-integer coefficient")
+            diff[i] = q
+    # Horner on the Newton form d0 + (x - x0)(d1 + (x - x1)(d2 + ...))
+    coeffs: list[int] = []
+    for x, d in zip(reversed(xs), reversed(diff)):
+        shifted = [0] + coeffs
+        for t, c in enumerate(coeffs):
+            shifted[t] -= x * c
+        shifted[0] += d
+        coeffs = shifted
+    return IntPolynomial(tuple(coeffs))

@@ -7,12 +7,12 @@ group is always the length of the tuple.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
-from .core import IntPolynomial, interpolate_integer_polynomial, stirling2
+from .core import IntPolynomial, interpolate_integer_polynomial, stirling2_row
 from .errors import (
     CapacityError,
     MalformedInputError,
@@ -61,6 +61,7 @@ __all__ = [
     "rothe_diagram",
     "rothe",
     "fk_polynomial",
+    "fk_polynomials",
     "FkConjectureReport",
     "conjecture_fk_check",
 ]
@@ -644,65 +645,113 @@ def rothe(w) -> RotheData:
 # FK polynomials
 
 
-@lru_cache(maxsize=None)
-def _hecke_weight_table(n: int, L: int):
-    """Map each permutation reachable by length-L words to the sum of
-    prod (x + letter) over those words."""
-    if L == 0:
-        return {identity(n): IntPolynomial.one()}
-    prev = _hecke_weight_table(n, L - 1)
-    out: dict[tuple[int, ...], IntPolynomial] = {}
-    for u, pol in prev.items():
-        for s in range(1, n):
-            v = hecke_product(u, s)
-            term = pol * IntPolynomial.x_plus(s)
-            if v in out:
-                out[v] = out[v] + term
-            else:
-                out[v] = term
-    return out
+def _times_linear(coeffs: list[int], a: int, b: int) -> list[int]:
+    """The coefficients of (a x + b) times the polynomial `coeffs`."""
+    return [b * c + a * d for c, d in zip(coeffs + [0], [0] + coeffs)]
 
 
-def _fk_words(w, L: int) -> IntPolynomial:
+def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
+    """The word polynomials for each L in Ls from one walk of [e, w].
+
+    Every prefix of a 0-Hecke word for w has its product in the interval:
+    a letter s either is a descent of the product so far and is absorbed,
+    or climbs the cover that swaps positions s and s+1.  So the weight of
+    the words of length k ending at u obeys
+        P_k(u) = P_{k-1}(u) (des(u) x + sum of descents of u)
+                 + sum over lower covers v = u s of P_{k-1}(v) (x + s),
+    run up to the largest L.  Only u with length(u) <= k can be reached in
+    k letters, and only u with length(w) - length(u) <= max(Ls) - k can still
+    reach w, so each step updates that window of ranks, top down.
+    """
+    elements, below, _ = _weak_walk(w)
     n = len(w)
-    _check_capacity(factorial(n), "0-Hecke weight table")
-    table = _hecke_weight_table(n, L)
-    return table.get(tuple(w), IntPolynomial.zero())
+    depth = [0] * len(elements)
+    for i, lower in enumerate(below):
+        for j in lower:
+            depth[j] = depth[i] + 1
+    ell = depth[-1]
+    # the walk lists the ranks top down; rank d fills elements[first[d]:first[d + 1]]
+    first = [bisect_left(depth, d) for d in range(ell + 2)]
+    # below[i] follows the descents of elements[i] in increasing order
+    steps = []
+    for u, lower in zip(elements, below):
+        des = [s for s in range(1, n) if u[s - 1] > u[s]]
+        steps.append((len(des), sum(des), list(zip(lower, des))))
+    top = max(Ls, default=-1)
+    weight: list[list[int] | None] = [None] * len(elements)
+    weight[-1] = [1]
+    found = {0: weight[0]} if ell == 0 else {}
+    for k in range(1, top + 1):
+        for i in range(first[max(ell - k, 0)], first[min(ell, top - k) + 1]):
+            loops, letters, covers = steps[i]
+            cur = weight[i]
+            new = _times_linear(cur, loops, letters) if cur is not None and loops else None
+            for j, s in covers:
+                if weight[j] is not None:
+                    term = _times_linear(weight[j], 1, s)
+                    new = term if new is None else [c + t for c, t in zip(new, term)]
+            weight[i] = new
+        if k >= ell:
+            found[k] = weight[0]
+    return tuple(IntPolynomial(tuple(found.get(L) or ())) for L in Ls)
 
 
-def _fk_tableaux_value(lam, flag, L, x) -> int:
-    shifted = tuple(b + x for b in flag)
-    counts = count_ssyt_by_total(lam, shifted, L)
-    return sum(
-        counts.get(j, 0) * factorial(j) * stirling2(L, j)
-        for j in range(sum(lam), L + 1)
-    )
-
-
-def _fk_tableaux(w, L: int) -> IntPolynomial:
+def _fk_tableaux(w, Ls) -> tuple[IntPolynomial, ...]:
+    """The word polynomials for each L in Ls from flagged set-valued tableau
+    counts: the value at x is the sum over j of (number of tableaux with j
+    entries, flag shifted by x) j! S(L, j), for x = 1..L+1, interpolated.
+    One DP per x up to the largest L holds the counts of every smaller
+    total, so each L reads its own from the same counts."""
     data = rothe(w)
-    if sum(data.lambda_w) > L:
-        return IntPolynomial.zero()
-    points = [(x, _fk_tableaux_value(data.lambda_w, data.flag_w, L, x)) for x in range(1, L + 2)]
-    return interpolate_integer_polynomial(points)
+    size = sum(data.lambda_w)
+    top = max(Ls, default=-1)
+    counts = []
+    if top >= size:
+        counts = [
+            count_ssyt_by_total(data.lambda_w, tuple(b + x for b in data.flag_w), top)
+            for x in range(1, top + 2)
+        ]
+    polys = {}
+    for L in set(Ls):
+        if L < size:
+            polys[L] = IntPolynomial.zero()
+            continue
+        surjections = [factorial(j) * s for j, s in enumerate(stirling2_row(L))]
+        points = [
+            (x, sum(c.get(j, 0) * surjections[j] for j in range(size, L + 1)))
+            for x, c in enumerate(counts[: L + 1], start=1)
+        ]
+        polys[L] = interpolate_integer_polynomial(points)
+    return tuple(polys[L] for L in Ls)
+
+
+def fk_polynomials(w, Ls, via: str = "words") -> tuple[IntPolynomial, ...]:
+    """fk_polynomial(w, L, via) for each L in Ls, in order, sharing the work.
+
+    via='words' runs one transfer over the weak interval below w up to the
+    largest L; via='tableaux' (vexillary w only) runs one flagged
+    set-valued tableau DP per x up to the largest L.
+    """
+    w = check_permutation(w)
+    Ls = tuple(Ls)
+    if any(L < 0 for L in Ls):
+        raise RangeError("L must be nonnegative")
+    if via == "words":
+        return _fk_words(w, Ls)
+    if via == "tableaux":
+        return _fk_tableaux(w, Ls)
+    raise MalformedInputError(f"unknown route {via!r}")
 
 
 def fk_polynomial(w, L: int, via: str = "words") -> IntPolynomial:
     """Sum of prod (x + i_k) over all length-L 0-Hecke words for w.
 
-    via='words' runs a weight-propagating product over the 0-Hecke monoid;
+    via='words' propagates word weights over the weak interval below w;
     via='tableaux' (vexillary w only) assembles the polynomial from flagged
     set-valued tableau counts and Stirling numbers.  The verify `fk-theorem`
     suite checks the two routes against each other.
     """
-    w = check_permutation(w)
-    if L < 0:
-        raise RangeError("L must be nonnegative")
-    if via == "words":
-        return _fk_words(w, L)
-    if via == "tableaux":
-        return _fk_tableaux(w, L)
-    raise MalformedInputError(f"unknown route {via!r}")
+    return fk_polynomials(w, (L,), via)[0]
 
 
 @dataclass(frozen=True)
@@ -731,8 +780,7 @@ def conjecture_fk_check(d: int, a: int, b: int) -> FkConjectureReport:
     lam = rect_staircase(d, a, b)
     w = dominant_of_shape(lam)
     ell = sum(lam)
-    fk_l = fk_polynomial(w, ell)
-    fk_l1 = fk_polynomial(w, ell + 1)
+    fk_l, fk_l1 = fk_polynomials(w, (ell, ell + 1))
     division = poly_divides(fk_l, fk_l1)
     divides = division is not None
     quotient_matches = False

@@ -255,6 +255,32 @@ def hecke_words_bruteforce(w: tuple[int, ...], L: int) -> list[tuple[int, ...]]:
     return [word for word in product(range(1, n), repeat=L) if prod(word) == w]
 
 
+def hecke_weight_tables(n: int, max_L: int) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
+    """tables[L] maps each permutation of 1..n reachable by a length-L word
+    to the coefficients, constant term first, of the sum of prod (x + letter)
+    over those words.  Built level by level over all of S_n, applying every
+    letter to every product of the level below."""
+
+    def times_x_plus(coeffs, s):
+        out = [0] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            out[k] += s * c
+            out[k + 1] += c
+        return out
+
+    tables = [{tuple(range(1, n + 1)): (1,)}]
+    for _ in range(max_L):
+        level = {}
+        for u, coeffs in tables[-1].items():
+            for s in range(1, n):
+                v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :] if u[s - 1] < u[s] else u
+                term = times_x_plus(coeffs, s)
+                old = level.get(v, [0] * len(term))
+                level[v] = [a + b for a, b in zip(old, term)]
+        tables.append({v: tuple(c) for v, c in level.items()})
+    return tables
+
+
 def expectation_of(values, weights) -> Fraction:
     num = sum(Fraction(v) * wt for v, wt in zip(values, weights))
     den = sum(Fraction(wt) for wt in weights)

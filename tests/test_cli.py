@@ -115,6 +115,25 @@ def test_fk_command(capsys):
     assert data["coefficients"] == [36, 102, 106, 48, 8]
 
 
+def test_fk_with_a_long_word_length_runs_without_recursion():
+    # the words route is a loop over L, so L = 1200 needs no deep call stack
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "cde.cli", "--emit", "json", "fk", "--w", "21", "--L", "1200"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    coefficients = json.loads(done.stdout)["coefficients"]
+    assert len(coefficients) == 1201
+    # s_1 has one word of each length, 1...1, so the polynomial is (x+1)^1200
+    assert coefficients[:3] == [1, 1200, 719400] and coefficients[-1] == 1
+
+
 def test_perm_from_word(capsys):
     data = run_json(capsys, "perm", "stats", "--word", "1,2,1,1")
     assert data["w"] == "321"

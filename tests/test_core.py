@@ -9,10 +9,10 @@ from cde.core import (
     IntPolynomial,
     chu_vandermonde_check,
     interpolate_integer_polynomial,
-    lagrange_interpolate,
     poly_divides,
     pochhammer,
     stirling2,
+    stirling2_row,
 )
 from cde.errors import DomainError
 
@@ -32,6 +32,10 @@ def test_stirling_against_enumeration():
         for j in range(0, n + 2):
             assert stirling2(n, j) == set_partitions_into(n, j)
     assert stirling2(5, 2) == 15
+    for n in range(0, 7):
+        assert stirling2_row(n) == [set_partitions_into(n, j) for j in range(n + 1)]
+    with pytest.raises(DomainError):
+        stirling2_row(-1)
 
 
 def test_stirling_out_of_range():
@@ -146,6 +150,35 @@ def test_interpolation():
     p = IntPolynomial((6, 13, 9, 2))
     pts = [(x, p(x)) for x in range(1, 6)]
     assert interpolate_integer_polynomial(pts) == p
-    assert lagrange_interpolate([(0, 0), (1, 1), (2, 4)]) == [Fraction(0), Fraction(0), Fraction(1)]
+    assert interpolate_integer_polynomial([(0, 0), (1, 1), (2, 4)]) == IntPolynomial((0, 0, 1))
+    assert interpolate_integer_polynomial([]).is_zero()
     with pytest.raises(DomainError):
         interpolate_integer_polynomial([(0, 0), (2, 1)])
+
+
+@given(
+    coeffs=st.lists(st.integers(-50, 50), max_size=7),
+    extra=st.integers(0, 3),
+    nodes=st.lists(st.integers(-12, 12), min_size=10, max_size=10, unique=True),
+)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_interpolation_round_trip(coeffs, extra, nodes):
+    # distinct, unsorted nodes, negative ones included; spare nodes beyond
+    # the degree must still give back the same polynomial
+    p = IntPolynomial(tuple(coeffs))
+    xs = nodes[: len(coeffs) + extra]
+    assert interpolate_integer_polynomial([(x, p(x)) for x in xs]) == p
+
+
+def test_interpolation_rejects_non_integer_coefficients():
+    # x(x-1)/2 takes integer values at every integer, but its coefficients are not integers
+    for xs in ((0, 1, 2), (5, -3, 1), (2, 1, 0, 3)):
+        with pytest.raises(DomainError):
+            interpolate_integer_polynomial([(x, x * (x - 1) // 2) for x in xs])
+
+
+def test_interpolation_rejects_a_repeated_node():
+    with pytest.raises(DomainError):
+        interpolate_integer_polynomial([(1, 2), (1, 3)])
+    with pytest.raises(DomainError):
+        interpolate_integer_polynomial([(3, 1), (0, 1), (3, 1)])

@@ -21,6 +21,7 @@ from cde.permutations import (
     expectation_X_complementary,
     expectation_Y_words,
     fk_polynomial,
+    fk_polynomials,
     grassmannian_of_shape,
     hecke_product,
     identity,
@@ -519,6 +520,60 @@ def test_fk_routes_agree_small():
     # comparing the routes is the caller's job; the library offers no "both"
     with pytest.raises(MalformedInputError):
         fk_polynomial((3, 2, 1), 3, via="both")
+
+
+def test_fk_words_route_matches_the_full_hecke_table():
+    # every w in S_1..S_5 at L = 0..length+3: 1,294 (w, L) pairs
+    pairs = 0
+    for n in range(1, 6):
+        tables = bruteforce.hecke_weight_tables(n, n * (n - 1) // 2 + 3)
+        for w in iperm(range(1, n + 1)):
+            Ls = range(length(w) + 4)
+            for L, pol in zip(Ls, fk_polynomials(w, Ls)):
+                assert pol.coeffs == tables[L].get(w, ()), (w, L)
+                pairs += 1
+    assert pairs == 1294
+
+
+@pytest.mark.parametrize("via", ["words", "tableaux"])
+@pytest.mark.parametrize(
+    "w, Ls",
+    [
+        ((3, 2, 1), (5, 3, 4)),  # unsorted
+        ((3, 2, 1), (4, 4, 3, 4)),  # repeated
+        ((3, 2, 1), (0, 1, 2, 3)),  # L = 0 and L below the length
+        ((1, 2, 3), (2, 0, 1, 0)),  # the identity
+        ((2, 4, 1, 3), (6, 2, 3, 5)),
+        ((2, 5, 3, 1, 4), (1, 6, 4, 5)),
+        ((2, 1), ()),
+    ],
+)
+def test_fk_polynomials_equal_one_call_per_L(w, Ls, via):
+    got = fk_polynomials(w, Ls, via=via)
+    assert isinstance(got, tuple)
+    assert list(got) == [fk_polynomial(w, L, via=via) for L in Ls]
+    assert all(got[k].is_zero() for k, L in enumerate(Ls) if L < length(w))
+
+
+def test_fk_polynomials_check_their_input():
+    with pytest.raises(RangeError):
+        fk_polynomials((3, 2, 1), (3, -1))
+    with pytest.raises(MalformedInputError):
+        fk_polynomials((3, 2, 1), (3,), via="both")
+    with pytest.raises(MalformedInputError):
+        fk_polynomials((3, 3, 1), (3,))
+    with pytest.raises(NotVexillaryError):
+        fk_polynomials((2, 1, 4, 3), (2,), via="tableaux")
+
+
+def test_fk_words_route_stops_at_the_weak_interval_bound(monkeypatch):
+    w = (5, 3, 1, 2, 4)
+    size = len(weak_interval_elements(w))
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size - 1)
+    with pytest.raises(CapacityError):
+        fk_polynomial(w, length(w))
+    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size)
+    assert fk_polynomial(w, length(w)).leading_coefficient() == count_reduced(w)
 
 
 def test_fk_leading_coefficient_counts_words():

@@ -205,6 +205,21 @@ def test_vexillary_staircase_walks_each_instance_once(monkeypatch):
     assert len(classified) == len(reports)
 
 
+def test_fk_theorem_runs_one_dp_per_x_and_one_walk_per_instance(monkeypatch):
+    rows = [row for row in verify._manifest_rows() if row == ("fk-theorem", (("n", "4"),))]
+    assert len(rows) == 1
+    monkeypatch.setattr(verify, "_manifest_rows", lambda: tuple(rows))
+    dps = _counting(monkeypatch, permutations, "count_ssyt_by_total")
+    walks = _counting(monkeypatch, permutations, "_weak_walk")
+    reports = run_suite("fk-theorem")
+    assert len(reports) == 23
+    assert all(r.status == "pass" for r in reports)
+    # the tableaux route: x = 1..length+3 for each of the 23 vexillary w in S_4
+    assert len(dps) == sum(permutations.length(parse_perm(r.instance["w"])) + 3 for r in reports) == 139
+    # the words route: one walk per instance for L = length..length+2
+    assert [perm_label(args[0]) for args in walks] == [r.instance["w"] for r in reports]
+
+
 def _wrong_flagged_count(shape, flag, max_total):
     return {}
 
