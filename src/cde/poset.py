@@ -11,7 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations, zip_longest
+from math import comb
+from operator import mul
 
 from .errors import (
     CapacityError,
@@ -62,18 +64,10 @@ __all__ = [
 
 DEFAULT_CAPACITY = 2_000_000
 
-#: Overrides the capacity bound when not None (tests monkeypatch this).
-CAPACITY_OVERRIDE: int | None = None
-
 
 def capacity() -> int:
-    """Current element/ideal capacity bound.
-
-    Precedence: CAPACITY_OVERRIDE, then the CDE_CAPACITY environment
-    variable, then the built-in default of 2e6.
-    """
-    if CAPACITY_OVERRIDE is not None:
-        return CAPACITY_OVERRIDE
+    """Current element/ideal capacity bound: the CDE_CAPACITY environment
+    variable, else the built-in default of 2e6."""
     env = os.environ.get("CDE_CAPACITY")
     if env is not None:
         try:
@@ -84,8 +78,9 @@ def capacity() -> int:
 
 
 def _check_capacity(count: int, what: str):
-    if count > capacity():
-        raise CapacityError(f"{what} needs {count} > capacity {capacity()}")
+    bound = capacity()
+    if count > bound:
+        raise CapacityError(f"{what} needs {count} > capacity {bound}")
 
 
 @dataclass(frozen=True)
@@ -165,24 +160,18 @@ class FinitePoset:
             below[x] = mask
         return below
 
-    def leq(self) -> list[set[int]]:
-        """Reflexive order relation as sets: entry y holds {z : z <= y}."""
-        masks = self.order_relation()
-        out = []
-        for y in range(self.n):
-            m = masks[y]
-            out.append({z for z in range(self.n) if (m >> z) & 1})
-        return out
-
 
 def validate(p: FinitePoset) -> None:
     """Check the FinitePoset invariants.
 
-    Raises CycleError when the cover digraph has a cycle and NotReducedError
-    (naming the offending pair) when some cover is implied by two others.
+    Raises CycleError when the cover digraph has a cycle, NotReducedError
+    (naming the offending pair) when some cover is implied by two others, and
+    MalformedInputError when a cover leaves 0..n-1 or the labels are not n.
     """
     if p.n < 0:
         raise SizeError("element count must be nonnegative")
+    if p.labels is not None and len(p.labels) != p.n:
+        raise MalformedInputError(f"{len(p.labels)} labels for {p.n} elements")
     for a, b in p.covers:
         if not (0 <= a < p.n and 0 <= b < p.n):
             raise MalformedInputError(f"cover {(a, b)} out of range")
@@ -226,10 +215,10 @@ def expectation_X(p: FinitePoset) -> Fraction:
     return Fraction(len(p.covers), p.n)
 
 
-def _chain_counts(p: FinitePoset):
+def _chain_counts(p: FinitePoset, order: list[int] | None = None):
     """(up, down): saturated chain counts from the minimal elements up to x,
-    and from x down from the maximal elements."""
-    order = p.topological_order()
+    and from x down from the maximal elements; `order` is a topological order."""
+    order = p.topological_order() if order is None else order
     up = [0] * p.n
     down = [0] * p.n
     for x in order:
@@ -241,69 +230,67 @@ def _chain_counts(p: FinitePoset):
     return up, down
 
 
-def maximal_chain_count(p: FinitePoset) -> int:
-    _require_nonempty(p)
-    up, _ = _chain_counts(p)
-    return sum(up[x] for x in range(p.n) if not p.upper_covers[x])
+def _expectation_Y(p: FinitePoset, up: list[int], down: list[int]) -> Fraction:
+    through = [up[x] * down[x] for x in range(p.n)]
+    num = sum(t * p.down_degree(x) for x, t in enumerate(through))
+    return Fraction(num, sum(through))
 
 
 def expectation_Y(p: FinitePoset) -> Fraction:
     """Expected down-degree when each element is weighted by the number of
     maximal chains through it."""
     _require_nonempty(p)
-    up, down = _chain_counts(p)
-    through = [up[x] * down[x] for x in range(p.n)]
-    num = sum(t * p.down_degree(x) for x, t in enumerate(through))
-    den = sum(through)
-    return Fraction(num, den)
+    return _expectation_Y(p, *_chain_counts(p))
+
+
+def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
+    """Row e: a(e, k), the number of k-element chains through e, for
+    k = 1..size (shorter when no longer chain passes through e).
+
+    A chain through e is a chain with top e joined at e to a chain with
+    bottom e, so row e is the convolution of the two, truncated at `size`.
+    """
+    order = p.topological_order()
+    ends = []
+    for walk, covers in ((order, p.lower_covers), (order[::-1], p.upper_covers)):
+        # rows[x][k-1]: the k-element chains whose last element in `walk` is x
+        passed = [None] * p.n
+        rows = [None] * p.n
+        for x in walk:
+            near = covers[x]
+            strict = passed[x] = set(near).union(*map(passed.__getitem__, near))
+            sums = zip_longest(*map(rows.__getitem__, strict), fillvalue=0)
+            rows[x] = [1, *map(sum, islice(sums, size - 1))]
+        ends.append(rows)
+    table = []
+    for top, bottom in zip(*ends):
+        width = min(size, len(top) + len(bottom) - 1)
+        top += [0] * (width - len(top))
+        bottom += [0] * (width - len(bottom))
+        table.append([sum(map(mul, top[: k + 1], bottom[k::-1])) for k in range(width)])
+    return table
 
 
 def multichain_counts(p: FinitePoset, m: int) -> list[int]:
     """For each element, the number of m-element multichains containing it.
 
-    A multichain p_1 <= ... <= p_m through e splits into a prefix strictly
-    below e, a nonempty block of copies of e, and a suffix strictly above, so
-    the count is assembled from per-length counts of multichains confined
-    below and above e.
+    A multichain through e has a chain through e as its set of elements, and
+    C(m-1, k-1) multichains of m elements have a given k-element chain as
+    their set (the zeta-polynomial expansion, Stanley, EC1 3.12).
     """
     _require_nonempty(p)
     if m < 1:
         raise SizeError("m must be a positive integer")
-    n = p.n
-    leq = p.leq()
-    geq = [set() for _ in range(n)]
-    for y in range(n):
-        for z in leq[y]:
-            geq[z].add(y)
-    # ends[t][y]: weakly increasing length-t sequences ending at y
-    ends = [[1] * n]
-    starts = [[1] * n]
-    for _ in range(m - 1):
-        prev = ends[-1]
-        ends.append([sum(prev[z] for z in leq[y]) for y in range(n)])
-        prev = starts[-1]
-        starts.append([sum(prev[z] for z in geq[y]) for y in range(n)])
-    # D[i][e]: length-i multichains with all elements < e (i >= 1)
-    D = [[1] * n]
-    U = [[1] * n]
-    for t in range(1, m):
-        ends_t = ends[t - 1]
-        starts_t = starts[t - 1]
-        D.append([sum(ends_t[y] for y in leq[e] if y != e) for e in range(n)])
-        U.append([sum(starts_t[y] for y in geq[e] if y != e) for e in range(n)])
-    counts = []
-    for e in range(n):
-        total = 0
-        for i in range(m):
-            for j in range(m - i):
-                total += D[i][e] * U[j][e]
-        counts.append(total)
-    return counts
+    table = _chain_table(p, m)
+    weights = [comb(m - 1, k) for k in range(max(map(len, table)))]
+    return [sum(map(mul, row, weights)) for row in table]
 
 
 def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
     """Expectation of an arbitrary value vector under the distribution that
     weights each element by its m-element multichain count."""
+    if len(values) != p.n:
+        raise MalformedInputError(f"{len(values)} values for {p.n} elements")
     counts = multichain_counts(p, m)
     num = sum(Fraction(v) * c for v, c in zip(values, counts))
     return num / sum(counts)
@@ -325,7 +312,18 @@ def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
     expectation is constant for every m >= 1; it never certifies more.
     """
     base = expectation_X(p)
-    return all(expectation_Xm(p, m) == base for m in range(2, M + 1))
+    if M < 2:
+        return True
+    table = _chain_table(p, M)
+    dd = p.down_degrees()
+    # k-chains through the elements, by k: counted plainly and by down-degree
+    total = [sum(col) for col in zip_longest(*table, fillvalue=0)]
+    weighted = [sum(map(mul, dd, col)) for col in zip_longest(*table, fillvalue=0)]
+    for m in range(2, M + 1):
+        weights = [comb(m - 1, k) for k in range(len(total))]
+        if Fraction(sum(map(mul, weighted, weights)), sum(map(mul, total, weights))) != base:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +780,7 @@ class PosetStats:
 def stats(p: FinitePoset) -> PosetStats:
     _require_nonempty(p)
     order = p.topological_order()
+    up, down = _chain_counts(p, order)
     longest = [1] * p.n
     shortest = [1] * p.n
     for x in order:
@@ -795,9 +794,9 @@ def stats(p: FinitePoset) -> PosetStats:
     rank = top - 1 if top == bottom else None
     return PosetStats(
         EX=expectation_X(p),
-        EY=expectation_Y(p),
+        EY=_expectation_Y(p, up, down),
         edge_count=len(p.covers),
-        maximal_chain_count=maximal_chain_count(p),
+        maximal_chain_count=sum(up[x] for x in maxima),
         rank=rank,
     )
 

@@ -5,7 +5,6 @@ from itertools import permutations as iperm
 import pytest
 
 from cde.core import IntPolynomial, poly_divides
-from cde import poset
 from cde.errors import CapacityError, MalformedInputError, NotVexillaryError, RangeError
 from cde.permutations import (
     classify,
@@ -146,10 +145,10 @@ def test_vexillary_permutations_match_the_classify_filter():
 
 
 def test_vexillary_permutations_stop_at_the_capacity_bound(monkeypatch):
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", 102)
+    monkeypatch.setenv("CDE_CAPACITY", "102")
     with pytest.raises(CapacityError):
         vexillary_permutations(5)
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", 103)
+    monkeypatch.setenv("CDE_CAPACITY", "103")
     assert len(vexillary_permutations(5)) == 103
 
 
@@ -280,11 +279,11 @@ def test_count_reduced_checks_its_input():
 def test_weak_walk_stops_at_the_capacity_bound(monkeypatch):
     w = (5, 3, 1, 2, 4)
     size = len(weak_interval_elements(w))
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size - 1)
+    monkeypatch.setenv("CDE_CAPACITY", str(size - 1))
     for f in (weak_interval_elements, count_reduced, count_nearly_reduced):
         with pytest.raises(CapacityError):
             f(w)
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size)
+    monkeypatch.setenv("CDE_CAPACITY", str(size))
     assert len(weak_interval_elements(w)) == size
     assert count_reduced(w) == 9
     assert count_nearly_reduced(w) == 84
@@ -569,10 +568,10 @@ def test_fk_polynomials_check_their_input():
 def test_fk_words_route_stops_at_the_weak_interval_bound(monkeypatch):
     w = (5, 3, 1, 2, 4)
     size = len(weak_interval_elements(w))
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size - 1)
+    monkeypatch.setenv("CDE_CAPACITY", str(size - 1))
     with pytest.raises(CapacityError):
         fk_polynomial(w, length(w))
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", size)
+    monkeypatch.setenv("CDE_CAPACITY", str(size))
     assert fk_polynomial(w, length(w)).leading_coefficient() == count_reduced(w)
 
 

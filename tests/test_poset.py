@@ -93,6 +93,11 @@ def test_invalid_posets_cannot_be_built():
         FinitePoset(2, frozenset({(0, 1), (1, 0)}))
     with pytest.raises(SizeError):
         FinitePoset(-1, frozenset())
+    # one label per element, so dump_poset cannot index past the labels
+    with pytest.raises(MalformedInputError):
+        FinitePoset(3, {(0, 1)}, ["a"])
+    with pytest.raises(MalformedInputError):
+        FinitePoset(1, set(), ["a", "b"])
     assert FinitePoset(2, [(0, 1)], ["a", "b"]).labels == ("a", "b")
 
 
@@ -116,13 +121,48 @@ def test_expectation_Y_small():
     assert expectation_Y(antichain(3)) == 0
 
 
-def test_multichain_counts_against_bruteforce():
+def _small_posets():
+    """Every poset with at most 5 elements up to isomorphism, fixed labellings
+    of a few of them, and chain(12)."""
+    from cde.verify import all_posets_upto_iso
+
     fixtures = [M3(), pabcd(1, 1, 2, 1), boolean(2), chain(3), antichain(3),
-                disjoint_union(chain(3), antichain(2))]
-    for p in fixtures:
+                disjoint_union(chain(3), antichain(2)), chain(12)]
+    return [p for n in range(1, 6) for p in all_posets_upto_iso(n)] + fixtures
+
+
+def test_multichain_counts_against_bruteforce():
+    for p in _small_posets():
         ups = up_closure(p)
-        for m in range(1, 5):
+        for m in range(1, 8):
             assert multichain_counts(p, m) == multichains_through(ups, p.n, m)
+
+
+def test_is_mCDE_upto_compares_each_multichain_expectation():
+    for p in _small_posets():
+        base = expectation_X(p)
+        for M in range(-1, 8):
+            want = all(expectation_Xm(p, m) == base for m in range(2, M + 1))
+            assert is_mCDE_upto(p, M) == want
+
+
+def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
+    built = []
+    real = poset._chain_table
+
+    def counted(p, size):
+        table = real(p, size)
+        built.append((size, max(map(len, table))))
+        return table
+
+    monkeypatch.setattr(poset, "_chain_table", counted)
+    J = order_ideal_lattice(antichain(3))  # the Boolean lattice B_3, rank 3
+    assert is_mCDE_upto(J, 8)  # every m = 2..8 compared, from one table
+    assert built == [(8, 4)]
+    built.clear()
+    # every 2-element multichain through e is (x, e) or (e, x): n of them
+    assert multichain_counts(chain(400), 2) == [400] * 400
+    assert built == [(2, 2)]
 
 
 def test_expectation_Xm_m1_is_X():
@@ -177,7 +217,7 @@ def test_builders_size_errors():
 
 
 def test_capacity_error(monkeypatch):
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", 10)
+    monkeypatch.setenv("CDE_CAPACITY", "10")
     with pytest.raises(CapacityError):
         tamari(8)
     with pytest.raises(CapacityError):
@@ -422,6 +462,9 @@ def test_expectation_under_multichain_custom_values():
     # chain: multichain distribution is uniform
     for m in range(1, 4):
         assert expectation_under_multichain(p, m, vals) == Fraction(8, 3)
+    for wrong in ([5], vals + [0]):
+        with pytest.raises(MalformedInputError):
+            expectation_under_multichain(p, 2, wrong)
 
 
 def test_file_roundtrip(tmp_path):

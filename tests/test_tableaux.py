@@ -4,7 +4,6 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cde import poset
 from cde.core import IntPolynomial
 from cde.errors import (
     CapacityError,
@@ -476,10 +475,10 @@ def test_enumerate_standard_barely_edge_cases():
 )
 def test_standard_enumerators_stop_at_the_capacity_bound(monkeypatch, enumerate_, count):
     shape = (3, 2, 1)
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", count - 1)
+    monkeypatch.setenv("CDE_CAPACITY", str(count - 1))
     with pytest.raises(CapacityError):
         enumerate_(shape)
-    monkeypatch.setattr(poset, "CAPACITY_OVERRIDE", count)
+    monkeypatch.setenv("CDE_CAPACITY", str(count))
     assert len(enumerate_(shape)) == count
 
 
