@@ -91,9 +91,10 @@ def _multichain_payload(p: ps.FinitePoset, xm: int) -> dict:
     verdict (the --xm option of `poset stats` and `perm stats`)."""
     if xm < 0:
         raise MalformedInputError(f"--xm must be nonnegative, got {xm}")
-    data = {f"EX^({m})": ps.expectation_Xm(p, m) for m in range(1, xm + 1)}
+    expectations = ps._multichain_expectations(p, xm)
+    data = {f"EX^({m})": e for m, e in enumerate(expectations, start=1)}
     if xm:
-        data[f"is_mCDE_upto_{xm}"] = ps.is_mCDE_upto(p, xm)
+        data[f"is_mCDE_upto_{xm}"] = all(e == expectations[0] for e in expectations)
     return data
 
 

@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
 )
 from .poset import FinitePoset, _check_capacity, capacity
-from .tableaux import _ints, count_ssyt_by_total, rect_staircase
+from .tableaux import _ints, check_partition, count_ssyt_by_total, rect_staircase
 
 __all__ = [
     "check_permutation",
@@ -253,7 +253,7 @@ def permutation_from_code(code) -> tuple[int, ...]:
 def dominant_of_shape(shape) -> tuple[int, ...]:
     """The unique 132-avoiding permutation whose code is `shape`, in the
     smallest symmetric group that holds it."""
-    shape = tuple(shape)
+    shape = check_partition(shape)
     if not shape:
         return (1,)
     n = max(p + i for i, p in enumerate(shape, start=1))
@@ -263,7 +263,7 @@ def dominant_of_shape(shape) -> tuple[int, ...]:
 
 def grassmannian_of_shape(shape) -> tuple[int, ...]:
     """The permutation with a single descent whose shape is `shape`."""
-    shape = tuple(shape)
+    shape = check_partition(shape)
     if not shape:
         return (1,)
     ell = len(shape)

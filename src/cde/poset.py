@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, permutations, zip_longest
 from math import comb
+from numbers import Rational
 from operator import mul
 
 from .errors import (
@@ -288,12 +289,14 @@ def multichain_counts(p: FinitePoset, m: int) -> list[int]:
 
 def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
     """Expectation of an arbitrary value vector under the distribution that
-    weights each element by its m-element multichain count."""
+    weights each element by its m-element multichain count.  The values are
+    exact rationals (int or Fraction); a float is rejected."""
     if len(values) != p.n:
         raise MalformedInputError(f"{len(values)} values for {p.n} elements")
+    if not all(isinstance(v, Rational) for v in values):
+        raise MalformedInputError("multichain expectation values must be int or Fraction")
     counts = multichain_counts(p, m)
-    num = sum(Fraction(v) * c for v, c in zip(values, counts))
-    return num / sum(counts)
+    return Fraction(sum(map(mul, values, counts)), sum(counts))
 
 
 def expectation_Xm(p: FinitePoset, m: int) -> Fraction:
@@ -305,6 +308,23 @@ def is_CDE(p: FinitePoset) -> bool:
     return expectation_X(p) == expectation_Y(p)
 
 
+def _multichain_expectations(p: FinitePoset, M: int) -> list[Fraction]:
+    """E(X^(m)) for m = 1..M, all read from one table of chain counts."""
+    if M < 1:
+        return []
+    _require_nonempty(p)
+    table = _chain_table(p, M)
+    dd = p.down_degrees()
+    # k-chains through the elements, by k: counted plainly and by down-degree
+    total = [sum(col) for col in zip_longest(*table, fillvalue=0)]
+    weighted = [sum(map(mul, dd, col)) for col in zip_longest(*table, fillvalue=0)]
+    out = []
+    for m in range(1, M + 1):
+        weights = [comb(m - 1, k) for k in range(len(total))]
+        out.append(Fraction(sum(map(mul, weighted, weights)), sum(map(mul, total, weights))))
+    return out
+
+
 def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
     """Bounded certificate: the multichain expectations agree for m = 1..M.
 
@@ -312,18 +332,7 @@ def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
     expectation is constant for every m >= 1; it never certifies more.
     """
     base = expectation_X(p)
-    if M < 2:
-        return True
-    table = _chain_table(p, M)
-    dd = p.down_degrees()
-    # k-chains through the elements, by k: counted plainly and by down-degree
-    total = [sum(col) for col in zip_longest(*table, fillvalue=0)]
-    weighted = [sum(map(mul, dd, col)) for col in zip_longest(*table, fillvalue=0)]
-    for m in range(2, M + 1):
-        weights = [comb(m - 1, k) for k in range(len(total))]
-        if Fraction(sum(map(mul, weighted, weights)), sum(map(mul, total, weights))) != base:
-            return False
-    return True
+    return M < 2 or all(e == base for e in _multichain_expectations(p, M))
 
 
 # ---------------------------------------------------------------------------

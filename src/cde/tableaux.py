@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _check_capacity, capacity
+from .poset import FinitePoset, _check_capacity, _ideals, capacity
 
 __all__ = [
     "check_partition",
@@ -172,62 +172,53 @@ def rect_staircase(d: int, a: int, b: int) -> tuple[int, ...]:
 # Young-lattice intervals
 
 
+def _diagram_ideals(shape, shifted: bool):
+    """The partitions inside `shape`, strict ones when `shifted`, sorted by
+    (size, parts), and the covers between them as index pairs.
+
+    They are the order ideals of the diagram of `shape`, in which cell
+    (i, j) lies below (i, j+1) and (i+1, j) and row i of a shifted diagram
+    starts in column i.  poset._ideals walks them; an ideal's row lengths
+    are those of an ideal one cover below it plus the cell the cover adds.
+    """
+    check = check_strict_partition if shifted else check_partition
+    shape = check(shape) if shape else ()
+    cells = [(i, i * shifted + j) for i, part in enumerate(shape) for j in range(part)]
+    index = {c: e for e, c in enumerate(cells)}
+    covers = {
+        (index[i, j], index[c]) for i, j in cells for c in ((i, j + 1), (i + 1, j)) if c in index
+    }
+    masks, walk = _ideals(FinitePoset(len(cells), covers))
+    parts = [()] + [None] * (len(masks) - 1)
+    for a, b, e in walk:  # sorted by a < b, so parts[a] is known
+        if parts[b] is None:
+            r, old = cells[e][0], parts[a]
+            parts[b] = old[:r] + (old[r] + 1 if r < len(old) else 1,) + old[r + 1 :]
+    order = sorted(range(len(masks)), key=lambda a: (sum(parts[a]), parts[a]))
+    position = {a: k for k, a in enumerate(order)}
+    return [parts[a] for a in order], {(position[a], position[b]) for a, b, _ in walk}
+
+
 def subpartitions(shape) -> list[tuple[int, ...]]:
     """All partitions contained in `shape`, sorted by (size, parts)."""
-    shape = check_partition(shape) if shape else ()
-    out = []
-
-    def rec(i, cap, acc):
-        out.append(tuple(acc))
-        _check_capacity(len(out), "subpartition enumeration")
-        if i < len(shape):
-            for part in range(1, min(shape[i], cap) + 1):
-                acc.append(part)
-                rec(i + 1, part, acc)
-                acc.pop()
-
-    rec(0, shape[0] if shape else 0, [])
-    return sorted(set(out), key=lambda m: (sum(m), m))
-
-
-def _interval_from_elements(elements) -> FinitePoset:
-    index = {m: i for i, m in enumerate(elements)}
-    covers = set()
-    for m in elements:
-        for corner in outside_corners(m):
-            bigger = add_corner(m, corner)
-            if bigger in index:
-                covers.add((index[m], index[bigger]))
-    labels = [shape_label(m) for m in elements]
-    return FinitePoset(len(elements), covers, labels)
+    return _diagram_ideals(shape, shifted=False)[0]
 
 
 def young_interval(shape) -> FinitePoset:
     """The interval below `shape` in the containment order on partitions."""
-    return _interval_from_elements(subpartitions(shape))
+    elements, covers = _diagram_ideals(shape, shifted=False)
+    return FinitePoset(len(elements), covers, [shape_label(m) for m in elements])
 
 
 def strict_subpartitions(shape) -> list[tuple[int, ...]]:
-    shape = check_strict_partition(shape) if shape else ()
-    out = []
-
-    def rec(i, cap, acc):
-        out.append(tuple(acc))
-        _check_capacity(len(out), "strict subpartition enumeration")
-        if i < len(shape):
-            for part in range(1, min(shape[i], cap - 1 if acc else shape[i]) + 1):
-                acc.append(part)
-                rec(i + 1, part, acc)
-                acc.pop()
-
-    rec(0, 0, [])
-    return sorted(set(out), key=lambda m: (sum(m), m))
+    return _diagram_ideals(shape, shifted=True)[0]
 
 
 def shifted_interval(shape) -> FinitePoset:
     """The interval below a strict partition in the order induced on strict
     partitions by diagram containment."""
-    return _interval_from_elements(strict_subpartitions(shape))
+    elements, covers = _diagram_ideals(shape, shifted=True)
+    return FinitePoset(len(elements), covers, [shape_label(m) for m in elements])
 
 
 # ---------------------------------------------------------------------------
@@ -680,149 +671,119 @@ def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
     return [SetValuedTableau(t) for t in sorted(out)]
 
 
-def _shape_of_cells(cells) -> tuple[int, ...]:
-    rows = {}
-    for (i, j) in cells:
-        rows[i] = max(rows.get(i, 0), j)
-    shape = tuple(rows.get(i, 0) for i in range(1, max(rows, default=0) + 1))
-    if sorted(shape, reverse=True) != list(shape) or len(cells) != sum(shape):
-        raise MalformedInputError("cells do not form a partition diagram")
-    return shape
+def _added_row(small, big, what: str) -> int:
+    """The row (0-indexed) of the one cell that `big` has beyond the
+    partition `small`, an outside corner of it; MalformedInputError(what)
+    when `big` is not `small` plus such a cell."""
+    big = tuple(big)
+    for i, j in outside_corners(small):
+        if add_corner(small, (i, j)) == big:
+            return i - 1
+    raise MalformedInputError(what)
+
+
+def _value_cells(rows) -> dict[int, tuple[int, int]]:
+    """Each value of a filling -> its cell (i, j), 1-indexed; a cell is an
+    int or a tuple of ints."""
+    return {
+        v: (i, j)
+        for i, row in enumerate(rows, start=1)
+        for j, c in enumerate(row, start=1)
+        for v in ((c,) if isinstance(c, int) else c)
+    }
+
+
+def _grow(cells) -> list[tuple[int, ...]]:
+    """The chain of shapes from () that adds `cells` one at a time;
+    MalformedInputError unless each is an outside corner of the shape before."""
+    chain = [()]
+    for cell in cells:
+        try:
+            chain.append(add_corner(chain[-1], cell))
+        except NotCornerError as exc:
+            raise MalformedInputError("cells do not form a partition diagram") from exc
+    return chain
 
 
 def standard_to_chain(t) -> tuple[tuple[int, ...], ...]:
     """Standard tableau -> the saturated chain of shapes grown one value at
     a time."""
-    cells = {t[i][j]: (i + 1, j + 1) for i in range(len(t)) for j in range(len(t[i]))}
+    cells = _value_cells(t)
     n = len(cells)
-    chain = [()]
-    grown = []
-    for v in range(1, n + 1):
-        grown.append(cells[v])
-        chain.append(_shape_of_cells(grown))
-    return tuple(chain)
+    if sorted(cells) != list(range(1, n + 1)):
+        raise MalformedInputError("a standard tableau holds the values 1..n")
+    return tuple(_grow(cells[v] for v in range(1, n + 1)))
 
 
 def chain_to_standard(chain) -> tuple[tuple[int, ...], ...]:
-    shape = chain[-1]
-    rows = [[0] * r for r in shape]
+    chain = tuple(map(tuple, chain))
+    if not chain or chain[0]:
+        raise MalformedInputError("a chain of shapes starts at ()")
+    rows = []
     for v in range(1, len(chain)):
-        prev, cur = chain[v - 1], chain[v]
-        prev = tuple(prev) + (0,) * (len(cur) - len(prev))
-        diffs = [i for i in range(len(cur)) if cur[i] != prev[i]]
-        if len(diffs) != 1 or cur[diffs[0]] != prev[diffs[0]] + 1:
-            raise MalformedInputError("not a saturated containment chain")
-        rows[diffs[0]][cur[diffs[0]] - 1] = v
-    return tuple(tuple(r) for r in rows)
+        i = _added_row(chain[v - 1], chain[v], "not a saturated containment chain")
+        if i == len(rows):
+            rows.append([])
+        rows[i].append(v)
+    return tuple(map(tuple, rows))
+
+
+def _drop_entry(t: SetValuedTableau, k: int):
+    """(chain, mu, cell) for a standard barely set-valued tableau: the chain
+    grown by every value but entry k of the doubleton, in increasing order;
+    mu, the shape that the values below that entry fill; the doubleton."""
+    if not (t.is_barely() and t.is_standard()):
+        raise MalformedInputError("expected a standard barely set-valued tableau")
+    cell = t.doubleton_cells()[0]
+    v = t.cell(*cell)[k]
+    cells = _value_cells(t.rows)
+    chain = _grow(cells[u] for u in range(1, len(cells) + 1) if u != v)
+    return chain, chain[v - 1], cell
+
+
+def _with_entry(chain, mu, small, big) -> SetValuedTableau:
+    """Inverse of _drop_entry: the standard tableau of `chain` with its
+    values from v on raised by one, where mu is the v-th shape of the chain,
+    and v put into the cell that `big` has beyond `small`."""
+    chain = tuple(map(tuple, chain))
+    mu = tuple(mu)
+    if mu not in chain:
+        raise MalformedInputError(f"{mu} is not a shape of the chain")
+    v = chain.index(mu) + 1
+    rows = [[(u if u < v else u + 1,) for u in row] for row in chain_to_standard(chain)]
+    i = _added_row(small, big, f"{tuple(big)} is not {tuple(small)} plus one cell")
+    j = big[i] - 1
+    if i >= len(rows) or j >= len(rows[i]):
+        raise MalformedInputError(f"{tuple(big)} is not inside {chain[-1]}")
+    rows[i][j] = tuple(sorted(rows[i][j] + (v,)))
+    return svt(rows)
 
 
 def barely_to_triple(t: SetValuedTableau):
     """Standard barely set-valued tableau -> (chain, element, extra cover
     below it) in the interval under its shape."""
-    if not (t.is_barely() and t.is_standard()):
-        raise MalformedInputError("expected a standard barely set-valued tableau")
-    (i0, j0) = t.doubleton_cells()[0]
-    b0 = t.cell(i0, j0)[1]
-    n = sum(t.shape)
-    value_cell = {}
-    for i, row in enumerate(t.rows):
-        for j, c in enumerate(row):
-            for v in c:
-                value_cell[v] = (i + 1, j + 1)
-    order = [v for v in range(1, n + 2) if v != b0]
-    chain = [()]
-    grown = []
-    for v in order:
-        grown.append(value_cell[v])
-        chain.append(_shape_of_cells(grown))
-    mu = chain[b0 - 1]
-    x0 = value_cell[b0]
-    nu = remove_corner(mu, (x0[0], mu[x0[0] - 1]))
-    if mu[x0[0] - 1] != x0[1]:
+    chain, mu, (i, j) = _drop_entry(t, 1)
+    nu = remove_corner(mu, (i, mu[i - 1]))
+    if mu[i - 1] != j:
         raise MalformedInputError("doubleton cell is not a corner of its step")
     return tuple(chain), mu, nu
 
 
 def triple_to_barely(chain, mu, nu) -> SetValuedTableau:
-    chain = tuple(tuple(s) for s in chain)
-    mu, nu = tuple(mu), tuple(nu)
-    r = chain.index(mu)
-    b0 = r + 1
-    t = chain_to_standard(chain)
-    # relabel values: the i-th filled value is the i-th smallest of the
-    # complement of b0 in 1..n+1
-    rows = [
-        [v if v < b0 else v + 1 for v in row]
-        for row in t
-    ]
-    padded = tuple(nu) + (0,) * (len(mu) - len(nu))
-    diffs = [i for i in range(len(mu)) if mu[i] != padded[i]]
-    if len(diffs) != 1 or mu[diffs[0]] != padded[diffs[0]] + 1:
-        raise MalformedInputError("nu is not covered by mu")
-    i0, j0 = diffs[0] + 1, mu[diffs[0]]
-    cells = [[(v,) for v in row] for row in rows]
-    a0 = cells[i0 - 1][j0 - 1][0]
-    cells[i0 - 1][j0 - 1] = tuple(sorted((a0, b0)))
-    return svt(cells)
+    return _with_entry(chain, mu, nu, mu)
 
 
 def barely_to_dual_triple(t: SetValuedTableau):
     """Dual variant: reading the chain downward from the full shape, keyed by
     the smaller entry of the doubleton."""
-    if not (t.is_barely() and t.is_standard()):
-        raise MalformedInputError("expected a standard barely set-valued tableau")
-    (i0, j0) = t.doubleton_cells()[0]
-    a0 = t.cell(i0, j0)[0]
-    n = sum(t.shape)
-    value_cell = {}
-    for i, row in enumerate(t.rows):
-        for j, c in enumerate(row):
-            for v in c:
-                value_cell[v] = (i + 1, j + 1)
-    order = [v for v in range(1, n + 2) if v != a0]
-    # chain[i] = shape occupied by the (n - i) smallest values of the order
-    chain = []
-    for i in range(n + 1):
-        grown = [value_cell[v] for v in order[: n - i]]
-        chain.append(_shape_of_cells(grown) if grown else ())
-    mu = chain[n - (a0 - 1)]
-    x0 = value_cell[a0]
-    i_, j_ = x0
-    expected_col = mu[i_ - 1] + 1 if i_ <= len(mu) else (1 if i_ == len(mu) + 1 else 0)
-    if j_ != expected_col:
+    chain, mu, (i, j) = _drop_entry(t, 0)
+    if not (i <= len(mu) + 1 and (mu + (0,))[i - 1] + 1 == j):
         raise MalformedInputError("doubleton cell is not addable to its step")
-    nu = add_corner(mu, x0)
-    return tuple(chain), mu, nu
+    return tuple(chain[::-1]), mu, add_corner(mu, (i, j))
 
 
 def dual_triple_to_barely(chain, mu, nu) -> SetValuedTableau:
-    chain = tuple(tuple(s) for s in chain)
-    mu, nu = tuple(mu), tuple(nu)
-    n = len(chain) - 1
-    r = chain.index(mu)
-    a0 = n - r + 1
-    shape = chain[0]
-    rows = [[0] * p for p in shape]
-    # step i -> i+1 removes one cell, holding the (n - i)-th smallest value
-    for i in range(n):
-        big, small = chain[i], chain[i + 1]
-        small = tuple(small) + (0,) * (len(big) - len(small))
-        diffs = [k for k in range(len(big)) if big[k] != small[k]]
-        if len(diffs) != 1 or big[diffs[0]] != small[diffs[0]] + 1:
-            raise MalformedInputError("not a saturated chain downward")
-        k = diffs[0]
-        w = n - i  # rank among sorted complement values
-        v = w if w < a0 else w + 1
-        rows[k][big[k] - 1] = v
-    padded = tuple(mu) + (0,) * (len(nu) - len(mu))
-    diffs = [k for k in range(len(nu)) if nu[k] != padded[k]]
-    if len(diffs) != 1 or nu[diffs[0]] != padded[diffs[0]] + 1:
-        raise MalformedInputError("nu does not cover mu")
-    i0, j0 = diffs[0] + 1, nu[diffs[0]]
-    cells = [[(v,) for v in row] for row in rows]
-    b0 = cells[i0 - 1][j0 - 1][0]
-    cells[i0 - 1][j0 - 1] = tuple(sorted((a0, b0)))
-    return svt(cells)
+    return _with_entry(chain[::-1], mu, mu, nu)
 
 
 def flagged_to_partition(t) -> tuple[int, ...]:
@@ -838,7 +799,7 @@ def flagged_to_partition(t) -> tuple[int, ...]:
                 raise MalformedInputError(
                     f"cell ({i},{j}) holds {val}, expected {i} or {i+1}"
                 )
-    return _shape_of_cells(cells) if cells else ()
+    return _grow(cells)[-1]
 
 
 def partition_to_flagged(mu, shape) -> tuple[tuple[int, ...], ...]:
@@ -865,21 +826,17 @@ def flagged_barely_to_cover(t: SetValuedTableau):
                 x0 = (i, j)
             elif c != (i + 1,):
                 raise MalformedInputError(f"cell ({i},{j}) holds {c}")
-    nu = _shape_of_cells(nu_cells) if nu_cells else ()
-    mu = _shape_of_cells(nu_cells + [x0])
+    *_, nu, mu = _grow(nu_cells + [x0])
     return nu, mu
 
 
 def cover_to_flagged_barely(nu, mu, shape) -> SetValuedTableau:
     nu, mu = tuple(nu), tuple(mu)
-    padded = nu + (0,) * (len(mu) - len(nu))
-    diffs = [k for k in range(len(mu)) if mu[k] != padded[k]]
-    if len(diffs) != 1 or mu[diffs[0]] != padded[diffs[0]] + 1:
-        raise MalformedInputError("nu is not covered by mu")
-    x0 = (diffs[0] + 1, mu[diffs[0]])
+    k = _added_row(nu, mu, "nu is not covered by mu")
+    x0 = (k + 1, mu[k])
     rows = []
     for i, length in enumerate(tuple(shape), start=1):
-        cut = padded[i - 1] if i - 1 < len(padded) else 0
+        cut = nu[i - 1] if i <= len(nu) else 0
         row = []
         for j in range(1, length + 1):
             if (i, j) == x0:

@@ -42,6 +42,25 @@ def subpartitions(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(set(out))
 
 
+def interval(shape: tuple[int, ...], strict: bool = False):
+    """The interval below `shape`: its subpartitions (only those with
+    distinct parts when `strict`) sorted by (size, parts), and the covers
+    (i, j) where element j is element i plus one cell."""
+    elements = [m for m in subpartitions(shape) if not strict or len(set(m)) == len(m)]
+    elements.sort(key=lambda m: (sum(m), m))
+
+    def inside(small, big):
+        return len(small) <= len(big) and all(a <= b for a, b in zip(small, big))
+
+    covers = {
+        (i, j)
+        for i, small in enumerate(elements)
+        for j, big in enumerate(elements)
+        if sum(big) == sum(small) + 1 and inside(small, big)
+    }
+    return elements, covers
+
+
 def standard_tableaux(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     """All standard Young tableaux of `shape`, values 1..n, by placing values
     in increasing order into cells whose left and upper neighbours are full."""

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cde import permutations
+from cde import permutations, poset
 from cde.cli import main
 from cde.poset import dump_poset, pabcd
 
@@ -104,6 +104,16 @@ def test_perm_stats_walks_the_interval_once(capsys, monkeypatch, argv, line):
     assert code == 0
     assert out == line + "\n"
     assert len(walks) == 1
+
+
+def test_poset_stats_xm_builds_one_chain_table(capsys, monkeypatch):
+    sizes = []
+    real = poset._chain_table
+    monkeypatch.setattr(poset, "_chain_table", lambda p, size: sizes.append(size) or real(p, size))
+    data = run_json(capsys, "poset", "stats", "--builder", "boolean", "--n", "3", "--xm", "8")
+    assert [data[f"EX^({m})"] for m in range(1, 9)] == ["3/2"] * 8
+    assert data["is_mCDE_upto_8"] is True
+    assert sizes == [8]
 
 
 def test_fk_command(capsys):

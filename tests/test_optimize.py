@@ -47,6 +47,10 @@ _CHECKS = [
         "ps.linear_extension_count(ps.chain(3))",
         "ReconciliationError",
     ),
+    ("", "tb.chain_to_standard(((), (1,), (1, 1), (2,)))", "MalformedInputError"),
+    ("", "tb.triple_to_barely(((), (1,), (2,)), (3,), (2,))", "MalformedInputError"),
+    ("", "ps.expectation_under_multichain(ps.chain(2), 1, [0.5, 1])", "MalformedInputError"),
+    ("import cde.permutations as pm", "pm.grassmannian_of_shape((1, 3))", "MalformedInputError"),
 ]
 
 

@@ -70,7 +70,7 @@ from cde.tableaux import (
 
 import bruteforce
 from bruteforce import hecke_words_bruteforce
-from cde.verify import _suite_conj_vexillary_staircase
+from cde.verify import _partitions_upto, _suite_conj_vexillary_staircase
 
 
 def test_perm_text_round_trip():
@@ -172,6 +172,25 @@ def test_grassmannian_of_shape():
     assert wi == (4, 1, 2, 5, 6, 3)
     assert classify(wi).inverse_grassmannian
     assert classify(wi).shape == (3, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build", [dominant_of_shape, grassmannian_of_shape, inverse_grassmannian_of_shape]
+)
+@pytest.mark.parametrize("shape", [(1, 3), (2, -1)], ids=["increasing", "negative"])
+def test_shape_builders_reject_a_malformed_shape(build, shape):
+    with pytest.raises(MalformedInputError):
+        build(shape)
+
+
+def test_shape_builders_classify_with_their_shape():
+    for shape in _partitions_upto(8):
+        dom = classify(dominant_of_shape(shape))
+        grass = classify(grassmannian_of_shape(shape))
+        inv = classify(inverse_grassmannian_of_shape(shape))
+        assert dom.dominant and dom.shape == shape, shape
+        assert grass.grassmannian and grass.shape == shape, shape
+        assert inv.inverse_grassmannian and inv.shape == transpose(shape), shape
 
 
 def test_hecke_product():

@@ -141,6 +141,8 @@ def test_multichain_counts_against_bruteforce():
 def test_is_mCDE_upto_compares_each_multichain_expectation():
     for p in _small_posets():
         base = expectation_X(p)
+        expectations = [expectation_Xm(p, m) for m in range(1, 8)]
+        assert poset._multichain_expectations(p, 7) == expectations
         for M in range(-1, 8):
             want = all(expectation_Xm(p, m) == base for m in range(2, M + 1))
             assert is_mCDE_upto(p, M) == want
@@ -462,7 +464,10 @@ def test_expectation_under_multichain_custom_values():
     # chain: multichain distribution is uniform
     for m in range(1, 4):
         assert expectation_under_multichain(p, m, vals) == Fraction(8, 3)
-    for wrong in ([5], vals + [0]):
+        assert expectation_under_multichain(p, m, [5, 1, 2]) == Fraction(8, 3)
+        assert expectation_under_multichain(p, m, [5, Fraction(1, 2), 2]) == Fraction(5, 2)
+    # the values must be exact: a float is not silently converted
+    for wrong in ([5], vals + [0], [5.0, 1, 2]):
         with pytest.raises(MalformedInputError):
             expectation_under_multichain(p, 2, wrong)
 

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cde import tableaux
 from cde.core import IntPolynomial
 from cde.errors import (
     CapacityError,
@@ -124,6 +125,40 @@ def test_shifted_interval():
     assert expectation_X(p) == 1
     assert expectation_Y(p) == 1
     assert strict_subpartitions((3, 1)) == [(), (1,), (2,), (2, 1), (3,), (3, 1)]
+
+
+def test_intervals_match_the_bruteforce_oracle():
+    # labels, element order and covers, against subpartitions filtered and
+    # compared cell by cell
+    cases = [(shape, False) for shape in all_partitions(8)]
+    cases += [(shape, True) for shape in all_partitions(15) if len(set(shape)) == len(shape)]
+    for shape, strict in cases:
+        elements, covers = bruteforce.interval(shape, strict)
+        listed = strict_subpartitions(shape) if strict else subpartitions(shape)
+        p = shifted_interval(shape) if strict else young_interval(shape)
+        assert listed == elements, shape
+        assert p.labels == tuple(shape_label(m) for m in elements), shape
+        assert p.covers == covers, shape
+
+
+def test_intervals_make_one_ideal_walk(monkeypatch):
+    walks = []
+    real = tableaux._ideals
+    monkeypatch.setattr(tableaux, "_ideals", lambda p: walks.append(p.n) or real(p))
+    assert young_interval((4, 3, 2, 1)).n == 42
+    assert walks == [10]
+    assert shifted_interval((5, 3, 1)).n == 20
+    assert walks == [10, 9]
+
+
+def test_intervals_stop_at_the_capacity_bound(monkeypatch):
+    cases = [(young_interval, (4, 3, 2, 1), 42), (shifted_interval, (5, 3, 1), 20)]
+    for build, shape, count in cases:
+        monkeypatch.setenv("CDE_CAPACITY", str(count - 1))
+        with pytest.raises(CapacityError, match="order ideal enumeration"):
+            build(shape)
+        monkeypatch.setenv("CDE_CAPACITY", str(count))
+        assert build(shape).n == count
 
 
 def test_rank_generating_function_examples():
@@ -511,26 +546,62 @@ def test_chain_bijection_dual_fixture():
 
 
 def test_chain_bijections_full_domain():
-    shape = (2, 2)
-    barely = enumerate_standard_barely(shape)
-    triples = set()
-    dual_triples = set()
-    for t in barely:
-        trip = barely_to_triple(t)
-        assert triple_to_barely(*trip) == t
-        triples.add(trip)
-        dtrip = barely_to_dual_triple(t)
-        assert dual_triple_to_barely(*dtrip) == t
-        dual_triples.add(dtrip)
-    assert len(triples) == len(barely) == f_plus_one(shape)
-    assert len(dual_triples) == len(barely)
-    # cardinality reconciliation: triples = (chain, element, cover below it)
-    p = young_interval(shape)
-    up, down = __import__("cde.poset", fromlist=["_chain_counts"])._chain_counts(p)
-    through = [up[x] * down[x] for x in range(p.n)]
-    count = sum(through[x] * p.down_degree(x) for x in range(p.n))
-    assert count == f_plus_one(shape)
-    assert stats(p).maximal_chain_count == hook_f(shape)
+    for shape in all_partitions(6):
+        for t in enumerate_standard_tableaux(shape):
+            assert chain_to_standard(standard_to_chain(t)) == t
+        barely = enumerate_standard_barely(shape)
+        triples = set()
+        dual_triples = set()
+        for t in barely:
+            trip = barely_to_triple(t)
+            assert triple_to_barely(*trip) == t
+            triples.add(trip)
+            dtrip = barely_to_dual_triple(t)
+            assert dual_triple_to_barely(*dtrip) == t
+            dual_triples.add(dtrip)
+        assert len(triples) == len(barely) == f_plus_one(shape), shape
+        assert len(dual_triples) == len(barely), shape
+        # cardinality reconciliation: triples = (chain, element, cover below it)
+        p = young_interval(shape)
+        up, down = __import__("cde.poset", fromlist=["_chain_counts"])._chain_counts(p)
+        through = [up[x] * down[x] for x in range(p.n)]
+        count = sum(through[x] * p.down_degree(x) for x in range(p.n))
+        assert count == f_plus_one(shape), shape
+        assert stats(p).maximal_chain_count == hook_f(shape), shape
+
+
+@pytest.mark.parametrize(
+    "convert, args",
+    [
+        (chain_to_standard, (((), (1,), (1, 1), (2,)),)),
+        (chain_to_standard, (((1,), (2,)),)),
+        (chain_to_standard, (((), (1,), (1, 1), (1, 2)),)),
+        (standard_to_chain, (((1, 3),),)),
+        (standard_to_chain, (((2, 1),),)),
+        (triple_to_barely, (((), (1,), (2,)), (3,), (2,))),
+        (triple_to_barely, (((), (1,), (2,), (3,)), (2,), (1, 1))),
+        (dual_triple_to_barely, (((2,), (1,), ()), (3,), (2,))),
+        (dual_triple_to_barely, (((2,), (1,), ()), (2,), (3,))),
+        (barely_to_dual_triple, (SetValuedTableau((((3,),), ((1, 2),))),)),
+        (cover_to_flagged_barely, ((1, 1), (2,), (2, 2))),
+    ],
+    ids=[
+        "chain-row-shrinks",
+        "chain-starts-above-empty",
+        "chain-leaves-partitions",
+        "standard-value-missing",
+        "standard-cell-not-corner",
+        "triple-mu-not-in-chain",
+        "triple-nu-not-below-mu",
+        "dual-mu-not-in-chain",
+        "dual-nu-outside-shape",
+        "dual-barely-not-column-strict",
+        "flagged-nu-not-below-mu",
+    ],
+)
+def test_malformed_chains_and_triples_are_rejected(convert, args):
+    with pytest.raises(MalformedInputError):
+        convert(*args)
 
 
 def test_flagged_bijection_paper_fixture():
