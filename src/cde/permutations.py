@@ -19,7 +19,7 @@ from .errors import (
     NotVexillaryError,
     RangeError,
 )
-from .poset import FinitePoset, _check_capacity, capacity
+from .poset import FinitePoset, _check_capacity, _dd_through, capacity
 from .tableaux import _ints, check_partition, count_ssyt_by_total, rect_staircase
 
 __all__ = [
@@ -416,17 +416,13 @@ def _word_counts(walk) -> tuple[int, int]:
 
     A nearly reduced word repeats one descent of a prefix of a reduced word,
     so it is a path from w down to some u, a descent of u, and a path from u
-    down to the identity.  One upward pass gives up[i], the paths from
-    elements[i] down to the identity, so up[0] counts the reduced words and
-    the sum of des(u) * up * down over the interval the nearly reduced ones.
+    down to the identity.  One upward pass of `poset._dd_through` over the
+    walk's own cover lists and down counts gives up[i], the paths from
+    elements[i] down to the identity, so up[0] counts the reduced words, and
+    the sum of des(u) * up * down over the interval, the nearly reduced ones.
     """
     elements, below, down = walk
-    up = [1] * len(elements)
-    nearly = 0
-    for i in range(len(elements) - 1, -1, -1):
-        if below[i]:
-            up[i] = sum(up[j] for j in below[i])
-            nearly += len(below[i]) * up[i] * down[i]
+    up, nearly = _dd_through(below, range(len(elements)), down)
     return up[0], nearly
 
 
@@ -522,12 +518,17 @@ class _IntervalSummary:
 
 
 def _interval_summary(w) -> _IntervalSummary:
-    """One walk of the weak interval below w, with what count_reduced,
+    """One walk of the weak interval below w, with the values count_reduced,
     count_nearly_reduced, expectation_X_complementary and expectation_Y_words
-    each compute from a walk of their own."""
+    each compute from a walk of their own.
+
+    E(X) is read off the walk as covers / elements, the edge density itself;
+    expectation_X_complementary stays the independent route, by the count of
+    up-steps that leave the interval, and Tier-1 compares the two."""
     w = check_permutation(w)
     walk = _weak_walk(w)
-    ex = _expectation_X(walk[0])
+    below = walk[1]
+    ex = Fraction(sum(map(len, below)), len(below))
     reduced, nearly = _word_counts(walk)
     return _IntervalSummary(walk, reduced, nearly, ex, _expectation_Y(w, reduced, nearly))
 

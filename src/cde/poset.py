@@ -216,32 +216,52 @@ def expectation_X(p: FinitePoset) -> Fraction:
     return Fraction(len(p.covers), p.n)
 
 
-def _chain_counts(p: FinitePoset, order: list[int] | None = None):
-    """(up, down): saturated chain counts from the minimal elements up to x,
-    and from x down from the maximal elements; `order` is a topological order."""
-    order = p.topological_order() if order is None else order
-    up = [0] * p.n
-    down = [0] * p.n
-    for x in order:
-        lows = p.lower_covers[x]
-        up[x] = sum(up[z] for z in lows) if lows else 1
+def _dd_through(lower, order, down) -> tuple[list[int], int]:
+    """Σ dd·up·down over a cover list: (up, Σ_x dd(x)·up[x]·down[x]).
+
+    lower[x] lists the lower covers of x, `order` lists each element after
+    every element above it, and down[x] counts the paths from the maximal
+    elements down to x.  One pass from the bottom gives up[x], the paths from
+    x down to the minimal elements; up[x]·down[x] is then the number of
+    maximal chains through x.  The sum counts the pairs (maximal chain, one
+    lower cover of one of its elements): on a weak interval these are the
+    nearly reduced words, on a Young interval the standard barely set-valued
+    tableaux.  This is the one such sum in the package.
+    """
+    up = [1] * len(lower)
+    total = 0
     for x in reversed(order):
-        highs = p.upper_covers[x]
-        down[x] = sum(down[z] for z in highs) if highs else 1
-    return up, down
+        lows = lower[x]
+        if lows:
+            up[x] = paths = sum(map(up.__getitem__, lows))
+            total += len(lows) * paths * down[x]
+    return up, total
 
 
-def _expectation_Y(p: FinitePoset, up: list[int], down: list[int]) -> Fraction:
-    through = [up[x] * down[x] for x in range(p.n)]
-    num = sum(t * p.down_degree(x) for x, t in enumerate(through))
-    return Fraction(num, sum(through))
+def _chain_counts(p: FinitePoset, order: list[int] | None = None):
+    """(up, down, weighted): saturated chain counts from the minimal elements
+    up to x and from x down from the maximal elements, and the sum of
+    dd(x)·up[x]·down[x]; `order` is a topological order."""
+    order = p.topological_order() if order is None else order
+    upper = p.upper_covers
+    down = [1] * p.n
+    for x in reversed(order):
+        highs = upper[x]
+        if highs:
+            down[x] = sum(map(down.__getitem__, highs))
+    up, weighted = _dd_through(p.lower_covers, order[::-1], down)
+    return up, down, weighted
+
+
+def _expectation_Y(up: list[int], down: list[int], weighted: int) -> Fraction:
+    return Fraction(weighted, sum(map(mul, up, down)))
 
 
 def expectation_Y(p: FinitePoset) -> Fraction:
     """Expected down-degree when each element is weighted by the number of
     maximal chains through it."""
     _require_nonempty(p)
-    return _expectation_Y(p, *_chain_counts(p))
+    return _expectation_Y(*_chain_counts(p))
 
 
 def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
@@ -282,6 +302,8 @@ def multichain_counts(p: FinitePoset, m: int) -> list[int]:
     _require_nonempty(p)
     if m < 1:
         raise SizeError("m must be a positive integer")
+    if m == 1:  # the one 1-element multichain through e is {e}
+        return [1] * p.n
     table = _chain_table(p, m)
     weights = [comb(m - 1, k) for k in range(max(map(len, table)))]
     return [sum(map(mul, row, weights)) for row in table]
@@ -789,7 +811,7 @@ class PosetStats:
 def stats(p: FinitePoset) -> PosetStats:
     _require_nonempty(p)
     order = p.topological_order()
-    up, down = _chain_counts(p, order)
+    up, down, weighted = _chain_counts(p, order)
     longest = [1] * p.n
     shortest = [1] * p.n
     for x in order:
@@ -803,7 +825,7 @@ def stats(p: FinitePoset) -> PosetStats:
     rank = top - 1 if top == bottom else None
     return PosetStats(
         EX=expectation_X(p),
-        EY=_expectation_Y(p, up, down),
+        EY=_expectation_Y(up, down, weighted),
         edge_count=len(p.covers),
         maximal_chain_count=sum(up[x] for x in maxima),
         rank=rank,

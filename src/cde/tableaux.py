@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _check_capacity, _ideals, capacity
+from .poset import FinitePoset, _check_capacity, _dd_through, _ideals, capacity
 
 __all__ = [
     "check_partition",
@@ -270,6 +270,28 @@ def f_plus_one(shape) -> int:
     recurrence sum_x (i-1) f(shape + x)."""
     shape = tuple(shape)
     return sum((i - 1) * hook_f(add_corner(shape, (i, j))) for i, j in outside_corners(shape))
+
+
+def _f_plus_by_chains(shape) -> int:
+    """Number of standard barely set-valued tableaux, by chain counts.
+
+    The triple map pairs them with (maximal chain of the interval below
+    `shape`, element mu on it, lower cover of mu), so the count is
+    sum_mu dd(mu) f^mu f^(shape/mu): poset._dd_through over the covers of
+    the interval, with the paths down from `shape` counted first.
+    """
+    elements, covers = _diagram_ideals(shape, shifted=False)
+    lower = [[] for _ in elements]
+    for a, b in covers:
+        lower[b].append(a)
+    # elements come by size, so each one follows every element above it here
+    order = range(len(elements) - 1, -1, -1)
+    down = [0] * len(elements)
+    down[-1] = 1
+    for b in order:
+        for a in lower[b]:
+            down[a] += down[b]
+    return _dd_through(lower, order, down)[1]
 
 
 def kerov_mean_zero_check(shape) -> bool:
@@ -637,8 +659,10 @@ def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
     placement sequence, so nothing is found twice.
 
     Raises CapacityError before the search when the closed-form count
-    f_plus_one(shape) is over the capacity bound; the search itself stays
-    the independent route that the `recurrences` suite compares with it.
+    f_plus_one(shape) is over the capacity bound.  The `recurrences` suite
+    compares f_plus_one with the chain count `_f_plus_by_chains` for every
+    shape up to size 10 and with this search for the shapes up to size 8;
+    the `bijections` suite and Tier-1 check the listed tableaux themselves.
     """
     shape = check_partition(shape) if shape else ()
     n = sum(shape)
@@ -732,6 +756,7 @@ def _drop_entry(t: SetValuedTableau, k: int):
     """(chain, mu, cell) for a standard barely set-valued tableau: the chain
     grown by every value but entry k of the doubleton, in increasing order;
     mu, the shape that the values below that entry fill; the doubleton."""
+    t.check()
     if not (t.is_barely() and t.is_standard()):
         raise MalformedInputError("expected a standard barely set-valued tableau")
     cell = t.doubleton_cells()[0]
@@ -831,11 +856,13 @@ def flagged_barely_to_cover(t: SetValuedTableau):
 
 
 def cover_to_flagged_barely(nu, mu, shape) -> SetValuedTableau:
-    nu, mu = tuple(nu), tuple(mu)
+    nu, mu, shape = tuple(nu), tuple(mu), tuple(shape)
     k = _added_row(nu, mu, "nu is not covered by mu")
+    if len(mu) > len(shape) or any(m > s for m, s in zip(mu, shape)):
+        raise MalformedInputError(f"{mu} does not fit in {shape}")
     x0 = (k + 1, mu[k])
     rows = []
-    for i, length in enumerate(tuple(shape), start=1):
+    for i, length in enumerate(shape, start=1):
         cut = nu[i - 1] if i <= len(nu) else 0
         row = []
         for j in range(1, length + 1):

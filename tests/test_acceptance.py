@@ -136,8 +136,9 @@ def test_criterion_7_property_suites():
     # uncrowd/crowd round trips |shape| <= 7 and flagged variants
     for r in run_suite("bijections", budget=580):
         ok = ok and r.status == "pass"
-    # recurrences against brute force: R(shape,q) <= 10, f+ <= 10, R/R+ <= 10,
-    # corner-content mean zero <= 12
+    # recurrences against brute force: R(shape,q) <= 10, f+ recurrence vs
+    # chain count <= 10, vs enumeration <= 8, R/R+ <= 10, corner-content mean
+    # zero <= 12
     reports = run_suite("recurrences", budget=580)
     ok = ok and all(r.status == "pass" for r in reports)
     sizes = {

@@ -365,6 +365,12 @@ def test_interval_summary_matches_the_public_functions():
         _assert_summary_matches_every_route(parse_perm(check.instance["w"]))
 
 
+def test_interval_summary_edge_density_matches_the_complementary_count():
+    for n in (5, 6):
+        for w, _ in vexillary_permutations(n):
+            assert permutations._interval_summary(w).EX == expectation_X_complementary(w), w
+
+
 def test_word_reversal_symmetry():
     for w in iperm(range(1, 5)):
         assert count_reduced(w) == count_reduced(inverse(w))

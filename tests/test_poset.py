@@ -46,6 +46,7 @@ from cde.poset import (
     toggle_symmetry_check,
     validate,
 )
+from cde.verify import all_posets_upto_iso
 
 import bruteforce
 from bruteforce import linear_extensions, multichains_through
@@ -165,6 +166,18 @@ def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
     # every 2-element multichain through e is (x, e) or (e, x): n of them
     assert multichain_counts(chain(400), 2) == [400] * 400
     assert built == [(2, 2)]
+
+
+def test_multichain_counts_m1_skips_the_chain_table(monkeypatch):
+    posets = [p for n in range(1, 5) for p in all_posets_upto_iso(n)]
+    # the chain-table route: the zeta sum over 1-element chains
+    by_table = [[sum(row) for row in poset._chain_table(p, 1)] for p in posets]
+    built = []
+    real = poset._chain_table
+    monkeypatch.setattr(poset, "_chain_table", lambda p, size: built.append(size) or real(p, size))
+    assert [multichain_counts(p, 1) for p in posets] == by_table
+    assert all(counts == [1] * p.n for p, counts in zip(posets, by_table))
+    assert built == []
 
 
 def test_expectation_Xm_m1_is_X():
@@ -448,7 +461,7 @@ def test_multichain_polynomiality_in_m():
     for p in [boolean(3), product(chain(2), chain(3))]:
         r = stats(p).rank
         table = [multichain_counts(p, m) for m in range(1, r + 3)]
-        up, down = poset._chain_counts(p)
+        up, down, _ = poset._chain_counts(p)
         through = [up[x] * down[x] for x in range(p.n)]
         for x in range(p.n):
             seq = [row[x] for row in table]

@@ -297,3 +297,29 @@ def test_manifest_perms_and_shapes_print_back_unchanged():
                 assert shape_label(parse_shape(text)) == text
                 seen += 1
     assert seen == 24
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that every call is counted; returns the count list."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_fplus_row_enumerates_up_to_size_8_and_counts_chains_for_all(monkeypatch):
+    enumerated = _counting(monkeypatch, tableaux, "enumerate_standard_barely")
+    by_chains = _counting(monkeypatch, tableaux, "_f_plus_by_chains")
+    checks = verify._suite_recurrences({"kind": "fplus", "max_size": "10"})
+    assert all(check.run()[2] for check in checks)
+    assert len(checks) == len(by_chains) == 138
+    assert len(enumerated) == 66
+    assert max(sum(shape) for (shape,) in enumerated) == 8
+
+
+def test_staircase_suite_skips_the_complementary_count(monkeypatch):
+    complementary = _counting(monkeypatch, permutations, "_expectation_X")
+    checks = verify._suite_conj_vexillary_staircase({"n": "6"})
+    assert all(check.run()[2] for check in checks)
+    assert len(checks) == 92
+    assert complementary == []
