@@ -19,7 +19,7 @@ from .errors import (
     NotVexillaryError,
     RangeError,
 )
-from .poset import FinitePoset, _check_capacity, _dd_through, capacity
+from .poset import FinitePoset, _check_capacity, _dd_through, _from_order, capacity
 from .tableaux import _ints, check_partition, count_ssyt_by_total, rect_staircase
 
 __all__ = [
@@ -352,6 +352,16 @@ def _weak_walk(w):
     return elements, below, down
 
 
+def _walk_depth(below) -> list[int]:
+    """depth[i] = length(w) - length(elements[i]) for a `_weak_walk`; the
+    walk lists the elements by depth, so the list is nondecreasing."""
+    depth = [0] * len(below)
+    for i, lower in enumerate(below):
+        for j in lower:
+            depth[j] = depth[i] + 1
+    return depth
+
+
 def weak_interval_elements(w) -> set[tuple[int, ...]]:
     """All u below w in right weak order."""
     return set(_weak_walk(check_permutation(w))[0])
@@ -366,10 +376,7 @@ def weak_interval(w) -> FinitePoset:
 def _walk_poset(walk) -> FinitePoset:
     """The poset of a finished `_weak_walk`, ordered as in weak_interval."""
     elements, below, _ = walk
-    depth = [0] * len(elements)
-    for i, lower in enumerate(below):
-        for j in lower:
-            depth[j] = depth[i] + 1
+    depth = _walk_depth(below)
     ordered = sorted(range(len(elements)), key=lambda i: (-depth[i], elements[i]))
     position = {i: k for k, i in enumerate(ordered)}
     covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
@@ -543,17 +550,8 @@ def noninversion_poset(w) -> FinitePoset:
     w = check_permutation(w)
     n = len(w)
     pos = inverse(w)
-    rel = [[False] * n for _ in range(n)]
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            if pos[a - 1] < pos[b - 1]:
-                rel[a - 1][b - 1] = True
-    covers = set()
-    for a in range(n):
-        for b in range(n):
-            if rel[a][b] and not any(rel[a][z] and rel[z][b] for z in range(n)):
-                covers.add((a, b))
-    return FinitePoset(n, covers, [str(v) for v in range(1, n + 1)])
+    below = [sum(1 << a for a in range(b) if pos[a] < pos[b]) for b in range(n)]
+    return _from_order(below, [str(v) for v in range(1, n + 1)])
 
 
 def dominant_EX_closed_form(d: int, a: int, b: int) -> Fraction:
@@ -666,10 +664,7 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     """
     elements, below, _ = _weak_walk(w)
     n = len(w)
-    depth = [0] * len(elements)
-    for i, lower in enumerate(below):
-        for j in lower:
-            depth[j] = depth[i] + 1
+    depth = _walk_depth(below)
     ell = depth[-1]
     # the walk lists the ranks top down; rank d fills elements[first[d]:first[d + 1]]
     first = [bisect_left(depth, d) for d in range(ell + 2)]

@@ -95,35 +95,29 @@ class FinitePoset:
     n: int
     covers: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
-
-    # lazily built adjacency caches, not part of equality/hash
-    _up: dict = field(default=None, compare=False, repr=False, hash=False)
+    # upper_covers[x] and lower_covers[x] list the elements covering x and
+    # covered by x, ascending; built once, not part of equality or hash
+    upper_covers: list[list[int]] = field(init=False, compare=False, repr=False)
+    lower_covers: list[list[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "covers", frozenset(self.covers))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
+        n = self.n
+        if n < 0:
+            raise SizeError("element count must be nonnegative")
+        for a, b in self.covers:
+            if not (0 <= a < n and 0 <= b < n):
+                raise MalformedInputError(f"cover {(a, b)} out of range")
+        up = [[] for _ in range(n)]
+        down = [[] for _ in range(n)]
+        for a, b in sorted(self.covers):
+            up[a].append(b)
+            down[b].append(a)
+        object.__setattr__(self, "upper_covers", up)
+        object.__setattr__(self, "lower_covers", down)
         validate(self)
-
-    def _adj(self):
-        cache = object.__getattribute__(self, "_up")
-        if cache is None:
-            up = [[] for _ in range(self.n)]
-            down = [[] for _ in range(self.n)]
-            for a, b in sorted(self.covers):
-                up[a].append(b)
-                down[b].append(a)
-            cache = {"up": up, "down": down}
-            object.__setattr__(self, "_up", cache)
-        return cache
-
-    @property
-    def upper_covers(self) -> list[list[int]]:
-        return self._adj()["up"]
-
-    @property
-    def lower_covers(self) -> list[list[int]]:
-        return self._adj()["down"]
 
     def down_degree(self, x: int) -> int:
         return len(self.lower_covers[x])
@@ -137,13 +131,14 @@ class FinitePoset:
         return str(x)
 
     def topological_order(self) -> list[int]:
+        upper = self.upper_covers
         indeg = [len(d) for d in self.lower_covers]
         queue = [x for x in range(self.n) if indeg[x] == 0]
         order = []
         while queue:
             x = queue.pop()
             order.append(x)
-            for y in self.upper_covers[x]:
+            for y in upper[x]:
                 indeg[y] -= 1
                 if indeg[y] == 0:
                     queue.append(y)
@@ -153,52 +148,62 @@ class FinitePoset:
 
     def order_relation(self) -> list[int]:
         """Reflexive order relation as bitmasks: bit z of entry y set iff z <= y."""
+        lower = self.lower_covers
         below = [1 << x for x in range(self.n)]
         for x in self.topological_order():
             mask = below[x]
-            for z in self.lower_covers[x]:
+            for z in lower[x]:
                 mask |= below[z]
             below[x] = mask
         return below
 
 
 def validate(p: FinitePoset) -> None:
-    """Check the FinitePoset invariants.
+    """Check the FinitePoset invariants that need more than the cover list.
 
-    Raises CycleError when the cover digraph has a cycle, NotReducedError
-    (naming the offending pair) when some cover is implied by two others, and
-    MalformedInputError when a cover leaves 0..n-1 or the labels are not n.
+    A FinitePoset rejects a negative size and covers outside 0..n-1 itself,
+    before it builds its adjacency lists.  This raises MalformedInputError
+    when the labels are not n, CycleError when the cover digraph has a cycle,
+    and NotReducedError (naming the offending pair) when some cover is
+    implied by two others.
     """
-    if p.n < 0:
-        raise SizeError("element count must be nonnegative")
     if p.labels is not None and len(p.labels) != p.n:
         raise MalformedInputError(f"{len(p.labels)} labels for {p.n} elements")
     for a, b in p.covers:
-        if not (0 <= a < p.n and 0 <= b < p.n):
-            raise MalformedInputError(f"cover {(a, b)} out of range")
         if a == b:
             raise CycleError(f"self-cover at {a}")
+    lower = p.lower_covers
     order = p.topological_order()  # raises CycleError
     # Fast path: if every cover climbs exactly one level of the longest-path
     # ranking, no cover can be implied by a longer path.
     lp = [0] * p.n
     for x in order:
-        for z in p.lower_covers[x]:
+        for z in lower[x]:
             lp[x] = max(lp[x], lp[z] + 1)
     if all(lp[b] == lp[a] + 1 for a, b in p.covers):
         return
     _check_capacity(p.n * p.n // 64 + p.n, "transitive reduction check")
-    strict_below = [0] * p.n
-    for x in order:
-        mask = 0
-        for z in p.lower_covers[x]:
-            mask |= strict_below[z] | (1 << z)
-        strict_below[x] = mask
+    below = p.order_relation()
     for a, b in sorted(p.covers):
         # implied iff some other lower cover of b lies strictly above a
-        for z in p.lower_covers[b]:
-            if z != a and (strict_below[z] >> a) & 1:
+        for z in lower[b]:
+            if z != a and (below[z] >> a) & 1:
                 raise NotReducedError((a, b))
+
+
+def _from_order(below: list[int], labels=None) -> FinitePoset:
+    """The poset whose strict order is `below`: bit x of below[y] is set iff
+    x < y, and the relation is transitively closed.  This is the one Hasse
+    reduction in the package: the lower covers of y are the elements of
+    below[y] that lie under no other element of below[y]."""
+    n = len(below)
+    covers = set()
+    for y, mask in enumerate(below):
+        shadow = 0
+        for z in _members(mask, n):
+            shadow |= below[z]
+        covers.update((x, y) for x in _members(mask & ~shadow, n))
+    return FinitePoset(n, covers, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -758,37 +763,21 @@ def quotient_cover(p: FinitePoset, i: int, j: int) -> FinitePoset:
     if (i, j) not in p.covers:
         raise NotCoverError(f"{(i, j)} is not a cover")
     masks = p.order_relation()
-
-    def leq(x, y):
-        return (masks[y] >> x) & 1
-
     keep = [x for x in range(p.n) if x != j]
-    index = {x: k for k, x in enumerate(keep)}
-
-    def new_leq(x, y):
+    low = (1 << j) - 1
+    below = []
+    for y in keep:
         # x <= y in the quotient iff x <= y originally, or the chain may hop
-        # through the merged pair: x <= j and i <= y.
-        if leq(x, y):
-            return True
-        return leq(x, j) and leq(i, y)
-
-    n = len(keep)
-    rel = [[False] * n for _ in range(n)]
-    for x in keep:
-        for y in keep:
-            if x != y and new_leq(x, y):
-                rel[index[x]][index[y]] = True
-    covers = set()
-    for a in range(n):
-        for b in range(n):
-            if rel[a][b] and not any(rel[a][z] and rel[z][b] for z in range(n)):
-                covers.add((a, b))
+        # through the merged pair: x <= j and i <= y
+        mask = masks[y] | (masks[j] if (masks[y] >> i) & 1 else 0)
+        mask &= ~(1 << y | 1 << j)
+        below.append(mask & low | mask >> 1 & ~low)  # renumber past j as keep does
     labels = None
     if p.labels is not None:
         labels = [
             p.label(x) if x != i else f"{p.label(i)}={p.label(j)}" for x in keep
         ]
-    return FinitePoset(n, covers, labels)
+    return _from_order(below, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +828,10 @@ def load_poset(text: str) -> FinitePoset:
         cover <a> <b>
         label <a> <string>
 
-    Blank lines and lines starting with '#' are ignored.  The result is
-    validated before being returned.
+    Blank lines and lines starting with '#' are ignored.  There is one `n`
+    line, `n` and `cover` lines carry exactly their integers, and a label
+    names an element of 0..n-1; any other line raises MalformedInputError
+    naming it.  The result is validated before being returned.
     """
     n = None
     covers = set()
@@ -849,24 +840,30 @@ def load_poset(text: str) -> FinitePoset:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        kind = parts[0]
+        kind, *args = line.split()
+        if kind not in ("n", "cover", "label"):
+            raise MalformedInputError(f"line {lineno}: unknown directive {kind!r}")
+        if kind == "n" and n is not None:
+            raise MalformedInputError(f"line {lineno}: second 'n' line")
         try:
-            if kind == "n":
-                n = int(parts[1])
-            elif kind == "cover":
-                covers.add((int(parts[1]), int(parts[2])))
-            elif kind == "label":
-                labels[int(parts[1])] = " ".join(parts[2:])
+            if kind == "label":
+                labels[int(args[0])] = (lineno, " ".join(args[1:]))
+            elif len(args) != (1 if kind == "n" else 2):
+                raise ValueError("wrong number of integers")
+            elif kind == "n":
+                n = int(args[0])
             else:
-                raise MalformedInputError(f"line {lineno}: unknown directive {kind!r}")
+                covers.add((int(args[0]), int(args[1])))
         except (IndexError, ValueError) as exc:
             raise MalformedInputError(f"line {lineno}: cannot parse {raw!r}") from exc
     if n is None:
         raise MalformedInputError("missing 'n <count>' line")
+    for x, (lineno, _) in labels.items():
+        if not 0 <= x < n:
+            raise MalformedInputError(f"line {lineno}: label for element {x} outside 0..{n - 1}")
     label_list = None
     if labels:
-        label_list = [labels.get(x, str(x)) for x in range(n)]
+        label_list = [labels[x][1] if x in labels else str(x) for x in range(n)]
     return FinitePoset(n, covers, label_list)
 
 

@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _check_capacity, _dd_through, _ideals, capacity
+from .poset import FinitePoset, _chain_counts, _check_capacity, _ideals
 
 __all__ = [
     "check_partition",
@@ -277,21 +277,10 @@ def _f_plus_by_chains(shape) -> int:
 
     The triple map pairs them with (maximal chain of the interval below
     `shape`, element mu on it, lower cover of mu), so the count is
-    sum_mu dd(mu) f^mu f^(shape/mu): poset._dd_through over the covers of
-    the interval, with the paths down from `shape` counted first.
+    sum_mu dd(mu) f^mu f^(shape/mu), the weighted sum of poset._chain_counts
+    on the interval.
     """
-    elements, covers = _diagram_ideals(shape, shifted=False)
-    lower = [[] for _ in elements]
-    for a, b in covers:
-        lower[b].append(a)
-    # elements come by size, so each one follows every element above it here
-    order = range(len(elements) - 1, -1, -1)
-    down = [0] * len(elements)
-    down[-1] = 1
-    for b in order:
-        for a in lower[b]:
-            down[a] += down[b]
-    return _dd_through(lower, order, down)[1]
+    return _chain_counts(young_interval(shape))[2]
 
 
 def kerov_mean_zero_check(shape) -> bool:
@@ -610,72 +599,31 @@ def crowd(t_plus, corner, i0: int) -> SetValuedTableau:
 # standard enumeration and the chain bijections
 
 
-def enumerate_standard_tableaux(shape) -> list[tuple[tuple[int, ...], ...]]:
-    """All standard Young tableaux, sorted by their row tuples.
+def _increasing_fills(shape, barely: bool, count: int, what: str):
+    """The standard fillings of `shape` (barely set-valued ones when
+    `barely`) as rows of entry tuples, sorted.
 
-    Raises CapacityError before the search when the hook-length count is
-    over the capacity bound."""
-    shape = check_partition(shape) if shape else ()
-    n = sum(shape)
-    cap = capacity()
-    _check_capacity(hook_f(shape), "standard tableau enumeration")
-    rows = [[0] * r for r in shape]
-    fill = [0] * len(shape)
-    out = []
+    One search places the values 1..n (1..n+1 when `barely`) in increasing
+    order.  Value v goes either into the next cell of row i, when row i is
+    not full and the row above is longer, or, once per barely tableau, as
+    the second entry of the last filled cell of row i, when the row below
+    is shorter (that cell is a corner of the filled shape).  No later value
+    can break strictness: when v goes in, the cells left of and above its
+    cell hold only smaller values, and the cells right of and below it are
+    still empty, so every value they get later is larger.  Each filling
+    comes from exactly one placement sequence, so nothing is found twice.
 
-    def rec(v):
-        if v > n:
-            if len(out) >= cap:
-                _check_capacity(len(out) + 1, "standard tableau enumeration")
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for i in range(len(shape)):
-            j = fill[i]
-            if j >= shape[i]:
-                continue
-            if i > 0 and fill[i - 1] <= j:
-                continue
-            rows[i][j] = v
-            fill[i] += 1
-            rec(v + 1)
-            fill[i] -= 1
-
-    rec(1)
-    return sorted(out)
-
-
-def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
-    """All standard barely set-valued tableaux, sorted by their row-major
-    cell tuples (the documented output order).
-
-    One search places the values 1..n+1 in increasing order.  Value v goes
-    either into the next cell of row i, when row i is not full and the row
-    above is longer, or, once per tableau, as the second entry of the last
-    filled cell of row i, when the row below is shorter (that cell is a
-    corner of the filled shape).  No later value can break strictness:
-    when v goes in, the cells left of and above its cell hold only smaller
-    values, and the cells right of and below it are still empty, so every
-    value they get later is larger.  Each tableau comes from exactly one
-    placement sequence, so nothing is found twice.
-
-    Raises CapacityError before the search when the closed-form count
-    f_plus_one(shape) is over the capacity bound.  The `recurrences` suite
-    compares f_plus_one with the chain count `_f_plus_by_chains` for every
-    shape up to size 10 and with this search for the shapes up to size 8;
-    the `bijections` suite and Tier-1 check the listed tableaux themselves.
+    The closed-form `count` is compared with the capacity bound before the
+    search, so the search never grows past it.
     """
-    shape = check_partition(shape) if shape else ()
-    n = sum(shape)
+    _check_capacity(count, what)
     k = len(shape)
-    cap = capacity()
-    _check_capacity(f_plus_one(shape), "barely set-valued tableau enumeration")
+    top = sum(shape) + barely
     rows = [[] for _ in shape]
     out = []
 
     def rec(v, doubled):
-        if v > n + 1:
-            if len(out) >= cap:
-                _check_capacity(len(out) + 1, "barely set-valued tableau enumeration")
+        if v > top:
             out.append(tuple(map(tuple, rows)))
             return
         for i in range(k):
@@ -691,8 +639,35 @@ def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
                 rec(v + 1, True)
                 row[-1] = last
 
-    rec(1, False)
-    return [SetValuedTableau(t) for t in sorted(out)]
+    rec(1, not barely)
+    return sorted(out)
+
+
+def enumerate_standard_tableaux(shape) -> list[tuple[tuple[int, ...], ...]]:
+    """All standard Young tableaux, sorted by their row tuples.
+
+    Raises CapacityError before the search when the hook-length count is
+    over the capacity bound."""
+    shape = check_partition(shape) if shape else ()
+    fills = _increasing_fills(shape, False, hook_f(shape), "standard tableau enumeration")
+    return [tuple(tuple(v for (v,) in row) for row in t) for t in fills]
+
+
+def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
+    """All standard barely set-valued tableaux, sorted by their row-major
+    cell tuples (the documented output order), from `_increasing_fills`.
+
+    Raises CapacityError before the search when the closed-form count
+    f_plus_one(shape) is over the capacity bound.  The `recurrences` suite
+    compares f_plus_one with the chain count `_f_plus_by_chains` for every
+    shape up to size 10 and with this search for the shapes up to size 8;
+    the `bijections` suite and Tier-1 check the listed tableaux themselves.
+    """
+    shape = check_partition(shape) if shape else ()
+    fills = _increasing_fills(
+        shape, True, f_plus_one(shape), "barely set-valued tableau enumeration"
+    )
+    return [SetValuedTableau(t) for t in fills]
 
 
 def _added_row(small, big, what: str) -> int:

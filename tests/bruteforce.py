@@ -237,6 +237,41 @@ def order_ideals(covers, n) -> list[frozenset[int]]:
     return out
 
 
+def hasse_reduction(rel) -> set[tuple[int, int]]:
+    """The covers of a strict order given as an n x n boolean matrix: the
+    pairs a < b with no z in between, by the triple loop."""
+    n = len(rel)
+    return {
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if rel[a][b] and not any(rel[a][z] and rel[z][b] for z in range(n))
+    }
+
+
+def quotient_covers(covers, n, i, j) -> set[tuple[int, int]]:
+    """The covers of the poset with the cover i < j merged into i, on the
+    elements other than j numbered in order: x <= y afterwards iff x <= y
+    before, or x <= j and i <= y.  The order is closed by Warshall's loop."""
+    leq = [[x == y or (x, y) in covers for y in range(n)] for x in range(n)]
+    for z in range(n):
+        for x in range(n):
+            for y in range(n):
+                leq[x][y] = leq[x][y] or (leq[x][z] and leq[z][y])
+    keep = [x for x in range(n) if x != j]
+    rel = [[x != y and (leq[x][y] or (leq[x][j] and leq[i][y])) for y in keep] for x in keep]
+    return hasse_reduction(rel)
+
+
+def noninversion_covers(w) -> set[tuple[int, int]]:
+    """The covers of the order on 0..n-1 keeping a < b when the values a+1
+    and b+1 appear in that order in w."""
+    n = len(w)
+    pos = {v: k for k, v in enumerate(w)}
+    rel = [[a < b and pos[a + 1] < pos[b + 1] for b in range(n)] for a in range(n)]
+    return hasse_reduction(rel)
+
+
 def linear_extensions(covers, n) -> int:
     """Count linear extensions by brute-force permutation filtering for tiny
     posets (n <= 8)."""

@@ -289,6 +289,17 @@ def test_unparsable_input_exits_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text", ["n 2\nlabel 5 x\n", "n 2\nlabel -1 x\n", "n 2\nn 3\n", "n 2\ncover 0 1 7\n"]
+)
+def test_malformed_poset_file_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.poset"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "poset", "stats", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error: line 2: ")
+
+
 def test_approx_flag(capsys):
     code, out, _ = run_cli(capsys, "--approx", "young", "stats", "--shape", "3,1,1")
     assert code == 0

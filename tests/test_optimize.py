@@ -51,6 +51,7 @@ _CHECKS = [
     ("", "tb.triple_to_barely(((), (1,), (2,)), (3,), (2,))", "MalformedInputError"),
     ("", "ps.expectation_under_multichain(ps.chain(2), 1, [0.5, 1])", "MalformedInputError"),
     ("import cde.permutations as pm", "pm.grassmannian_of_shape((1, 3))", "MalformedInputError"),
+    ("", "ps.load_poset('n 2\\nlabel 5 x\\n')", "MalformedInputError"),
 ]
 
 

@@ -444,6 +444,14 @@ def test_noninversion_poset():
     assert is_isomorphic(q, FinitePoset(4, {(0, 1), (1, 2), (2, 3)}))
 
 
+def test_noninversion_poset_matches_relation_matrix_oracle():
+    for n in range(7):
+        for w in iperm(range(1, n + 1)):
+            p = noninversion_poset(w)
+            assert p.covers == bruteforce.noninversion_covers(w), w
+            assert p.labels == tuple(str(v) for v in range(1, n + 1))
+
+
 def test_noninversion_forest_criterion():
     for n in (3, 4, 5):
         for w in iperm(range(1, n + 1)):

@@ -90,6 +90,9 @@ def test_invalid_posets_cannot_be_built():
         FinitePoset(3, frozenset({(0, 1), (1, 2), (0, 2)}))
     with pytest.raises(MalformedInputError):
         FinitePoset(2, frozenset({(0, 5)}))
+    # rejected before the adjacency lists are built, where -1 would index
+    with pytest.raises(MalformedInputError):
+        FinitePoset(2, {(-1, 0)})
     with pytest.raises(CycleError):
         FinitePoset(2, frozenset({(0, 1), (1, 0)}))
     with pytest.raises(SizeError):
@@ -416,6 +419,24 @@ def test_quotient_cover():
         quotient_cover(chain(3), 0, 2)
 
 
+def test_quotient_cover_matches_relation_matrix_oracle():
+    # every cover of every poset on <= 5 elements, as listed and with the
+    # elements renumbered backwards, unlabelled and labelled
+    for n in range(1, 6):
+        for rep in all_posets_upto_iso(n):
+            for covers in (rep.covers, {(n - 1 - a, n - 1 - b) for a, b in rep.covers}):
+                for labels in (None, [f"e{x}" for x in range(n)]):
+                    p = FinitePoset(n, covers, labels)
+                    for i, j in p.covers:
+                        q = quotient_cover(p, i, j)
+                        assert q.covers == bruteforce.quotient_covers(p.covers, n, i, j)
+                        if labels is None:
+                            assert q.labels is None
+                        else:
+                            want = [f"e{x}" if x != i else f"e{i}=e{j}" for x in range(n) if x != j]
+                            assert q.labels == tuple(want)
+
+
 def test_stats_boolean3():
     st = stats(boolean(3))
     assert st.EX == Fraction(3, 2)
@@ -496,6 +517,23 @@ def test_file_roundtrip(tmp_path):
         load_poset("n 2\nfoo 0 1\n")
     with pytest.raises(CycleError):
         load_poset("n 2\ncover 0 1\ncover 1 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n 2\nlabel 5 x\n", 2),  # label outside 0..n-1
+        ("n 2\nlabel -1 x\n", 2),
+        ("label 2 x\nn 2\n", 1),  # checked once n is known
+        ("n 2\nn 3\ncover 0 1\n", 2),  # a second n line
+        ("n 2\ncover 0 1 7\n", 2),  # an extra token
+        ("n 2 3\n", 1),
+        ("n 2\ncover 0\n", 2),
+    ],
+)
+def test_load_poset_rejects_malformed_lines(text, line):
+    with pytest.raises(MalformedInputError, match=f"^line {line}: "):
+        load_poset(text)
 
 
 def test_canonical_key_small():
