@@ -123,7 +123,7 @@ def _cmd_young(args) -> int:
         "R": r,
         "R_plus": rp,
         "EX": Fraction(rp, r),
-        "EY": Fraction(fp, (n + 1) * f) if shape else Fraction(0),
+        "EY": Fraction(fp, (n + 1) * f),
     }
     data["is_CDE"] = data["EX"] == data["EY"]
     _emit(data, args)

@@ -418,21 +418,6 @@ def count_reduced(w) -> int:
     return _weak_walk(check_permutation(w))[2][-1]
 
 
-def _word_counts(walk) -> tuple[int, int]:
-    """Reduced and nearly reduced word counts from a finished `_weak_walk`.
-
-    A nearly reduced word repeats one descent of a prefix of a reduced word,
-    so it is a path from w down to some u, a descent of u, and a path from u
-    down to the identity.  One upward pass of `poset._dd_through` over the
-    walk's own cover lists and down counts gives up[i], the paths from
-    elements[i] down to the identity, so up[0] counts the reduced words, and
-    the sum of des(u) * up * down over the interval, the nearly reduced ones.
-    """
-    elements, below, down = walk
-    up, nearly = _dd_through(below, range(len(elements)), down)
-    return up[0], nearly
-
-
 def enumerate_reduced(w) -> list[tuple[int, ...]]:
     w = check_permutation(w)
     des = descents(w)
@@ -451,7 +436,7 @@ def count_nearly_reduced(w) -> int:
     of its prefixes, so the count is a descent-weighted sum of path counts
     through the weak interval.
     """
-    return _word_counts(_weak_walk(check_permutation(w)))[1]
+    return _interval_summary(w).nearly
 
 
 def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
@@ -486,12 +471,7 @@ def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
 def expectation_Y_words(w) -> Fraction:
     """Chain-weighted down-degree expectation of the weak interval, straight
     from word counts."""
-    w = check_permutation(w)
-    return _expectation_Y(w, *_word_counts(_weak_walk(w)))
-
-
-def _expectation_Y(w, reduced: int, nearly: int) -> Fraction:
-    return Fraction(nearly, (length(w) + 1) * reduced)
+    return _interval_summary(w).EY
 
 
 def expectation_X_complementary(w) -> Fraction:
@@ -525,19 +505,28 @@ class _IntervalSummary:
 
 
 def _interval_summary(w) -> _IntervalSummary:
-    """One walk of the weak interval below w, with the values count_reduced,
-    count_nearly_reduced, expectation_X_complementary and expectation_Y_words
-    each compute from a walk of their own.
+    """One walk of the weak interval below w, with the word counts and
+    expectations read from it: count_nearly_reduced and expectation_Y_words
+    return its fields, count_reduced and expectation_X_complementary compute
+    theirs from a walk of their own.
+
+    A nearly reduced word repeats one descent of a prefix of a reduced word,
+    so it is a path from w down to some u, a descent of u, and a path from u
+    down to the identity.  One upward pass of `poset._dd_through` over the
+    walk's own cover lists and down counts gives up[i], the paths from
+    elements[i] down to the identity, so up[0] counts the reduced words, and
+    the sum of des(u) * up * down over the interval, the nearly reduced ones.
 
     E(X) is read off the walk as covers / elements, the edge density itself;
     expectation_X_complementary stays the independent route, by the count of
     up-steps that leave the interval, and Tier-1 compares the two."""
     w = check_permutation(w)
     walk = _weak_walk(w)
-    below = walk[1]
+    elements, below, down = walk
+    up, nearly = _dd_through(below, range(len(elements)), down)
     ex = Fraction(sum(map(len, below)), len(below))
-    reduced, nearly = _word_counts(walk)
-    return _IntervalSummary(walk, reduced, nearly, ex, _expectation_Y(w, reduced, nearly))
+    ey = Fraction(nearly, (length(w) + 1) * up[0])
+    return _IntervalSummary(walk, up[0], nearly, ex, ey)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, permutations, zip_longest
-from math import comb
+from math import comb, factorial
 from numbers import Rational
 from operator import mul
 
@@ -607,10 +607,11 @@ def _refine_colors(p: FinitePoset):
         colors = new
 
 
-def is_isomorphic(p: FinitePoset, q: FinitePoset, node_budget: int = 200_000) -> bool:
+def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
     """Backtracking isomorphism test after iterative color refinement.
 
-    Raises CapacityError when the search exceeds `node_budget` nodes.
+    Raises CapacityError when the search visits more nodes than the
+    capacity bound.
     """
     if p.n != q.n or len(p.covers) != len(q.covers):
         return False
@@ -622,16 +623,17 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset, node_budget: int = 200_000) ->
         by_color_q.setdefault(c, []).append(y)
     order = sorted(range(p.n), key=lambda x: (len(by_color_q[cp[x]]), cp[x], x))
     q_lower = [set(s) for s in q.lower_covers]
-    budget = [node_budget]
+    cap = capacity()
+    nodes = [0]
     mapping = {}
     used = set()
 
     def extend(k: int) -> bool:
         if k == p.n:
             return True
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapacityError("isomorphism search exceeded its node budget")
+        nodes[0] += 1
+        if nodes[0] > cap:
+            _check_capacity(nodes[0], "isomorphism search")
         x = order[k]
         for y in by_color_q[cp[x]]:
             if y in used:
@@ -708,9 +710,7 @@ def linear_extension_count(p: FinitePoset) -> int:
         return 1
     if is_forest(p):
         sizes = _down_set_sizes(p)
-        num = 1
-        for k in range(2, p.n + 1):
-            num *= k
+        num = factorial(p.n)
         den = 1
         for s in sizes:
             den *= s
@@ -829,9 +829,10 @@ def load_poset(text: str) -> FinitePoset:
         label <a> <string>
 
     Blank lines and lines starting with '#' are ignored.  There is one `n`
-    line, `n` and `cover` lines carry exactly their integers, and a label
-    names an element of 0..n-1; any other line raises MalformedInputError
-    naming it.  The result is validated before being returned.
+    line, `n` and `cover` lines carry exactly their integers, and each
+    element of 0..n-1 gets at most one label; any other line raises
+    MalformedInputError naming it.  The result is validated before being
+    returned.
     """
     n = None
     covers = set()
@@ -847,7 +848,10 @@ def load_poset(text: str) -> FinitePoset:
             raise MalformedInputError(f"line {lineno}: second 'n' line")
         try:
             if kind == "label":
-                labels[int(args[0])] = (lineno, " ".join(args[1:]))
+                x = int(args[0])
+                if x in labels:
+                    raise MalformedInputError(f"line {lineno}: second label for element {x}")
+                labels[x] = (lineno, " ".join(args[1:]))
             elif len(args) != (1 if kind == "n" else 2):
                 raise ValueError("wrong number of integers")
             elif kind == "n":

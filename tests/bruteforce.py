@@ -7,6 +7,7 @@ checked against.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 
 def set_partitions_into(n: int, j: int) -> int:
@@ -339,3 +340,28 @@ def expectation_of(values, weights) -> Fraction:
     num = sum(Fraction(v) * wt for v, wt in zip(values, weights))
     den = sum(Fraction(wt) for wt in weights)
     return num / den
+
+
+def rect_staircase(d: int, a: int, b: int) -> tuple[int, ...]:
+    """The staircase (d-1, ..., 1) with every cell blown up to an a x b
+    block: row i has b times the staircase row i // a."""
+    return tuple(b * (d - 1 - i // a) for i in range(a * (d - 1)))
+
+
+def rect_staircase_params(shape) -> list[tuple[int, int, int]]:
+    """All (d, a, b) with d >= 2 whose staircase-of-rectangles equals shape,
+    by searching every d whose C(d, 2) divides |shape| and every divisor a."""
+    shape = tuple(shape)
+    total = sum(shape)
+    out = []
+    for d in range(2, total + 2):
+        if comb(d, 2) == 0 or total % comb(d, 2):
+            continue
+        rest = total // comb(d, 2)
+        for a in range(1, rest + 1):
+            if rest % a:
+                continue
+            b = rest // a
+            if rect_staircase(d, a, b) == shape:
+                out.append((d, a, b))
+    return out

@@ -186,6 +186,12 @@ def test_shapes_print_in_one_text_form(capsys):
     assert run_json(capsys, "young", "stats", "--shape", "")["shape"] == "0"
 
 
+def test_young_stats_of_the_empty_shape(capsys):
+    # f+(()) = 0, so E(Y) comes out 0 from the same formula as every shape
+    data = run_json(capsys, "young", "stats", "--shape", "")
+    assert (data["f_plus"], data["EX"], data["EY"]) == (0, "0", "0")
+
+
 def test_emit_tableaux(capsys):
     code, out, _ = run_cli(capsys, "--emit", "tableaux", "young", "stats", "--shape", "2,1")
     assert code == 0

@@ -242,6 +242,15 @@ def test_capacity_error(monkeypatch):
         boolean(5)
 
 
+def test_isomorphism_search_counts_nodes_against_capacity(monkeypatch):
+    # each of the 5 levels of the search is one node
+    monkeypatch.setenv("CDE_CAPACITY", "5")
+    assert is_isomorphic(antichain(5), antichain(5))
+    monkeypatch.setenv("CDE_CAPACITY", "3")
+    with pytest.raises(CapacityError):
+        is_isomorphic(antichain(5), antichain(5))
+
+
 def test_capacity_env(monkeypatch):
     monkeypatch.setenv("CDE_CAPACITY", "12")
     assert poset.capacity() == 12
@@ -529,6 +538,7 @@ def test_file_roundtrip(tmp_path):
         ("n 2\ncover 0 1 7\n", 2),  # an extra token
         ("n 2 3\n", 1),
         ("n 2\ncover 0\n", 2),
+        ("n 2\nlabel 0 a\nlabel 0 b\n", 3),  # a second label for one element
     ],
 )
 def test_load_poset_rejects_malformed_lines(text, line):

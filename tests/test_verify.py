@@ -22,6 +22,8 @@ from cde.verify import (
 )
 from cde.tableaux import parse_shape, shape_label
 
+import bruteforce
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -126,6 +128,40 @@ def test_mcde_product_search_small():
                 assert all(
                     expectation_Xm(q, m) == expectation_Xm(q, 1) for m in range(2, 5)
                 )
+
+
+def test_mcde_product_search_returns_the_first_witness(monkeypatch):
+    # with every poset a candidate, the first witness pairs the one-point
+    # poset with the 3-element poset whose one cover is (0, 2)
+    monkeypatch.setattr(verify.ps, "is_mCDE_upto", lambda p, M: True)
+    p, q, m = search_mcde_product_counterexample(3, 4)
+    assert (p.n, sorted(p.covers), q.n, sorted(q.covers), m) == (1, [], 3, [(0, 2)], 2)
+    pq = product(p, q)
+    values = [expectation_Xm(pq, k) for k in range(1, m + 1)]
+    assert values[:-1] == [values[0]] * (m - 1) and values[-1] != values[0]
+
+
+def test_staircase_params_invert_the_search():
+    shapes = set(verify._partitions_upto(12))
+    for n in range(9):
+        shapes |= {shape for _, shape in permutations.vexillary_permutations(n)}
+    for shape in shapes:
+        found = bruteforce.rect_staircase_params(shape)
+        assert len(found) <= 1, shape
+        assert verify._staircase_params(shape) == (found[0] if found else None), shape
+
+
+def test_thm_main_c_reports_an_oversized_witness_as_skipped(monkeypatch):
+    monkeypatch.setenv("CDE_CAPACITY", "60")
+    reports = run_suite("thm-main-c")
+    assert len(reports) == 14
+    skipped = {
+        (r.instance["d"], r.instance["a"], r.instance["b"])
+        for r in reports
+        if r.status == "skipped(capacity)"
+    }
+    assert skipped == {(3, 2, 2), (4, 1, 2), (4, 2, 1)}
+    assert sum(r.status == "pass" for r in reports) == 11
 
 
 def test_build_poset_specs():
