@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, permutations, zip_longest
+from itertools import permutations, zip_longest
 from math import comb, factorial
 from numbers import Rational
 from operator import mul
@@ -275,25 +275,39 @@ def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
 
     A chain through e is a chain with top e joined at e to a chain with
     bottom e, so row e is the convolution of the two, truncated at `size`.
+
+    Each row is packed into one int (Kronecker substitution): the entry for
+    k sits in bits (k-1)·W .. k·W-1, so adding rows is one integer add and
+    the convolution one integer product.  No entry carries into the next:
+    a k-element chain through e (or with top or bottom e) is e plus k-1 of
+    the other n-1 elements, so each entry below `size` is at most
+    C(n-1, k-1) < 2^W.  Sums and products overflow only at or above bit
+    size·W, and carries only go up, so the mask `keep` drops them.
     """
+    n = p.n
+    size = min(size, n)  # no chain has more than n elements
+    W = max(comb(n - 1, k) for k in range(size)).bit_length() + 1
+    keep = (1 << W * size) - 1
     order = p.topological_order()
     ends = []
     for walk, covers in ((order, p.lower_covers), (order[::-1], p.upper_covers)):
-        # rows[x][k-1]: the k-element chains whose last element in `walk` is x
-        passed = [None] * p.n
-        rows = [None] * p.n
+        # rows[x], entry k: the k-element chains whose last element in `walk` is x
+        passed = [None] * n
+        rows = [0] * n
         for x in walk:
             near = covers[x]
             strict = passed[x] = set(near).union(*map(passed.__getitem__, near))
-            sums = zip_longest(*map(rows.__getitem__, strict), fillvalue=0)
-            rows[x] = [1, *map(sum, islice(sums, size - 1))]
+            rows[x] = (1 + (sum(map(rows.__getitem__, strict)) << W)) & keep
         ends.append(rows)
+    entry = (1 << W) - 1
     table = []
     for top, bottom in zip(*ends):
-        width = min(size, len(top) + len(bottom) - 1)
-        top += [0] * (width - len(top))
-        bottom += [0] * (width - len(bottom))
-        table.append([sum(map(mul, top[: k + 1], bottom[k::-1])) for k in range(width)])
+        packed = (top * bottom) & keep
+        row = []
+        while packed:
+            row.append(packed & entry)
+            packed >>= W
+        table.append(row)
     return table
 
 
@@ -623,41 +637,46 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
         by_color_q.setdefault(c, []).append(y)
     order = sorted(range(p.n), key=lambda x: (len(by_color_q[cp[x]]), cp[x], x))
     q_lower = [set(s) for s in q.lower_covers]
-    cap = capacity()
-    nodes = [0]
     mapping = {}
     used = set()
 
-    def extend(k: int) -> bool:
-        if k == p.n:
-            return True
-        nodes[0] += 1
-        if nodes[0] > cap:
-            _check_capacity(nodes[0], "isomorphism search")
-        x = order[k]
-        for y in by_color_q[cp[x]]:
-            if y in used:
-                continue
-            ok = True
-            for z in p.lower_covers[x]:
-                if z in mapping and mapping[z] not in q_lower[y]:
-                    ok = False
-                    break
-            if ok:
-                for z in p.upper_covers[x]:
-                    if z in mapping and y not in q_lower[mapping[z]]:
-                        ok = False
-                        break
-            if ok:
-                mapping[x] = y
-                used.add(y)
-                if extend(k + 1):
-                    return True
-                used.remove(y)
-                del mapping[x]
-        return False
+    def fits(x: int, y: int) -> bool:
+        return (
+            y not in used
+            and all(mapping[z] in q_lower[y] for z in p.lower_covers[x] if z in mapping)
+            and all(y in q_lower[mapping[z]] for z in p.upper_covers[x] if z in mapping)
+        )
 
-    return extend(0)
+    cap = capacity()
+    nodes = 0
+    # stack[k]: the position in order[k]'s candidates to try next
+    stack = []
+    deeper = True
+    while True:
+        if deeper:
+            if len(stack) == p.n:
+                return True
+            nodes += 1  # one node per level entered
+            if nodes > cap:
+                _check_capacity(nodes, "isomorphism search")
+            stack.append(0)
+        elif not stack:
+            return False
+        k = len(stack) - 1
+        x = order[k]
+        if x in mapping:  # back at level k: undo its last choice
+            used.remove(mapping.pop(x))
+        candidates = by_color_q[cp[x]]
+        i = stack[k]
+        while i < len(candidates) and not fits(x, candidates[i]):
+            i += 1
+        deeper = i < len(candidates)
+        if deeper:
+            stack[k] = i + 1
+            mapping[x] = candidates[i]
+            used.add(candidates[i])
+        else:
+            stack.pop()
 
 
 def canonical_key(p: FinitePoset) -> tuple:

@@ -6,8 +6,9 @@ checked against.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product, zip_longest
 from math import comb
+from operator import mul
 
 
 def set_partitions_into(n: int, j: int) -> int:
@@ -223,6 +224,37 @@ def multichains_through(leq, n, m):
 
     rec(0)
     return counts
+
+
+def chain_table(p, size: int) -> list[list[int]]:
+    """Row e: a(e, k), the number of k-element chains through e, for
+    k = 1..size (shorter when no longer chain passes through e).
+
+    A chain through e is a chain with top e joined at e to a chain with
+    bottom e, so row e is the convolution of the two, truncated at `size`.
+    The library's earlier list-convolution table, kept as the oracle for
+    its packed-integer successor: rows as lists, summed column by column.
+    It reads only the poset's topological order and cover lists.
+    """
+    order = p.topological_order()
+    ends = []
+    for walk, covers in ((order, p.lower_covers), (order[::-1], p.upper_covers)):
+        # rows[x][k-1]: the k-element chains whose last element in `walk` is x
+        passed = [None] * p.n
+        rows = [None] * p.n
+        for x in walk:
+            near = covers[x]
+            strict = passed[x] = set(near).union(*map(passed.__getitem__, near))
+            sums = zip_longest(*map(rows.__getitem__, strict), fillvalue=0)
+            rows[x] = [1, *map(sum, islice(sums, size - 1))]
+        ends.append(rows)
+    table = []
+    for top, bottom in zip(*ends):
+        width = min(size, len(top) + len(bottom) - 1)
+        top += [0] * (width - len(top))
+        bottom += [0] * (width - len(bottom))
+        table.append([sum(map(mul, top[: k + 1], bottom[k::-1])) for k in range(width)])
+    return table
 
 
 def order_ideals(covers, n) -> list[frozenset[int]]:

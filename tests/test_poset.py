@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,49 @@ def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
     # every 2-element multichain through e is (x, e) or (e, x): n of them
     assert multichain_counts(chain(400), 2) == [400] * 400
     assert built == [(2, 2)]
+
+
+def test_chain_table_matches_the_list_convolution_oracle():
+    for p in _small_posets():
+        for size in range(1, 10):
+            assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
+    for p in (boolean(5), product(chain(3), chain(4))):
+        for size in range(1, 10):
+            assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
+
+
+def test_chain_table_packs_entries_wider_than_a_machine_word():
+    # on a chain every set of elements is a chain, so a(e, k) = C(n-1, k-1):
+    # the width bound is tight, and C(69, 34) takes 66 bits
+    table = poset._chain_table(chain(70), 70)
+    assert all(row == [comb(69, k) for k in range(70)] for row in table)
+
+
+def test_multichain_counts_clamp_the_table_at_n():
+    # C(m+1, 2) multichains of m elements through the bottom of a 3-chain
+    assert multichain_counts(chain(3), 10**9)[0] == 500000000500000000
+
+
+def test_chain_table_rows_of_boolean_4():
+    # a work pin: row e of B_4 by the subset e, from the list-convolution table
+    assert poset._chain_table(boolean(4), 8) == [
+        [1, 15, 50, 60, 24],  # 0000
+        [1, 8, 19, 18, 6],  # 0001
+        [1, 8, 19, 18, 6],  # 0010
+        [1, 6, 13, 12, 4],  # 0011
+        [1, 8, 19, 18, 6],  # 0100
+        [1, 6, 13, 12, 4],  # 0101
+        [1, 6, 13, 12, 4],  # 0110
+        [1, 8, 19, 18, 6],  # 0111
+        [1, 8, 19, 18, 6],  # 1000
+        [1, 6, 13, 12, 4],  # 1001
+        [1, 6, 13, 12, 4],  # 1010
+        [1, 8, 19, 18, 6],  # 1011
+        [1, 6, 13, 12, 4],  # 1100
+        [1, 8, 19, 18, 6],  # 1101
+        [1, 8, 19, 18, 6],  # 1110
+        [1, 15, 50, 60, 24],  # 1111
+    ]
 
 
 def test_multichain_counts_m1_skips_the_chain_table(monkeypatch):
@@ -375,6 +419,21 @@ def test_self_dual_regular():
     assert self_dual_regular_check(boolean(3)) == Fraction(3, 2)
     assert self_dual_regular_check(ordinal_sum(antichain(1), antichain(2))) is None
     assert self_dual_regular_check(chain(4)) is None
+
+
+def test_isomorphism_search_runs_on_a_thousand_elements():
+    # 1,024 levels deep: the search keeps its own stack
+    assert self_dual_regular_check(boolean(10)) == 5
+
+
+def test_is_isomorphic_agrees_with_canonical_keys():
+    posets = [p for n in range(1, 6) for p in all_posets_upto_iso(n)]
+    # each class again under the relabeling x -> n-1-x
+    posets += [FinitePoset(p.n, {(p.n - 1 - a, p.n - 1 - b) for a, b in p.covers}) for p in posets]
+    keys = [canonical_key(p) for p in posets]
+    for p, kp in zip(posets, keys):
+        for q, kq in zip(posets, keys):
+            assert is_isomorphic(p, q) == (kp == kq)
 
 
 def test_linear_extension_count():
