@@ -267,6 +267,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.emit == "tableaux" and args.func is not _cmd_young:
+            raise MalformedInputError(f"--emit tableaux applies to young stats, not {args.command}")
         return args.func(args)
     except CdeError as exc:
         print(f"error: {exc}", file=sys.stderr)

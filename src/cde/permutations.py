@@ -10,9 +10,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations as iperm
 from math import comb, factorial
 
-from .core import IntPolynomial, interpolate_integer_polynomial, stirling2_row
+from .core import IntPolynomial, interpolate_integer_polynomial, poly_divides, stirling2_row
 from .errors import (
     CapacityError,
     MalformedInputError,
@@ -391,8 +392,6 @@ def weak_order_full(n: int) -> FinitePoset:
 def strong_bruhat(n: int) -> FinitePoset:
     """Strong Bruhat order on the whole symmetric group."""
     _check_capacity(factorial(n), "strong Bruhat order")
-    from itertools import permutations as iperm
-
     elements = sorted(iperm(range(1, n + 1)), key=lambda u: (length(u), u))
     index = {u: i for i, u in enumerate(elements)}
     covers = set()
@@ -760,8 +759,6 @@ def conjecture_fk_check(d: int, a: int, b: int) -> FkConjectureReport:
     whether the one-letter-longer word polynomial is a multiple of the
     reduced-word polynomial with the predicted linear quotient, and whether
     the companion flagged-tableau ratio holds at x = 1..4."""
-    from .core import poly_divides
-
     lam = rect_staircase(d, a, b)
     w = dominant_of_shape(lam)
     ell = sum(lam)

@@ -258,15 +258,10 @@ def _chain_counts(p: FinitePoset, order: list[int] | None = None):
     return up, down, weighted
 
 
-def _expectation_Y(up: list[int], down: list[int], weighted: int) -> Fraction:
-    return Fraction(weighted, sum(map(mul, up, down)))
-
-
 def expectation_Y(p: FinitePoset) -> Fraction:
     """Expected down-degree when each element is weighted by the number of
     maximal chains through it."""
-    _require_nonempty(p)
-    return _expectation_Y(*_chain_counts(p))
+    return stats(p).EY
 
 
 def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
@@ -283,25 +278,35 @@ def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
     the other n-1 elements, so each entry below `size` is at most
     C(n-1, k-1) < 2^W.  Sums and products overflow only at or above bit
     size·W, and carries only go up, so the mask `keep` drops them.
+
+    The strict order is built once, as down-sets on the way up: top rows
+    pull from the elements below, and on the way down each finished bottom
+    row is pushed to the elements below it.
     """
     n = p.n
     size = min(size, n)  # no chain has more than n elements
     W = max(comb(n - 1, k) for k in range(size)).bit_length() + 1
     keep = (1 << W * size) - 1
     order = p.topological_order()
-    ends = []
-    for walk, covers in ((order, p.lower_covers), (order[::-1], p.upper_covers)):
-        # rows[x], entry k: the k-element chains whose last element in `walk` is x
-        passed = [None] * n
-        rows = [0] * n
-        for x in walk:
-            near = covers[x]
-            strict = passed[x] = set(near).union(*map(passed.__getitem__, near))
-            rows[x] = (1 + (sum(map(rows.__getitem__, strict)) << W)) & keep
-        ends.append(rows)
+    lower = p.lower_covers
+    # strict[x]: the elements below x; tops[x], bottoms[x], entry k: the
+    # k-element chains with top x, with bottom x
+    strict = [None] * n
+    tops = [0] * n
+    for x in order:
+        near = lower[x]
+        below = strict[x] = set(near).union(*map(strict.__getitem__, near))
+        tops[x] = (1 + (sum(map(tops.__getitem__, below)) << W)) & keep
+    above = [0] * n  # above[x]: the bottom rows of the elements above x, shifted
+    bottoms = [0] * n
+    for x in reversed(order):
+        bottoms[x] = (1 + above[x]) & keep
+        pushed = bottoms[x] << W
+        for z in strict[x]:
+            above[z] += pushed
     entry = (1 << W) - 1
     table = []
-    for top, bottom in zip(*ends):
+    for top, bottom in zip(tops, bottoms):
         packed = (top * bottom) & keep
         row = []
         while packed:
@@ -464,34 +469,26 @@ def pabcd(a: int, b: int, c: int, d: int) -> FinitePoset:
 
 
 def _triangulations(n: int) -> list[tuple[tuple[int, int], ...]]:
-    diagonals = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 2, n + 1)
-        if not (i == 1 and j == n)
-    ]
+    """The triangulations of the convex n-gon on vertices 1..n, each as its
+    sorted diagonals, in lexicographic order.
 
-    def crosses(d1, d2):
-        i, j = d1
-        k, l = d2
-        return (i < k < j < l) or (k < i < l < j)
-
-    out = []
-
-    def backtrack(start, acc):
-        if len(acc) == n - 3:
-            out.append(tuple(acc))
-            _check_capacity(len(out), "tamari lattice")
-            return
-        for t in range(start, len(diagonals)):
-            cand = diagonals[t]
-            if all(not crosses(cand, d) for d in acc):
-                acc.append(cand)
-                backtrack(t + 1, acc)
-                acc.pop()
-
-    backtrack(0, [])
-    return out
+    The side (i, j) of the polygon on vertices i..j lies in exactly one
+    triangle (i, k, j); triangulating i..k and k..j independently and adding
+    (i, k) and (k, j) where they are diagonals gives each triangulation once.
+    """
+    _check_capacity(comb(2 * n - 4, n - 2) // (n - 1), "tamari lattice")  # C(n-2)
+    # polygon[i, j]: the triangulations of the polygon on vertices i..j
+    polygon = {(i, i + 1): [()] for i in range(1, n)}
+    for span in range(2, n):
+        for i in range(1, n - span + 1):
+            j = i + span
+            polygon[i, j] = [
+                left + right + tuple(d for d in ((i, k), (k, j)) if d[1] - d[0] > 1)
+                for k in range(i + 1, j)
+                for left in polygon[i, k]
+                for right in polygon[k, j]
+            ]
+    return sorted(tuple(sorted(t)) for t in polygon[1, n])
 
 
 def tamari(n: int) -> FinitePoset:
@@ -821,22 +818,21 @@ def stats(p: FinitePoset) -> PosetStats:
     order = p.topological_order()
     up, down, weighted = _chain_counts(p, order)
     longest = [1] * p.n
-    shortest = [1] * p.n
     for x in order:
         lows = p.lower_covers[x]
         if lows:
-            longest[x] = 1 + max(longest[z] for z in lows)
-            shortest[x] = 1 + min(shortest[z] for z in lows)
-    maxima = [x for x in range(p.n) if not p.upper_covers[x]]
-    top = max(longest[x] for x in maxima)
-    bottom = min(shortest[x] for x in maxima)
-    rank = top - 1 if top == bottom else None
+            longest[x] = 1 + max(map(longest.__getitem__, lows))
+    chains = sum(u for u, highs in zip(up, p.upper_covers) if not highs)
+    # Σ up·down counts each maximal chain once per element on it, so it
+    # reaches (longest length)·chains exactly when every maximal chain is longest
+    through = sum(map(mul, up, down))
+    top = max(longest)
     return PosetStats(
         EX=expectation_X(p),
-        EY=_expectation_Y(up, down, weighted),
+        EY=Fraction(weighted, through),
         edge_count=len(p.covers),
-        maximal_chain_count=sum(up[x] for x in maxima),
-        rank=rank,
+        maximal_chain_count=chains,
+        rank=top - 1 if through == top * chains else None,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .core import IntPolynomial
@@ -387,14 +388,10 @@ def count_ssyt(shape, flag, total: int) -> int:
 
 
 def _lex_subsets(pool, max_size):
-    """Nonempty subsets of the sorted pool in lexicographic order of their
-    sorted tuples."""
-    for idx in range(len(pool)):
-        head = (pool[idx],)
-        yield head
-        if max_size > 1:
-            for rest in _lex_subsets(pool[idx + 1 :], max_size - 1):
-                yield head + rest
+    """Nonempty subsets of the sorted pool with at most max_size elements, in
+    lexicographic order of their sorted tuples (each before its extensions)."""
+    sizes = range(1, min(max_size, len(pool)) + 1)
+    return sorted(subset for k in sizes for subset in combinations(pool, k))
 
 
 def enumerate_ssyt(shape, flag, total: int) -> list["SetValuedTableau"]:

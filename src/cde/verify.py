@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from inspect import signature
-from itertools import permutations as iperm
+from itertools import combinations_with_replacement, permutations as iperm
 from pathlib import Path
 
 from . import permutations as perm
@@ -170,7 +170,7 @@ def _partitions_upto(n: int) -> list[tuple[int, ...]]:
             rec(remaining - part, part, acc + [part])
 
     rec(n, n, [])
-    return sorted(set(out), key=lambda m: (sum(m), m))
+    return sorted(out, key=lambda m: (sum(m), m))
 
 
 def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
@@ -215,27 +215,19 @@ def search_mcde_product_counterexample(max_elems: int, m_max: int = 6):
 
 
 def _enumerate_multichain_expectation(p: ps.FinitePoset, m: int, values) -> Fraction:
-    """Brute-force route: enumerate every weakly increasing m-sequence and
-    weight each element by the number of sequences containing it."""
-    leq_masks = p.order_relation()
-    ups = [
-        [y for y in range(p.n) if (leq_masks[y] >> x) & 1] for x in range(p.n)
-    ]
-    weights = [0] * p.n
-    seq = []
+    """Brute-force route: list every m-element multichain and weight each
+    element by the number of multichains containing it.
 
-    def rec(k):
-        if k == m:
+    Listed along a linear extension (elements by down-set size), a multichain
+    is a weakly increasing sequence whose consecutive entries are comparable.
+    """
+    leq_masks = p.order_relation()
+    line = sorted(range(p.n), key=lambda x: leq_masks[x].bit_count())
+    weights = [0] * p.n
+    for seq in combinations_with_replacement(line, m):
+        if all((leq_masks[y] >> x) & 1 for x, y in zip(seq, seq[1:])):
             for e in set(seq):
                 weights[e] += 1
-            return
-        choices = range(p.n) if not seq else ups[seq[-1]]
-        for y in choices:
-            seq.append(y)
-            rec(k + 1)
-            seq.pop()
-
-    rec(0)
     num = sum(Fraction(v) * wt for v, wt in zip(values, weights))
     return num / sum(weights)
 

@@ -397,3 +397,55 @@ def rect_staircase_params(shape) -> list[tuple[int, int, int]]:
             if rect_staircase(d, a, b) == shape:
                 out.append((d, a, b))
     return out
+
+
+def triangulations(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The triangulations of the convex n-gon on vertices 1..n as sorted
+    diagonal tuples, in lexicographic order: every set of n-3 pairwise
+    noncrossing diagonals, found by backtracking over the diagonal list.
+    The library's earlier Tamari builder, kept as the oracle for the
+    construction by apex."""
+    diagonals = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 2, n + 1)
+        if not (i == 1 and j == n)
+    ]
+
+    def crosses(d1, d2):
+        i, j = d1
+        k, l = d2
+        return (i < k < j < l) or (k < i < l < j)
+
+    out = []
+
+    def backtrack(start, acc):
+        if len(acc) == n - 3:
+            out.append(tuple(acc))
+            return
+        for t in range(start, len(diagonals)):
+            cand = diagonals[t]
+            if all(not crosses(cand, d) for d in acc):
+                acc.append(cand)
+                backtrack(t + 1, acc)
+                acc.pop()
+
+    backtrack(0, [])
+    return out
+
+
+def maximal_chain_lengths(p) -> set[int]:
+    """The element counts of the maximal chains of p, by depth-first search
+    from each minimal element along upper covers to the maximal ones."""
+    lengths = set()
+
+    def climb(x, k):
+        if not p.upper_covers[x]:
+            lengths.add(k)
+        for y in p.upper_covers[x]:
+            climb(y, k + 1)
+
+    for x in range(p.n):
+        if not p.lower_covers[x]:
+            climb(x, 1)
+    return lengths

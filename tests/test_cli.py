@@ -287,6 +287,11 @@ def test_malformed_input_exit_code(capsys):
         ("perm", "stats", "--w", "321", "--xm", "-2"),
         ("verify", "--suite", "negatives", "--budget", "-1"),
         ("verify", "--suite", "negatives", "--budget", "nan"),
+        ("--emit", "tableaux", "poset", "stats", "--builder", "chain", "--n", "3"),
+        ("--emit", "tableaux", "shifted", "stats", "--shape", "3,1"),
+        ("--emit", "tableaux", "perm", "stats", "--w", "321"),
+        ("--emit", "tableaux", "fk", "--w", "321", "--L", "3"),
+        ("--emit", "tableaux", "verify", "--suite", "negatives"),
     ],
 )
 def test_unparsable_input_exits_2(capsys, argv):

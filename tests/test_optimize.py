@@ -31,6 +31,20 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} asserts on lines {lines}"
 
 
+def test_library_imports_only_at_module_level():
+    # an import inside a function runs on every call and hides a dependency
+    for path in sorted((SRC / "cde").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            inner.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        ]
+        assert not lines, f"{path.name} imports inside a function on lines {lines}"
+
+
 # (setup, call, error): after `setup`, `call` must raise `error`
 _CHECKS = [
     ("", "tb.add_corner((2, 1), (1, 2))", "NotCornerError"),

@@ -47,7 +47,7 @@ from cde.poset import (
     toggle_symmetry_check,
     validate,
 )
-from cde.verify import all_posets_upto_iso
+from cde.verify import _enumerate_multichain_expectation, all_posets_upto_iso
 
 import bruteforce
 from bruteforce import linear_extensions, multichains_through
@@ -143,6 +143,16 @@ def test_multichain_counts_against_bruteforce():
             assert multichain_counts(p, m) == multichains_through(ups, p.n, m)
 
 
+def test_multichain_oracle_matches_bruteforce_multichains():
+    for n in range(1, 6):
+        for p in all_posets_upto_iso(n):
+            ups = up_closure(p)
+            values = list(range(n))
+            for m in range(1, 5):
+                want = bruteforce.expectation_of(values, multichains_through(ups, n, m))
+                assert _enumerate_multichain_expectation(p, m, values) == want
+
+
 def test_is_mCDE_upto_compares_each_multichain_expectation():
     for p in _small_posets():
         base = expectation_X(p)
@@ -176,7 +186,8 @@ def test_chain_table_matches_the_list_convolution_oracle():
     for p in _small_posets():
         for size in range(1, 10):
             assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
-    for p in (boolean(5), product(chain(3), chain(4))):
+    # tamari(6) is not graded: its chains skip ranks
+    for p in (boolean(5), product(chain(3), chain(4)), tamari(6)):
         for size in range(1, 10):
             assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
 
@@ -286,6 +297,18 @@ def test_capacity_error(monkeypatch):
         boolean(5)
 
 
+def test_tamari_checks_the_catalan_count_before_building(monkeypatch):
+    # the whole count C(n-2) is checked up front, not one triangulation at a time
+    monkeypatch.setenv("CDE_CAPACITY", "10")
+    with pytest.raises(CapacityError, match="tamari lattice needs 16796 > capacity 10"):
+        tamari(12)
+    monkeypatch.setenv("CDE_CAPACITY", "41")
+    with pytest.raises(CapacityError, match="tamari lattice needs 42 > capacity 41"):
+        tamari(7)
+    monkeypatch.setenv("CDE_CAPACITY", "42")
+    assert len(poset._triangulations(7)) == 42
+
+
 def test_isomorphism_search_counts_nodes_against_capacity(monkeypatch):
     # each of the 5 levels of the search is one node
     monkeypatch.setenv("CDE_CAPACITY", "5")
@@ -322,6 +345,11 @@ def test_tamari_catalan_sizes():
     assert tamari(4).n == 2
     assert tamari(6).n == 14
     assert tamari(7).n == 42
+
+
+def test_triangulations_by_apex_match_the_crossing_search():
+    for n in range(3, 11):
+        assert poset._triangulations(n) == bruteforce.triangulations(n)
 
 
 def test_tamari_expectations():
@@ -517,6 +545,18 @@ def test_stats_boolean3():
 def test_stats_rank_absent_when_ungraded():
     st = stats(pabcd(1, 1, 2, 1))
     assert st.rank is None
+
+
+def test_stats_rank_matches_the_maximal_chain_lengths():
+    posets = [p for n in range(1, 7) for p in all_posets_upto_iso(n)]
+    posets += [tamari(n) for n in range(3, 8)] + [pabcd(1, 2, 3, 1)]
+    ranks = []
+    for p in posets:
+        lengths = bruteforce.maximal_chain_lengths(p)
+        want = min(lengths) - 1 if len(lengths) == 1 else None
+        assert stats(p).rank == want
+        ranks.append(want)
+    assert None in ranks and any(r is not None for r in ranks)
 
 
 def test_EX_dual_symmetry():

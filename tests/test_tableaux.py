@@ -261,6 +261,7 @@ def test_count_ssyt_matches_enumeration_and_bruteforce():
         for total in totals:
             listed = enumerate_ssyt(shape, flag, total)
             raw = [t.rows for t in listed]
+            assert raw == sorted(raw)
             assert sorted(raw) == bruteforce.set_valued_tableaux(shape, flag, total)
             assert count_ssyt(shape, flag, total) == len(listed)
 
