@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as iperm
 from math import comb, factorial
 
@@ -324,10 +325,11 @@ def _weak_walk(w):
     """Walk down from w by descents, breadth first: the one walk over a weak
     interval in the package.
 
-    Returns (elements, below, down).  elements starts with w, lists every
-    element after all the elements above it and ends with the identity;
-    below[i] holds the indices of the lower covers of elements[i]; down[i]
-    is the number of paths from w down to elements[i].
+    Returns (elements, below, down), all tuples, so that the memoised copy
+    `_interval_summary` shares cannot be changed by a caller.  elements
+    starts with w, lists every element after all the elements above it and
+    ends with the identity; below[i] holds the indices of the lower covers of
+    elements[i]; down[i] is the number of paths from w down to elements[i].
     """
     cap = capacity()
     n = len(w)
@@ -349,8 +351,8 @@ def _weak_walk(w):
                         _check_capacity(j + 1, "weak order interval")
                 down[j] += down[i]
                 lower.append(j)
-        below.append(lower)
-    return elements, below, down
+        below.append(tuple(lower))
+    return tuple(elements), tuple(below), tuple(down)
 
 
 def _walk_depth(below) -> list[int]:
@@ -365,13 +367,13 @@ def _walk_depth(below) -> list[int]:
 
 def weak_interval_elements(w) -> set[tuple[int, ...]]:
     """All u below w in right weak order."""
-    return set(_weak_walk(check_permutation(w))[0])
+    return set(_interval_summary(w).walk[0])
 
 
 def weak_interval(w) -> FinitePoset:
     """The interval below w in right weak order, as a validated poset whose
     elements come by length, then lexicographically."""
-    return _walk_poset(_weak_walk(check_permutation(w)))
+    return _walk_poset(_interval_summary(w).walk)
 
 
 def _walk_poset(walk) -> FinitePoset:
@@ -414,7 +416,7 @@ def strong_bruhat(n: int) -> FinitePoset:
 
 def count_reduced(w) -> int:
     """Number of reduced words, i.e. maximal chains of the weak interval."""
-    return _weak_walk(check_permutation(w))[2][-1]
+    return _interval_summary(w).reduced
 
 
 def enumerate_reduced(w) -> list[tuple[int, ...]]:
@@ -476,8 +478,7 @@ def expectation_Y_words(w) -> Fraction:
 def expectation_X_complementary(w) -> Fraction:
     """Edge density of the weak interval via the complementary count of
     up-steps that leave the interval."""
-    w = check_permutation(w)
-    return _expectation_X(_weak_walk(w)[0])
+    return _expectation_X(_interval_summary(w).walk[0])
 
 
 def _expectation_X(elements) -> Fraction:
@@ -504,10 +505,13 @@ class _IntervalSummary:
 
 
 def _interval_summary(w) -> _IntervalSummary:
-    """One walk of the weak interval below w, with the word counts and
-    expectations read from it: count_nearly_reduced and expectation_Y_words
-    return its fields, count_reduced and expectation_X_complementary compute
-    theirs from a walk of their own.
+    """The weak interval below w with the word counts and expectations read
+    from it, walked once per (w, CDE_CAPACITY): every entry point that walks
+    the interval (weak_interval_elements, weak_interval, count_reduced,
+    count_nearly_reduced, expectation_Y_words, expectation_X_complementary
+    and the FK words route) reads this value.  The bound is part of the key,
+    so lowering CDE_CAPACITY walks again and raises CapacityError where a
+    fresh walk would; only the last interval is kept.
 
     A nearly reduced word repeats one descent of a prefix of a reduced word,
     so it is a path from w down to some u, a descent of u, and a path from u
@@ -519,7 +523,13 @@ def _interval_summary(w) -> _IntervalSummary:
     E(X) is read off the walk as covers / elements, the edge density itself;
     expectation_X_complementary stays the independent route, by the count of
     up-steps that leave the interval, and Tier-1 compares the two."""
-    w = check_permutation(w)
+    return _summary_at(check_permutation(w), capacity())
+
+
+@lru_cache(maxsize=1)
+def _summary_at(w, bound) -> _IntervalSummary:
+    """_interval_summary of a checked w; `bound` is only part of the key,
+    since `_weak_walk` reads the capacity itself."""
     walk = _weak_walk(w)
     elements, below, down = walk
     up, nearly = _dd_through(below, range(len(elements)), down)
@@ -650,7 +660,7 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     k letters, and only u with length(w) - length(u) <= max(Ls) - k can still
     reach w, so each step updates that window of ranks, top down.
     """
-    elements, below, _ = _weak_walk(w)
+    elements, below, _ = _interval_summary(w).walk
     n = len(w)
     depth = _walk_depth(below)
     ell = depth[-1]

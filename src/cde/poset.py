@@ -182,7 +182,7 @@ def validate(p: FinitePoset) -> None:
             lp[x] = max(lp[x], lp[z] + 1)
     if all(lp[b] == lp[a] + 1 for a, b in p.covers):
         return
-    _check_capacity(p.n * p.n // 64 + p.n, "transitive reduction check")
+    _check_capacity(p.n, "poset elements")  # the order relation holds n masks
     below = p.order_relation()
     for a, b in sorted(p.covers):
         # implied iff some other lower cover of b lies strictly above a

@@ -44,6 +44,7 @@ _STATUSES = {
     "conjecture-consistent",
     "conjecture-violated",
     "skipped(capacity)",
+    "skipped(budget)",
     "error",
 }
 
@@ -931,11 +932,15 @@ def suite_ids() -> list[str]:
 
 
 def _not_run(check_id, instance, exc=None, conjectural=False) -> CheckReport:
-    """The report of a check that gave no verdict: skipped(capacity) when the
-    budget ran out (exc is None) or the capacity bound tripped, error with
-    the exception's type and message when it raised anything else."""
-    if exc is None or isinstance(exc, CapacityError):
-        expected, computed, status = "skipped", "not run", "skipped(capacity)"
+    """The report of a check that gave no verdict: skipped(budget) when the
+    time budget ran out before it started (exc is None), skipped(capacity)
+    with the CapacityError's message, which names the layer and the size,
+    when the capacity bound tripped, and error with the exception's type and
+    message when it raised anything else."""
+    if exc is None:
+        expected, computed, status = "skipped", "not run", "skipped(budget)"
+    elif isinstance(exc, CapacityError):
+        expected, computed, status = "skipped", str(exc), "skipped(capacity)"
     else:
         expected, computed, status = "no exception", f"{type(exc).__name__}: {exc}", "error"
     return CheckReport(
@@ -945,10 +950,10 @@ def _not_run(check_id, instance, exc=None, conjectural=False) -> CheckReport:
 
 def run_suite(suite_id: str, budget: float = 600.0) -> list[CheckReport]:
     """Run every check of one suite, in manifest order, within a time
-    budget; checks not run are reported as skipped(capacity), one report
-    each, and a check (or a row whose checks cannot be built) that raises is
-    reported as error without stopping the rest.  Every row's checks are
-    built, however little budget is left."""
+    budget; checks the budget leaves no time for are reported as
+    skipped(budget), one report each, and a check (or a row whose checks
+    cannot be built) that raises is reported as error without stopping the
+    rest.  Every row's checks are built, however little budget is left."""
     if suite_id not in _SUITES:
         raise UnknownSuiteError(f"no suite named {suite_id!r}")
     rows = [(s, p) for s, p in _manifest_rows() if s == suite_id]

@@ -308,6 +308,53 @@ def test_weak_walk_stops_at_the_capacity_bound(monkeypatch):
     assert count_nearly_reduced(w) == 84
 
 
+# every public route that walks the weak interval below w
+_WALK_ENTRY_POINTS = (
+    weak_interval_elements,
+    weak_interval,
+    count_reduced,
+    count_nearly_reduced,
+    expectation_X_complementary,
+    expectation_Y_words,
+    lambda w: fk_polynomial(w, length(w) + 1),
+)
+
+
+def test_one_walk_serves_every_entry_point_per_w_and_bound(monkeypatch):
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    permutations._summary_at.cache_clear()
+    walks = []
+    real = permutations._weak_walk
+    monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real(w))
+    w = (5, 3, 1, 2, 4)
+    # the perfbench perm_query sequence, then the FK words route
+    classify(w)
+    first = [f(w) for f in _WALK_ENTRY_POINTS]
+    assert walks == [w]
+    # work count: the walk of 53124 has 15 elements and 20 covers
+    elements, below, down = permutations._interval_summary(w).walk
+    assert (len(elements), sum(map(len, below))) == (15, 20)
+    assert first[0] == set(elements) and first[2] == down[-1] == 9
+    # the shared walk is immutable all the way down
+    assert all(type(part) is tuple for part in (elements, below, down))
+    assert all(type(lower) is tuple for lower in below)
+    assert all(type(u) is tuple for u in elements)
+    # a lower bound is a new key: with the walk of w memoised, every route
+    # walks again and stops there
+    monkeypatch.setenv("CDE_CAPACITY", str(len(elements) - 1))
+    for f in _WALK_ENTRY_POINTS:
+        with pytest.raises(CapacityError, match="weak order interval needs 15 > capacity 14"):
+            f(w)
+    assert walks == [w] * (1 + len(_WALK_ENTRY_POINTS))
+    monkeypatch.setenv("CDE_CAPACITY", str(len(elements)))
+    assert [f(w) for f in _WALK_ENTRY_POINTS] == first
+    assert len(walks) == 2 + len(_WALK_ENTRY_POINTS)
+    # a second w makes a second walk
+    v = (2, 5, 3, 1, 4)
+    assert count_reduced(v) == len(enumerate_reduced(v))
+    assert walks[-2:] == [w, v]
+
+
 def test_enumerate_words():
     assert enumerate_reduced((3, 2, 1)) == [(1, 2, 1), (2, 1, 2)]
     words = enumerate_hecke_words((3, 2, 1), 4)

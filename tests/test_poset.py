@@ -307,6 +307,8 @@ def test_tamari_checks_the_catalan_count_before_building(monkeypatch):
         tamari(7)
     monkeypatch.setenv("CDE_CAPACITY", "42")
     assert len(poset._triangulations(7)) == 42
+    # validate charges the 42 elements, not an internal cost of its own
+    assert tamari(7).n == 42
 
 
 def test_isomorphism_search_counts_nodes_against_capacity(monkeypatch):

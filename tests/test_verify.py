@@ -49,6 +49,9 @@ def test_check_report_invariants():
         CheckReport("x", {}, "1", "1", "bogus", 0.0)
     ok = CheckReport("x", {"a": 1}, "conjectural", "1", "conjecture-consistent", 0.1)
     assert CheckReport.from_json(ok.to_json()) == ok
+    for status in ("skipped(budget)", "skipped(capacity)"):
+        skipped = CheckReport("x", {"a": 1}, "skipped", "not run", status, 0.0)
+        assert CheckReport.from_json(skipped.to_json()) == skipped
 
 
 def test_negatives_suite():
@@ -78,7 +81,8 @@ def test_budget_skipping():
     # one report per check, as in a full run, not one per manifest row
     reports = run_suite("recurrences", 0.0)
     assert len(reports) == 685
-    assert all(r.status == "skipped(capacity)" for r in reports)
+    # no bound tripped: the skip names the budget as its cause
+    assert all(r.status == "skipped(budget)" and r.computed == "not run" for r in reports)
 
 
 def test_rerun_is_deterministic():
@@ -161,6 +165,10 @@ def test_thm_main_c_reports_an_oversized_witness_as_skipped(monkeypatch):
         if r.status == "skipped(capacity)"
     }
     assert skipped == {(3, 2, 2), (4, 1, 2), (4, 2, 1)}
+    # a capacity skip carries the CapacityError: the layer and the size
+    for r in reports:
+        if r.status == "skipped(capacity)":
+            assert r.computed.startswith("weak order interval needs 61 > capacity 60"), r
     assert sum(r.status == "pass" for r in reports) == 11
 
 
@@ -204,7 +212,7 @@ def test_vexillary_staircase_instances_have_settled_flag():
     reports = run_suite("conj-vexillary-staircase", 30)
     seen_settled = seen_conj = False
     for r in reports:
-        if r.status == "skipped(capacity)":
+        if r.status in ("skipped(budget)", "skipped(capacity)"):
             continue
         if r.instance["settled"] == "True":
             assert r.status in ("pass", "fail")
@@ -216,14 +224,15 @@ def test_vexillary_staircase_instances_have_settled_flag():
 
 
 def _counting(monkeypatch, module, name):
+    """Wrap module.name so that every call is counted; returns the count list.
+
+    The memoised weak interval is dropped first, so that a walk an earlier
+    test left behind can neither hide a walk from the count nor stand in
+    for one."""
+    permutations._summary_at.cache_clear()
     calls = []
     real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
     return calls
 
 
@@ -334,14 +343,6 @@ def test_manifest_perms_and_shapes_print_back_unchanged():
                 assert shape_label(parse_shape(text)) == text
                 seen += 1
     assert seen == 24
-
-
-def _counting(monkeypatch, module, name):
-    """Wrap module.name so that every call is counted; returns the count list."""
-    calls = []
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
-    return calls
 
 
 def test_fplus_row_enumerates_up_to_size_8_and_counts_chains_for_all(monkeypatch):
