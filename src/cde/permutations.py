@@ -326,7 +326,7 @@ def _weak_walk(w):
     interval in the package.
 
     Returns (elements, below, down), all tuples, so that the memoised copy
-    `_interval_summary` shares cannot be changed by a caller.  elements
+    `_interval_walk` shares cannot be changed by a caller.  elements
     starts with w, lists every element after all the elements above it and
     ends with the identity; below[i] holds the indices of the lower covers of
     elements[i]; down[i] is the number of paths from w down to elements[i].
@@ -367,13 +367,13 @@ def _walk_depth(below) -> list[int]:
 
 def weak_interval_elements(w) -> set[tuple[int, ...]]:
     """All u below w in right weak order."""
-    return set(_interval_summary(w).walk[0])
+    return set(_interval_walk(w)[0])
 
 
 def weak_interval(w) -> FinitePoset:
     """The interval below w in right weak order, as a validated poset whose
     elements come by length, then lexicographically."""
-    return _walk_poset(_interval_summary(w).walk)
+    return _walk_poset(_interval_walk(w))
 
 
 def _walk_poset(walk) -> FinitePoset:
@@ -416,7 +416,7 @@ def strong_bruhat(n: int) -> FinitePoset:
 
 def count_reduced(w) -> int:
     """Number of reduced words, i.e. maximal chains of the weak interval."""
-    return _interval_summary(w).reduced
+    return _interval_walk(w)[2][-1]
 
 
 def enumerate_reduced(w) -> list[tuple[int, ...]]:
@@ -478,7 +478,7 @@ def expectation_Y_words(w) -> Fraction:
 def expectation_X_complementary(w) -> Fraction:
     """Edge density of the weak interval via the complementary count of
     up-steps that leave the interval."""
-    return _expectation_X(_interval_summary(w).walk[0])
+    return _expectation_X(_interval_walk(w)[0])
 
 
 def _expectation_X(elements) -> Fraction:
@@ -504,14 +504,32 @@ class _IntervalSummary:
     EY: Fraction
 
 
+def _interval_walk(w):
+    """The `_weak_walk` of the interval below w, walked once per
+    (w, CDE_CAPACITY): every entry point that walks the interval
+    (weak_interval_elements, weak_interval, count_reduced,
+    count_nearly_reduced, expectation_Y_words, expectation_X_complementary,
+    the FK words route and `_interval_summary`) reads this value.  The bound
+    is part of the key, so lowering CDE_CAPACITY walks again and raises
+    CapacityError where a fresh walk would; only the last interval is kept.
+
+    The memo serves a session that asks several of these functions about
+    one w through the public API; the CLI and the suites already read one
+    `_interval_summary` per w."""
+    return _walk_at(check_permutation(w), capacity())
+
+
+@lru_cache(maxsize=1)
+def _walk_at(w, bound):
+    """_interval_walk of a checked w; `bound` is only part of the key, since
+    `_weak_walk` reads the capacity itself."""
+    return _weak_walk(w)
+
+
 def _interval_summary(w) -> _IntervalSummary:
     """The weak interval below w with the word counts and expectations read
-    from it, walked once per (w, CDE_CAPACITY): every entry point that walks
-    the interval (weak_interval_elements, weak_interval, count_reduced,
-    count_nearly_reduced, expectation_Y_words, expectation_X_complementary
-    and the FK words route) reads this value.  The bound is part of the key,
-    so lowering CDE_CAPACITY walks again and raises CapacityError where a
-    fresh walk would; only the last interval is kept.
+    from its one memoised walk; count_nearly_reduced and expectation_Y_words
+    return its fields.
 
     A nearly reduced word repeats one descent of a prefix of a reduced word,
     so it is a path from w down to some u, a descent of u, and a path from u
@@ -523,18 +541,11 @@ def _interval_summary(w) -> _IntervalSummary:
     E(X) is read off the walk as covers / elements, the edge density itself;
     expectation_X_complementary stays the independent route, by the count of
     up-steps that leave the interval, and Tier-1 compares the two."""
-    return _summary_at(check_permutation(w), capacity())
-
-
-@lru_cache(maxsize=1)
-def _summary_at(w, bound) -> _IntervalSummary:
-    """_interval_summary of a checked w; `bound` is only part of the key,
-    since `_weak_walk` reads the capacity itself."""
-    walk = _weak_walk(w)
+    walk = _interval_walk(w)
     elements, below, down = walk
     up, nearly = _dd_through(below, range(len(elements)), down)
     ex = Fraction(sum(map(len, below)), len(below))
-    ey = Fraction(nearly, (length(w) + 1) * up[0])
+    ey = Fraction(nearly, (length(elements[0]) + 1) * up[0])
     return _IntervalSummary(walk, up[0], nearly, ex, ey)
 
 
@@ -660,7 +671,7 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     k letters, and only u with length(w) - length(u) <= max(Ls) - k can still
     reach w, so each step updates that window of ranks, top down.
     """
-    elements, below, _ = _interval_summary(w).walk
+    elements, below, _ = _interval_walk(w)
     n = len(w)
     depth = _walk_depth(below)
     ell = depth[-1]

@@ -107,6 +107,7 @@ class FinitePoset:
         n = self.n
         if n < 0:
             raise SizeError("element count must be nonnegative")
+        _check_capacity(n, "poset elements")  # before the n cover lists are built
         for a, b in self.covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise MalformedInputError(f"cover {(a, b)} out of range")
@@ -161,11 +162,11 @@ class FinitePoset:
 def validate(p: FinitePoset) -> None:
     """Check the FinitePoset invariants that need more than the cover list.
 
-    A FinitePoset rejects a negative size and covers outside 0..n-1 itself,
-    before it builds its adjacency lists.  This raises MalformedInputError
-    when the labels are not n, CycleError when the cover digraph has a cycle,
-    and NotReducedError (naming the offending pair) when some cover is
-    implied by two others.
+    A FinitePoset rejects a negative size, a size over the capacity bound
+    and covers outside 0..n-1 itself, before it builds its adjacency lists.
+    This raises MalformedInputError when the labels are not n, CycleError
+    when the cover digraph has a cycle, and NotReducedError (naming the
+    least offending pair) when some cover is implied by a longer path.
     """
     if p.labels is not None and len(p.labels) != p.n:
         raise MalformedInputError(f"{len(p.labels)} labels for {p.n} elements")
@@ -182,13 +183,26 @@ def validate(p: FinitePoset) -> None:
             lp[x] = max(lp[x], lp[z] + 1)
     if all(lp[b] == lp[a] + 1 for a, b in p.covers):
         return
-    _check_capacity(p.n, "poset elements")  # the order relation holds n masks
-    below = p.order_relation()
-    for a, b in sorted(p.covers):
-        # implied iff some other lower cover of b lies strictly above a
-        for z in lower[b]:
-            if z != a and (below[z] >> a) & 1:
-                raise NotReducedError((a, b))
+    # Only a cover that skips a level of lp can be implied.  For each b with
+    # one, mark the elements strictly below the lower covers of b, down to
+    # the lowest level such a cover starts from; a marked lower cover of b
+    # lies under another one.  The marks are one list of n stamps, so the
+    # check keeps no n-by-n order relation.
+    implied = []
+    seen = [-1] * p.n  # seen[x] == b: x is marked in the search for b
+    for b, near in enumerate(lower):
+        lo = min((lp[a] for a in near if lp[a] + 1 < lp[b]), default=None)
+        if lo is None:
+            continue
+        stack = list(near)
+        while stack:
+            for z in lower[stack.pop()]:
+                if seen[z] != b and lp[z] >= lo:
+                    seen[z] = b
+                    stack.append(z)
+        implied.extend((a, b) for a in near if seen[a] == b)
+    if implied:
+        raise NotReducedError(min(implied))
 
 
 def _from_order(below: list[int], labels=None) -> FinitePoset:

@@ -97,7 +97,7 @@ def test_perm_stats_xm(capsys):
     ids=["w-25314", "w-53124-xm-3", "word-1,2,1,1"],
 )
 def test_perm_stats_walks_the_interval_once(capsys, monkeypatch, argv, line):
-    permutations._summary_at.cache_clear()  # no walk memoised by an earlier test
+    permutations._walk_at.cache_clear()  # no walk memoised by an earlier test
     walks = []
     real = permutations._weak_walk
     monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real(w))

@@ -322,7 +322,7 @@ _WALK_ENTRY_POINTS = (
 
 def test_one_walk_serves_every_entry_point_per_w_and_bound(monkeypatch):
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
-    permutations._summary_at.cache_clear()
+    permutations._walk_at.cache_clear()
     walks = []
     real = permutations._weak_walk
     monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real(w))

@@ -86,6 +86,28 @@ def test_validate_range():
         validate(FinitePoset(2, frozenset({(0, 5)})))
 
 
+def test_validate_checks_a_large_ungraded_poset_without_the_order_relation(monkeypatch):
+    # a pentagon (0 < 1 < 2 < 4 and 0 < 3 < 4) among isolated elements is not
+    # graded, so it takes the slow path; the full order relation of n = 20000
+    # would be 20000 masks of up to 20000 bits each
+    def refuse(self):
+        raise AssertionError("validate built the order relation")
+
+    monkeypatch.setattr(FinitePoset, "order_relation", refuse)
+    pentagon = "cover 0 1\ncover 1 2\ncover 2 4\ncover 0 3\ncover 3 4\n"
+    assert len(load_poset("n 20000\n" + pentagon).covers) == 5
+    with pytest.raises(NotReducedError) as err:
+        load_poset("n 20000\n" + pentagon + "cover 1 4\ncover 0 2\n")
+    assert err.value.cover == (0, 2)
+    # the element count itself is charged, before any list is built
+    monkeypatch.setenv("CDE_CAPACITY", "1000")
+    with pytest.raises(CapacityError, match="poset elements needs 1000000 > capacity 1000"):
+        load_poset("n 1000000\n" + pentagon)
+    assert chain(1000).n == 1000
+    with pytest.raises(CapacityError, match="poset elements needs 1001 > capacity 1000"):
+        chain(1001)
+
+
 def test_invalid_posets_cannot_be_built():
     with pytest.raises(NotReducedError):
         FinitePoset(3, frozenset({(0, 1), (1, 2), (0, 2)}))

@@ -229,7 +229,7 @@ def _counting(monkeypatch, module, name):
     The memoised weak interval is dropped first, so that a walk an earlier
     test left behind can neither hide a walk from the count nor stand in
     for one."""
-    permutations._summary_at.cache_clear()
+    permutations._walk_at.cache_clear()
     calls = []
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
