@@ -96,9 +96,13 @@ class FinitePoset:
     covers: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
     # upper_covers[x] and lower_covers[x] list the elements covering x and
-    # covered by x, ascending; built once, not part of equality or hash
+    # covered by x, ascending; `order` lists each element after every element
+    # below it, and level[x] counts the covers on the longest chain from a
+    # minimal element up to x.  All built once, not part of equality or hash.
     upper_covers: list[list[int]] = field(init=False, compare=False, repr=False)
     lower_covers: list[list[int]] = field(init=False, compare=False, repr=False)
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    level: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "covers", frozenset(self.covers))
@@ -118,6 +122,25 @@ class FinitePoset:
             down[b].append(a)
         object.__setattr__(self, "upper_covers", up)
         object.__setattr__(self, "lower_covers", down)
+        # Kahn's algorithm; an element on a cycle never enters the order, and
+        # validate reports the cycle.  A popped element has every lower cover
+        # placed, so its level is final.
+        indeg = [len(d) for d in down]
+        level = [0] * n
+        queue = [x for x in range(n) if indeg[x] == 0]
+        order = []
+        while queue:
+            x = queue.pop()
+            order.append(x)
+            lows = down[x]
+            if lows:
+                level[x] = 1 + max(map(level.__getitem__, lows))
+            for y in up[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    queue.append(y)
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "level", tuple(level))
         validate(self)
 
     def down_degree(self, x: int) -> int:
@@ -132,26 +155,14 @@ class FinitePoset:
         return str(x)
 
     def topological_order(self) -> list[int]:
-        upper = self.upper_covers
-        indeg = [len(d) for d in self.lower_covers]
-        queue = [x for x in range(self.n) if indeg[x] == 0]
-        order = []
-        while queue:
-            x = queue.pop()
-            order.append(x)
-            for y in upper[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if len(order) != self.n:
-            raise CycleError("cover digraph contains a directed cycle")
-        return order
+        """A copy of `order`: each element after every element below it."""
+        return list(self.order)
 
     def order_relation(self) -> list[int]:
         """Reflexive order relation as bitmasks: bit z of entry y set iff z <= y."""
         lower = self.lower_covers
         below = [1 << x for x in range(self.n)]
-        for x in self.topological_order():
+        for x in self.order:
             mask = below[x]
             for z in lower[x]:
                 mask |= below[z]
@@ -173,31 +184,25 @@ def validate(p: FinitePoset) -> None:
     for a, b in p.covers:
         if a == b:
             raise CycleError(f"self-cover at {a}")
+    if len(p.order) != p.n:
+        raise CycleError("cover digraph contains a directed cycle")
+    # Only a cover that skips a level can be implied by a longer path, and a
+    # graded poset has none.  For each b with one, mark the elements strictly
+    # below the lower covers of b, down to the lowest level such a cover
+    # starts from; a marked lower cover of b lies under another one.  The
+    # marks are one list of n stamps, so the check keeps no n-by-n order
+    # relation.
     lower = p.lower_covers
-    order = p.topological_order()  # raises CycleError
-    # Fast path: if every cover climbs exactly one level of the longest-path
-    # ranking, no cover can be implied by a longer path.
-    lp = [0] * p.n
-    for x in order:
-        for z in lower[x]:
-            lp[x] = max(lp[x], lp[z] + 1)
-    if all(lp[b] == lp[a] + 1 for a, b in p.covers):
-        return
-    # Only a cover that skips a level of lp can be implied.  For each b with
-    # one, mark the elements strictly below the lower covers of b, down to
-    # the lowest level such a cover starts from; a marked lower cover of b
-    # lies under another one.  The marks are one list of n stamps, so the
-    # check keeps no n-by-n order relation.
+    level = p.level
     implied = []
     seen = [-1] * p.n  # seen[x] == b: x is marked in the search for b
-    for b, near in enumerate(lower):
-        lo = min((lp[a] for a in near if lp[a] + 1 < lp[b]), default=None)
-        if lo is None:
-            continue
+    for b in {b for a, b in p.covers if level[b] > level[a] + 1}:
+        near = lower[b]
+        lo = min(level[a] for a in near if level[a] + 1 < level[b])
         stack = list(near)
         while stack:
             for z in lower[stack.pop()]:
-                if seen[z] != b and lp[z] >= lo:
+                if seen[z] != b and level[z] >= lo:
                     seen[z] = b
                     stack.append(z)
         implied.extend((a, b) for a in near if seen[a] == b)
@@ -257,11 +262,11 @@ def _dd_through(lower, order, down) -> tuple[list[int], int]:
     return up, total
 
 
-def _chain_counts(p: FinitePoset, order: list[int] | None = None):
+def _chain_counts(p: FinitePoset):
     """(up, down, weighted): saturated chain counts from the minimal elements
     up to x and from x down from the maximal elements, and the sum of
-    dd(x)·up[x]·down[x]; `order` is a topological order."""
-    order = p.topological_order() if order is None else order
+    dd(x)·up[x]·down[x]."""
+    order = p.order
     upper = p.upper_covers
     down = [1] * p.n
     for x in reversed(order):
@@ -301,7 +306,7 @@ def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
     size = min(size, n)  # no chain has more than n elements
     W = max(comb(n - 1, k) for k in range(size)).bit_length() + 1
     keep = (1 << W * size) - 1
-    order = p.topological_order()
+    order = p.order
     lower = p.lower_covers
     # strict[x]: the elements below x; tops[x], bottoms[x], entry k: the
     # k-element chains with top x, with bottom x
@@ -510,34 +515,27 @@ def tamari(n: int) -> FinitePoset:
 
     A flip inside a quadrangle with vertices i < j < k < l exchanges the
     diagonal {i,k} for {j,l}; that direction is the covering relation.
+
+    A diagonal (a, c) lies in exactly two triangles, whose apexes are the
+    two common neighbours of a and c: one b between a and c, and one d
+    outside.  The flip {a,c} -> {b,d} is a cover exactly when d > c.
     """
     if n < 3:
         raise SizeError("tamari needs a polygon with n >= 3 vertices")
     tris = _triangulations(n)
     index = {t: i for i, t in enumerate(tris)}
-    boundary = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    boundary = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     covers = set()
-    for t in tris:
-        edges = boundary | set(t)
-        for diag in t:
-            a, c = diag
-            inner = [
-                b
-                for b in range(a + 1, c)
-                if (min(a, b), max(a, b)) in edges and (min(b, c), max(b, c)) in edges
-            ]
-            outer = [
-                b
-                for b in list(range(1, a)) + list(range(c + 1, n + 1))
-                if (min(a, b), max(a, b)) in edges and (min(b, c), max(b, c)) in edges
-            ]
-            if len(inner) != 1 or len(outer) != 1:
-                continue
-            quad = sorted([a, c, inner[0], outer[0]])
-            p_, q_, r_, s_ = quad
-            if diag == (p_, r_):
-                flipped = tuple(sorted(set(t) - {diag} | {(q_, s_)}))
-                covers.add((index[t], index[flipped]))
+    for i, t in enumerate(tris):
+        neighbours = [set() for _ in range(n + 1)]
+        for a, c in boundary + list(t):
+            neighbours[a].add(c)
+            neighbours[c].add(a)
+        for a, c in t:
+            b, d = sorted(neighbours[a] & neighbours[c])
+            if d > c:  # b < c < d: the apex inside is b, the one outside d
+                flipped = tuple(sorted(set(t) - {(a, c)} | {(b, d)}))
+                covers.add((i, index[flipped]))
     labels = ["{" + ",".join(f"{i}-{j}" for i, j in t) + "}" for t in tris]
     return FinitePoset(len(tris), covers, labels)
 
@@ -691,10 +689,10 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
 
 
 def canonical_key(p: FinitePoset) -> tuple:
-    """Canonical form for small posets (n <= 7): the lexicographically least
-    sorted cover list over all n! relabelings, tried exhaustively."""
-    if p.n > 7:
-        raise CapacityError("canonical_key is meant for tiny posets")
+    """Canonical form for small posets: the lexicographically least sorted
+    cover list over all n! relabelings, tried exhaustively once n! fits the
+    capacity bound."""
+    _check_capacity(factorial(p.n), "canonical_key relabelings")
     best = None
     for perm in permutations(range(p.n)):
         relabeled = tuple(sorted((perm[a], perm[b]) for a, b in p.covers))
@@ -829,24 +827,18 @@ class PosetStats:
 
 def stats(p: FinitePoset) -> PosetStats:
     _require_nonempty(p)
-    order = p.topological_order()
-    up, down, weighted = _chain_counts(p, order)
-    longest = [1] * p.n
-    for x in order:
-        lows = p.lower_covers[x]
-        if lows:
-            longest[x] = 1 + max(map(longest.__getitem__, lows))
+    up, down, weighted = _chain_counts(p)
     chains = sum(u for u, highs in zip(up, p.upper_covers) if not highs)
     # Σ up·down counts each maximal chain once per element on it, so it
     # reaches (longest length)·chains exactly when every maximal chain is longest
     through = sum(map(mul, up, down))
-    top = max(longest)
+    top = max(p.level)
     return PosetStats(
         EX=expectation_X(p),
         EY=Fraction(weighted, through),
         edge_count=len(p.covers),
         maximal_chain_count=chains,
-        rank=top - 1 if through == top * chains else None,
+        rank=top if through == (top + 1) * chains else None,
     )
 
 

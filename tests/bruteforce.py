@@ -434,6 +434,52 @@ def triangulations(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
+def tamari_covers(n: int):
+    """The covers and labels of the Tamari lattice on the triangulations of
+    the convex n-gon, numbered as `triangulations(n)` lists them.  For each
+    diagonal, the scans over every vertex find the apexes of its two
+    triangles, and the flip of the sorted quadrangle p < q < r < s from
+    {p,r} to {q,s} is a cover.  The library's earlier Tamari flip loop, kept
+    as the oracle for the flips read from common neighbours."""
+    tris = triangulations(n)
+    index = {t: i for i, t in enumerate(tris)}
+    boundary = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    covers = set()
+    for t in tris:
+        edges = boundary | set(t)
+        for diag in t:
+            a, c = diag
+            inner = [
+                b
+                for b in range(a + 1, c)
+                if (min(a, b), max(a, b)) in edges and (min(b, c), max(b, c)) in edges
+            ]
+            outer = [
+                b
+                for b in list(range(1, a)) + list(range(c + 1, n + 1))
+                if (min(a, b), max(a, b)) in edges and (min(b, c), max(b, c)) in edges
+            ]
+            if len(inner) != 1 or len(outer) != 1:
+                continue
+            p_, q_, r_, s_ = sorted([a, c, inner[0], outer[0]])
+            if diag == (p_, r_):
+                flipped = tuple(sorted(set(t) - {diag} | {(q_, s_)}))
+                covers.add((index[t], index[flipped]))
+    labels = tuple("{" + ",".join(f"{i}-{j}" for i, j in t) + "}" for t in tris)
+    return covers, labels
+
+
+def longest_chain_below(p) -> list[int]:
+    """For each element x, the number of covers on the longest chain from a
+    minimal element up to x, by depth-first search over every downward path
+    along lower covers."""
+
+    def deepest(x):
+        return max((1 + deepest(z) for z in p.lower_covers[x]), default=0)
+
+    return [deepest(x) for x in range(p.n)]
+
+
 def maximal_chain_lengths(p) -> set[int]:
     """The element counts of the maximal chains of p, by depth-first search
     from each minimal element along upper covers to the maximal ones."""

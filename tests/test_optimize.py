@@ -45,6 +45,23 @@ def test_library_imports_only_at_module_level():
         assert not lines, f"{path.name} imports inside a function on lines {lines}"
 
 
+def test_library_reads_the_stored_topological_order():
+    # a poset derives its order once, on construction; the library reads
+    # `p.order`, and `topological_order()` is a copy for callers outside it
+    for path in sorted((SRC / "cde").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            inner.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr == "topological_order"
+        ]
+        assert not lines, f"{path.name} calls .topological_order( on lines {lines}"
+
+
 # (setup, call, error): after `setup`, `call` must raise `error`
 _CHECKS = [
     ("", "tb.add_corner((2, 1), (1, 2))", "NotCornerError"),

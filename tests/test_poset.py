@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -88,8 +89,9 @@ def test_validate_range():
 
 def test_validate_checks_a_large_ungraded_poset_without_the_order_relation(monkeypatch):
     # a pentagon (0 < 1 < 2 < 4 and 0 < 3 < 4) among isolated elements is not
-    # graded, so it takes the slow path; the full order relation of n = 20000
-    # would be 20000 masks of up to 20000 bits each
+    # graded, so validate searches below its cover 3 < 4 that skips a level;
+    # the full order relation of n = 20000 would be 20000 masks of up to
+    # 20000 bits each
     def refuse(self):
         raise AssertionError("validate built the order relation")
 
@@ -106,6 +108,62 @@ def test_validate_checks_a_large_ungraded_poset_without_the_order_relation(monke
     assert chain(1000).n == 1000
     with pytest.raises(CapacityError, match="poset elements needs 1001 > capacity 1000"):
         chain(1001)
+
+
+def test_stored_order_and_levels_match_the_oracle():
+    posets = [p for n in range(1, 7) for p in all_posets_upto_iso(n)]
+    posets += [tamari(n) for n in range(3, 8)] + [pabcd(1, 2, 3, 1)]
+    for p in posets:
+        assert sorted(p.order) == list(range(p.n))
+        place = {x: i for i, x in enumerate(p.order)}
+        assert all(place[a] < place[b] for a, b in p.covers)
+        assert list(p.level) == bruteforce.longest_chain_below(p)
+        assert p.topological_order() == list(p.order)
+
+
+def _strict_closure(covers, n):
+    rel = [[(a, b) in covers for b in range(n)] for a in range(n)]
+    for z in range(n):
+        for a in range(n):
+            if rel[a][z]:
+                rel[a] = [x or y for x, y in zip(rel[a], rel[z])]
+    return rel
+
+
+def test_construction_rejects_exactly_the_implied_covers():
+    # graded cover sets join consecutive levels only; the others are any
+    # acyclic pairs, so a cover may be implied by a longer path
+    rng = random.Random(17)
+    built = rejected = 0
+    for trial in range(2000):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            levels = [rng.randint(0, 3) for _ in range(n)]
+            pairs = [(a, b) for a in range(n) for b in range(n) if levels[b] == levels[a] + 1]
+            covers = {c for c in pairs if rng.random() < 0.6}
+        else:
+            covers = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4}
+        names = rng.sample(range(n), n)
+        covers = {(names[a], names[b]) for a, b in covers}
+        implied = covers - bruteforce.hasse_reduction(_strict_closure(covers, n))
+        if implied:
+            with pytest.raises(NotReducedError) as err:
+                FinitePoset(n, covers)
+            assert err.value.cover == min(implied)
+            rejected += 1
+        else:
+            assert FinitePoset(n, covers).covers == covers
+            built += 1
+    assert built > 300 and rejected > 300
+
+
+def test_self_cover_is_reported_before_a_cycle():
+    with pytest.raises(CycleError, match="^self-cover at 1$"):
+        FinitePoset(3, {(0, 1), (1, 1)})
+    with pytest.raises(CycleError, match="^self-cover at 2$"):
+        FinitePoset(3, {(0, 1), (1, 0), (2, 2)})
+    with pytest.raises(CycleError, match="^cover digraph contains a directed cycle$"):
+        FinitePoset(3, {(0, 1), (1, 2), (2, 0)})
 
 
 def test_invalid_posets_cannot_be_built():
@@ -376,6 +434,12 @@ def test_triangulations_by_apex_match_the_crossing_search():
         assert poset._triangulations(n) == bruteforce.triangulations(n)
 
 
+def test_tamari_flips_from_common_neighbours_match_the_vertex_scans():
+    for n in range(3, 10):
+        t = tamari(n)
+        assert (t.covers, t.labels) == bruteforce.tamari_covers(n)
+
+
 def test_tamari_expectations():
     for n in (4, 5, 6, 7):
         t = tamari(n)
@@ -392,6 +456,12 @@ def test_order_ideal_lattice_of_grid():
     assert J.n == 10  # subdiagrams of the 2x3 rectangle
     assert stats(J).rank == 6
     assert is_isomorphic(J, young_interval((3, 3)))
+
+
+def test_ideals_of_a_grid():
+    # the partitions in a 3 x 4 box, C(7, 3) of them
+    masks, covers = poset._ideals(product(chain(3), chain(4)))
+    assert (len(masks), len(covers)) == (35, 60)
 
 
 def test_order_ideals_of_antichain():
@@ -672,3 +742,14 @@ def test_load_poset_rejects_malformed_lines(text, line):
 def test_canonical_key_small():
     assert canonical_key(product(chain(2), chain(2))) == canonical_key(boolean(2))
     assert canonical_key(chain(3)) != canonical_key(antichain(3))
+
+
+def test_canonical_key_is_bounded_by_the_capacity(monkeypatch):
+    # n! relabelings are tried, so n! is charged against CDE_CAPACITY
+    monkeypatch.setenv("CDE_CAPACITY", "5039")
+    with pytest.raises(CapacityError, match="canonical_key relabelings needs 5040 > capacity 5039"):
+        canonical_key(pabcd(1, 2, 3, 1))
+    monkeypatch.setenv("CDE_CAPACITY", "5040")
+    assert canonical_key(pabcd(1, 2, 3, 1)) == canonical_key(pabcd(1, 3, 2, 1))
+    monkeypatch.delenv("CDE_CAPACITY")
+    assert canonical_key(chain(8)) == (8, tuple((i, i + 1) for i in range(7)))
