@@ -22,7 +22,7 @@ from .errors import (
     RangeError,
 )
 from .poset import FinitePoset, _check_capacity, _dd_through, _from_order, capacity
-from .tableaux import _ints, check_partition, count_ssyt_by_total, rect_staircase
+from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase
 
 __all__ = [
     "check_permutation",
@@ -705,17 +705,14 @@ def _fk_tableaux(w, Ls) -> tuple[IntPolynomial, ...]:
     """The word polynomials for each L in Ls from flagged set-valued tableau
     counts: the value at x is the sum over j of (number of tableaux with j
     entries, flag shifted by x) j! S(L, j), for x = 1..L+1, interpolated.
-    One DP per x up to the largest L holds the counts of every smaller
-    total, so each L reads its own from the same counts."""
+    One pass of the tableau DP for every x up to the largest L holds the
+    counts of every smaller total, so each L reads its own from them."""
     data = rothe(w)
     size = sum(data.lambda_w)
     top = max(Ls, default=-1)
     counts = []
     if top >= size:
-        counts = [
-            count_ssyt_by_total(data.lambda_w, tuple(b + x for b in data.flag_w), top)
-            for x in range(1, top + 2)
-        ]
+        counts = _ssyt_counts_by_shift(data.lambda_w, data.flag_w, top, range(1, top + 2))
     polys = {}
     for L in set(Ls):
         if L < size:
@@ -734,8 +731,8 @@ def fk_polynomials(w, Ls, via: str = "words") -> tuple[IntPolynomial, ...]:
     """fk_polynomial(w, L, via) for each L in Ls, in order, sharing the work.
 
     via='words' runs one transfer over the weak interval below w up to the
-    largest L; via='tableaux' (vexillary w only) runs one flagged
-    set-valued tableau DP per x up to the largest L.
+    largest L; via='tableaux' (vexillary w only) runs one pass of the
+    flagged set-valued tableau DP for every x up to the largest L.
     """
     w = check_permutation(w)
     Ls = tuple(Ls)
@@ -793,11 +790,10 @@ def conjecture_fk_check(d: int, a: int, b: int) -> FkConjectureReport:
         expected = [Fraction(binom), Fraction(binom * 4, d * (a + b))]
         got = [Fraction(num.coefficient(k), den) for k in range(max(num.degree + 1, 2))]
         quotient_matches = got == expected and num.degree <= 1
-    rows = len(lam)
+    flag = tuple(range(1, len(lam) + 1))
+    shifted = _ssyt_counts_by_shift(lam, flag, ell + 1, range(1, 5))
     ssyt_ok = True
-    for x in range(1, 5):
-        flag = tuple(i + x for i in range(1, rows + 1))
-        counts = count_ssyt_by_total(lam, flag, ell + 1)
+    for x, counts in enumerate(shifted, start=1):
         lo, hi = counts.get(ell, 0), counts.get(ell + 1, 0)
         if lo == 0 or Fraction(hi, lo) != Fraction(2 * ell * x, d * (a + b)):
             ssyt_ok = False

@@ -313,72 +313,80 @@ def _checked_flag(shape, flag) -> tuple[int, ...]:
     return flag[:rows]
 
 
-def _accumulate(counts, key, vec):
-    """Add the count vector `vec` into counts[key]; vectors are never
-    changed in place, so one may be stored under several keys."""
-    old = counts.get(key)
-    counts[key] = vec if old is None else [a + b for a, b in zip(old, vec)]
+def _ssyt_counts_by_shift(shape, flag, max_total: int, shifts) -> tuple[dict[int, int], ...]:
+    """count_ssyt_by_total(shape, flag shifted up by x, max_total) for each
+    x >= 0 in `shifts`, in order, from one pass over the values.
+
+    The values are placed largest first (EC1 4.7).  Read value v as the step
+    t = max(flag) + x + 1 - v: row i may hold v exactly when
+    t >= max(flag) - flag[i] + 1, whatever x is, and the values 1.. run out
+    at step max(flag) + x.  So one pass up to the largest shift, read at
+    step max(flag) + x, counts for every x.
+
+    The state c is the unplaced part of the shape: c[i] is the first column
+    of row i whose largest entry is already placed, so c is a partition
+    inside `shape` and starts at `shape`.  In one step the cells that get
+    the current value as their largest entry form a horizontal strip: row i
+    moves to some c'[i] in [c[i+1], c[i]].  The cell at column c[i], the
+    leftmost placed one, may also take the value as a smaller entry, when
+    nothing stands above it after the step (c'[i-1] > c[i]); that is one
+    factor (1 + y) on the state's vector, whose entry e counts the
+    tableaux so far with e more entries than cells placed, truncated at
+    `max_total` minus the number of cells.  The rows are swept top down
+    within a step, so row i reads c'[i-1] and c[i+1]; all sources that
+    share the other rows reach c'[i] through one running sum.  The live
+    states of each step are charged against the capacity bound.
+    """
+    shape = check_partition(shape) if shape else ()
+    if not shape:
+        return tuple({0: 1} if max_total >= 0 else {} for _ in shifts)
+    flag = _checked_flag(shape, flag)
+    ncells = sum(shape)
+    if max_total < ncells or not shifts:
+        return tuple({} for _ in shifts)
+    rows, top = len(shape), max(flag)
+    first = [top - b + 1 for b in flag]  # the first step row i may use
+    done = (0,) * rows
+    found = {}
+    states = {shape: [1] + [0] * (max_total - ncells)}
+    last = top + max(shifts)
+    for t in range(1, last + 1):
+        for i in range(rows):
+            if t < first[i]:
+                continue
+            columns = {}
+            for c, vec in states.items():
+                j = c[i]
+                if j < shape[i] and (i == 0 or c[i - 1] > j):  # times (1 + y)
+                    vec = vec[:1] + [a + b for a, b in zip(vec[1:], vec)]
+                columns.setdefault((c[:i], c[i + 1 :]), {})[j] = vec
+            states = {}
+            for (head, tail), column in columns.items():
+                acc = None
+                for j in range(max(column), tail[0] - 1 if tail else -1, -1):
+                    vec = column.get(j)
+                    if vec is not None:
+                        acc = vec if acc is None else [a + b for a, b in zip(acc, vec)]
+                    states[head + (j,) + tail] = acc
+        # An unplaced cell in row i needs i + 1 more values down its column.
+        room = last - t
+        if room < rows:
+            states = {c: vec for c, vec in states.items() if not c[room]}
+        _check_capacity(len(states), "flagged tableau DP states")
+        if t - top in shifts:
+            vec = states.get(done, ())
+            found[t - top] = {ncells + e: n for e, n in enumerate(vec) if n}
+    return tuple(found[x] for x in shifts)
 
 
 def count_ssyt_by_total(shape, flag, max_total: int) -> dict[int, int]:
     """Counts of column-strict set-valued tableaux of `shape`, flagged
     row-wise by `flag`, keyed by total entry count up to `max_total`.
 
-    One transfer-matrix pass (EC1 4.7) that fills the cells one at a time in
-    row-major order. The state is the frontier: one cell maximum per column
-    of the current row, the new row's values left of the next cell and the
-    row above's values from it on. A column that no later cell reads is
-    reset to 0, so that states which differ only there merge. Each state
-    carries a vector of counts indexed by the extra entries so far (entries
-    minus cells placed, at most `max_total` minus the number of cells).
-
-    A cell whose entries must be at least lo (the maximum to its left, one
-    more than the maximum above it) and whose maximum is v holds v and any
-    subset of lo..v-1, so it multiplies the vector, read as a polynomial in
-    y, by (1 + y)^(v - lo), truncated. Frontiers that differ only in the value above the cell are
-    swept together over v, one factor (1 + y) per step.
+    The x = 0 view of _ssyt_counts_by_shift, whose one pass over the values
+    gives the counts for every flag shift x at once.
     """
-    shape = check_partition(shape) if shape else ()
-    rows = len(shape)
-    if rows == 0:
-        return {0: 1} if max_total >= 0 else {}
-    flag = _checked_flag(shape, flag)
-    ncells = sum(shape)
-    if max_total < ncells:
-        return {}
-    states = {(0,) * shape[0]: [1] + [0] * (max_total - ncells)}
-    for i in range(rows):
-        keep = shape[i + 1] if i + 1 < rows else 0
-        for j in range(shape[i]):
-            # A cell with a cell below it leaves room for a larger maximum there.
-            hi = min(flag[i], flag[i + 1] - 1) if j < keep else flag[i]
-            columns = {}
-            for front, vec in states.items():
-                columns.setdefault((front[:j], front[j + 1 :]), []).append((front[j], vec))
-            nxt = {}
-            for (head, tail), column in columns.items():
-                left = head[-1] if j else 0
-                if j > keep:
-                    head = head[:-1] + (0,)
-                entering = {}
-                for above, vec in column:
-                    _accumulate(entering, max(left, above + 1), vec)
-                start = min(entering)
-                sweep = entering[start]
-                for v in range(start, hi + 1):
-                    if v > start:  # one more factor (1 + y)
-                        sweep = sweep[:1] + [a + b for a, b in zip(sweep[1:], sweep)]
-                        if v in entering:
-                            sweep = [a + b for a, b in zip(sweep, entering[v])]
-                    _accumulate(nxt, head + (v,) + tail, sweep)
-            states = nxt
-        # The next row reads only the columns it sits under.
-        truncated = {}
-        for front, vec in states.items():
-            _accumulate(truncated, front[:keep], vec)
-        states = truncated
-    vec = states.get((), ())
-    return {ncells + e: c for e, c in enumerate(vec) if c}
+    return _ssyt_counts_by_shift(shape, flag, max_total, (0,))[0]
 
 
 def count_ssyt(shape, flag, total: int) -> int:

@@ -1,8 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here is deliberately naive and shares no code with the library:
-these routines define the expected values that the fast implementations are
-checked against.
+Everything here shares no code with the library, and all of it but
+frontier_ssyt_by_total is deliberately naive: these routines define the
+expected values that the fast implementations are checked against.
+frontier_ssyt_by_total is a transfer-matrix count by a route of its own, for
+flagged tableaux too many to list.
 """
 
 from fractions import Fraction
@@ -199,6 +201,79 @@ def set_valued_tableaux(shape, flag, total):
 
     rec(0, 0)
     return sorted(out)
+
+
+def _accumulate(counts, key, vec):
+    """Add the count vector `vec` into counts[key]; vectors are never
+    changed in place, so one may be stored under several keys."""
+    old = counts.get(key)
+    counts[key] = vec if old is None else [a + b for a, b in zip(old, vec)]
+
+
+def frontier_ssyt_by_total(shape, flag, max_total):
+    """Counts of column-strict set-valued tableaux of the partition `shape`,
+    flagged row-wise by `flag` (positive, at least one bound per row), keyed
+    by total entry count up to `max_total`, one cell at a time.
+
+    Not a brute force: a transfer-matrix pass that fills the cells in
+    row-major order, so it reaches shapes and flags far past what
+    set_valued_tableaux can list, by a route that shares nothing with the
+    library's pass over the values.  The state is the frontier: one cell
+    maximum per column of the current row, the new row's values left of the
+    next cell and the row above's values from it on.  A column that no later
+    cell reads is reset to 0, so that states which differ only there merge.
+    Each state carries a vector of counts indexed by the extra entries so far
+    (entries minus cells placed, at most `max_total` minus the number of
+    cells).
+
+    A cell whose entries must be at least lo (the maximum to its left, one
+    more than the maximum above it) and whose maximum is v holds v and any
+    subset of lo..v-1, so it multiplies the vector, read as a polynomial in
+    y, by (1 + y)^(v - lo), truncated.  Frontiers that differ only in the
+    value above the cell are swept together over v, one factor (1 + y) per
+    step.
+    """
+    shape = tuple(shape)
+    rows = len(shape)
+    if rows == 0:
+        return {0: 1} if max_total >= 0 else {}
+    flag = tuple(flag)[:rows]
+    ncells = sum(shape)
+    if max_total < ncells:
+        return {}
+    states = {(0,) * shape[0]: [1] + [0] * (max_total - ncells)}
+    for i in range(rows):
+        keep = shape[i + 1] if i + 1 < rows else 0
+        for j in range(shape[i]):
+            # A cell with a cell below it leaves room for a larger maximum there.
+            hi = min(flag[i], flag[i + 1] - 1) if j < keep else flag[i]
+            columns = {}
+            for front, vec in states.items():
+                columns.setdefault((front[:j], front[j + 1 :]), []).append((front[j], vec))
+            nxt = {}
+            for (head, tail), column in columns.items():
+                left = head[-1] if j else 0
+                if j > keep:
+                    head = head[:-1] + (0,)
+                entering = {}
+                for above, vec in column:
+                    _accumulate(entering, max(left, above + 1), vec)
+                start = min(entering)
+                sweep = entering[start]
+                for v in range(start, hi + 1):
+                    if v > start:  # one more factor (1 + y)
+                        sweep = sweep[:1] + [a + b for a, b in zip(sweep[1:], sweep)]
+                        if v in entering:
+                            sweep = [a + b for a, b in zip(sweep, entering[v])]
+                    _accumulate(nxt, head + (v,) + tail, sweep)
+            states = nxt
+        # The next row reads only the columns it sits under.
+        truncated = {}
+        for front, vec in states.items():
+            _accumulate(truncated, front[:keep], vec)
+        states = truncated
+    vec = states.get((), ())
+    return {ncells + e: c for e, c in enumerate(vec) if c}
 
 
 def multichains_through(leq, n, m):

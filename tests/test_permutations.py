@@ -601,6 +601,16 @@ def test_fk_routes_agree_small():
         fk_polynomial((3, 2, 1), 3, via="both")
 
 
+def test_fk_tableaux_route_edge_cases():
+    # the identity has the empty shape: one word of length 0 and none longer
+    for L in range(4):
+        by_tableaux = fk_polynomial(identity(3), L, via="tableaux")
+        assert by_tableaux == fk_polynomial(identity(3), L)
+        assert by_tableaux == (IntPolynomial.one() if L == 0 else IntPolynomial.zero())
+    # 201 flag shifts, all read from one pass of the tableau DP
+    assert fk_polynomial((2, 1), 200, via="tableaux") == fk_polynomial((2, 1), 200)
+
+
 def test_fk_words_route_matches_the_full_hecke_table():
     # every w in S_1..S_5 at L = 0..length+3: 1,294 (w, L) pairs
     pairs = 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -351,6 +352,69 @@ def test_count_ssyt_by_total_pinned_values():
     assert count_ssyt_by_total((7,), (12,), 15) == {
         t: _one_row_count(7, 12, t) for t in range(7, 16)
     }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shift_pass_matches_the_frontier_dp(seed):
+    # 5 x 100 seeded cases, each read at shifts 0..4 from one pass and
+    # compared with the cell-by-cell frontier DP run once per shifted flag.
+    rng = random.Random(seed)
+    nonmonotone = below_row = 0
+    for _ in range(100):
+        shape = []
+        for _ in range(rng.randint(0, 5)):
+            shape.append(rng.randint(1, shape[-1] if shape else 5))
+        shape = tuple(shape)
+        flag = tuple(rng.randint(1, 11) for _ in shape)
+        nonmonotone += any(a > b for a, b in zip(flag, flag[1:]))
+        below_row += any(b <= i for i, b in enumerate(flag))
+        n = sum(shape)
+        max_total = rng.randint(n - 1, n + 4)
+        got = tableaux._ssyt_counts_by_shift(shape, flag, max_total, range(5))
+        want = tuple(
+            bruteforce.frontier_ssyt_by_total(shape, tuple(b + x for b in flag), max_total)
+            for x in range(5)
+        )
+        assert got == want, (shape, flag, max_total)
+    assert nonmonotone and below_row
+
+
+def test_shift_pass_counts_ordinary_tableaux_by_hook_content():
+    # with a constant flag m and one entry per cell, shift x counts the
+    # column-strict tableaux with entries at most m + x
+    shapes = all_partitions(8)
+    assert len(shapes) == 67
+    for shape in shapes:
+        n = sum(shape)
+        for m in (1, 2, 4):
+            got = tableaux._ssyt_counts_by_shift(shape, (m,) * len(shape), n, range(7))
+            want = [hook_content_count(shape, m + x) for x in range(7)]
+            assert [counts.get(n, 0) for counts in got] == want, (shape, m)
+
+
+def test_shift_pass_edge_cases():
+    shift = tableaux._ssyt_counts_by_shift
+    assert shift((), (), 3, (0, 2, 5)) == ({0: 1},) * 3
+    assert shift((), (), -1, (0, 1)) == ({}, {})
+    assert shift((3, 1), (4, 5), 3, (0, 1, 4)) == ({},) * 3  # max_total below the cells
+    assert shift((2, 1), (2, 3), 4, ()) == ()
+    # the shifts come back in the order asked, repeats included
+    assert shift((2, 1), (2, 3), 4, (3, 0, 3)) == tuple(
+        count_ssyt_by_total((2, 1), (2 + x, 3 + x), 4) for x in (3, 0, 3)
+    )
+    with pytest.raises(MalformedInputError):
+        shift((2, 1), (2,), 4, (0,))
+
+
+def test_flagged_dp_stops_at_the_capacity_bound(monkeypatch):
+    # with flags this large one step holds all 42 partitions inside
+    # (4,3,2,1) as live states
+    args = ((4, 3, 2, 1), (14, 15, 16, 17), 12)
+    monkeypatch.setenv("CDE_CAPACITY", "41")
+    with pytest.raises(CapacityError, match="flagged tableau DP states"):
+        count_ssyt_by_total(*args)
+    monkeypatch.setenv("CDE_CAPACITY", "42")
+    assert count_ssyt_by_total(*args)[12] == 56367616448
 
 
 def test_R_and_Rplus():

@@ -251,19 +251,44 @@ def test_vexillary_staircase_walks_each_instance_once(monkeypatch):
     assert len(classified) == len(reports)
 
 
-def test_fk_theorem_runs_one_dp_per_x_and_one_walk_per_instance(monkeypatch):
+def test_fk_theorem_runs_one_dp_and_one_walk_per_instance(monkeypatch):
     rows = [row for row in verify._manifest_rows() if row == ("fk-theorem", (("n", "4"),))]
     assert len(rows) == 1
     monkeypatch.setattr(verify, "_manifest_rows", lambda: tuple(rows))
-    dps = _counting(monkeypatch, permutations, "count_ssyt_by_total")
+    dps = _counting(monkeypatch, permutations, "_ssyt_counts_by_shift")
     walks = _counting(monkeypatch, permutations, "_weak_walk")
     reports = run_suite("fk-theorem")
     assert len(reports) == 23
     assert all(r.status == "pass" for r in reports)
-    # the tableaux route: x = 1..length+3 for each of the 23 vexillary w in S_4
-    assert len(dps) == sum(permutations.length(parse_perm(r.instance["w"])) + 3 for r in reports) == 139
+    # the tableaux route: one pass for x = 1..length+3 for each of the 23
+    # vexillary w in S_4
+    assert len(dps) == len(reports) == 23
+    assert [tuple(args[3]) for args in dps] == [
+        tuple(range(1, permutations.length(parse_perm(r.instance["w"])) + 4)) for r in reports
+    ]
     # the words route: one walk per instance for L = length..length+2
     assert [perm_label(args[0]) for args in walks] == [r.instance["w"] for r in reports]
+
+
+def test_flagged_dp_bound_skips_no_report_at_the_default(monkeypatch):
+    # the suites that reach the flagged tableau DP, charged against the
+    # default bound: none is skipped, and the largest step holds 53 states
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    charged = []
+    real = tableaux._check_capacity
+
+    def check(count, what):
+        if what == "flagged tableau DP states":
+            charged.append(count)
+        real(count, what)
+
+    monkeypatch.setattr(tableaux, "_check_capacity", check)
+    statuses = {}
+    for suite in ("recurrences", "fk-theorem", "conj-fk"):
+        for r in run_suite(suite):
+            statuses[r.status] = statuses.get(r.status, 0) + 1
+    assert statuses == {"pass": 823, "conjecture-consistent": 6}
+    assert max(charged) == 53
 
 
 def _wrong_flagged_count(shape, flag, max_total):
