@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iperm
 from math import comb, factorial
+from operator import itemgetter
 
 from .core import IntPolynomial, interpolate_integer_polynomial, poly_divides, stirling2_row
 from .errors import (
@@ -90,7 +91,7 @@ def perm_label(w) -> str:
     """The text form read back by parse_perm: digits run together up to
     n = 9, comma separated from n = 10 on."""
     if len(w) <= 9:
-        return "".join(map(str, w))
+        return "%d" * len(w) % tuple(w)
     return ",".join(map(str, w))
 
 
@@ -333,15 +334,18 @@ def _weak_walk(w):
     """
     cap = capacity()
     n = len(w)
+    # swaps[s - 1](u) is u * s, one C call: u with positions s and s+1 exchanged
+    swaps = [itemgetter(*range(s - 1), s, s - 1, *range(s + 1, n)) for s in range(1, n)]
+    steps = list(zip(range(n - 1), range(1, n), swaps))
     elements = [w]
     index = {w: 0}
     below = []
     down = [1]
     for i, u in enumerate(elements):
         lower = []
-        for s in range(1, n):
-            if u[s - 1] > u[s]:
-                v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]  # _swap(u, s), inlined in a hot loop
+        for a, b, swap in steps:
+            if u[a] > u[b]:
+                v = swap(u)
                 j = index.get(v)
                 if j is None:
                     j = index[v] = len(elements)
@@ -377,11 +381,21 @@ def weak_interval(w) -> FinitePoset:
 
 
 def _walk_poset(walk) -> FinitePoset:
-    """The poset of a finished `_weak_walk`, ordered as in weak_interval."""
+    """The poset of a finished `_weak_walk`, ordered as in weak_interval.
+
+    The walk lists the elements by depth, so each level is one run of it:
+    the runs go deepest first, each sorted by itself."""
     elements, below, _ = walk
     depth = _walk_depth(below)
-    ordered = sorted(range(len(elements)), key=lambda i: (-depth[i], elements[i]))
-    position = {i: k for k, i in enumerate(ordered)}
+    ordered = []
+    end = len(elements)
+    for d in range(depth[-1], -1, -1):
+        start = bisect_left(depth, d)
+        ordered += sorted(range(start, end), key=elements.__getitem__)
+        end = start
+    position = [0] * len(ordered)
+    for k, i in enumerate(ordered):
+        position[i] = k
     covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
     return FinitePoset(len(ordered), covers, [perm_label(elements[i]) for i in ordered])
 
@@ -482,17 +496,23 @@ def expectation_X_complementary(w) -> Fraction:
 
 
 def _expectation_X(elements) -> Fraction:
-    """The ascent-membership count behind expectation_X_complementary, over
-    the elements of a finished `_weak_walk`."""
-    members = set(elements)
-    n = len(elements[0])
+    """The count of up-steps that leave the interval behind
+    expectation_X_complementary, over the elements of a finished `_weak_walk`.
+
+    u <= w in right weak order exactly when the inversions of u lie among
+    those of w (Björner–Brenti).  An ascent s of u puts its values a < b out
+    of order and adds only the inversion (a, b), so u * s leaves [e, w]
+    exactly when w keeps a before b: one lookup in `keep` per adjacent pair
+    of each u, with no member set and no step built."""
+    w = elements[0]
+    n = len(w)
+    pos = (0,) + inverse(w)  # pos[v]: the position of the value v in w
+    keep = [[int(a < b and pos[a] < pos[b]) for b in range(n + 1)] for a in range(n + 1)]
     missing = 0
-    for u in members:
-        for s in range(1, n):
-            # an ascent s whose u * s (_swap, inlined in a hot loop) is not a member
-            if u[s - 1] < u[s] and u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :] not in members:
-                missing += 1
-    return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(members)))
+    for u in elements:
+        for a, b in zip(u, u[1:]):
+            missing += keep[a][b]
+    return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(elements)))
 
 
 @dataclass(frozen=True)

@@ -112,14 +112,20 @@ class FinitePoset:
         if n < 0:
             raise SizeError("element count must be nonnegative")
         _check_capacity(n, "poset elements")  # before the n cover lists are built
-        for a, b in self.covers:
+        covers = self.covers
+        for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
-                raise MalformedInputError(f"cover {(a, b)} out of range")
+                bad = min((a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n))
+                raise MalformedInputError(f"cover {bad} out of range")
         up = [[] for _ in range(n)]
         down = [[] for _ in range(n)]
-        for a, b in sorted(self.covers):
+        for a, b in covers:
             up[a].append(b)
             down[b].append(a)
+        for lst in up:
+            lst.sort()
+        for lst in down:
+            lst.sort()
         object.__setattr__(self, "upper_covers", up)
         object.__setattr__(self, "lower_covers", down)
         # Kahn's algorithm; an element on a cycle never enters the order, and
@@ -181,10 +187,11 @@ def validate(p: FinitePoset) -> None:
     """
     if p.labels is not None and len(p.labels) != p.n:
         raise MalformedInputError(f"{len(p.labels)} labels for {p.n} elements")
-    for a, b in p.covers:
-        if a == b:
-            raise CycleError(f"self-cover at {a}")
     if len(p.order) != p.n:
+        # a self-cover keeps its element out of the order too; name it first
+        for a, b in p.covers:
+            if a == b:
+                raise CycleError(f"self-cover at {a}")
         raise CycleError("cover digraph contains a directed cycle")
     # Only a cover that skips a level can be implied by a longer path, and a
     # graded poset has none.  For each b with one, mark the elements strictly
@@ -850,13 +857,13 @@ def load_poset(text: str) -> FinitePoset:
         label <a> <string>
 
     Blank lines and lines starting with '#' are ignored.  There is one `n`
-    line, `n` and `cover` lines carry exactly their integers, and each
-    element of 0..n-1 gets at most one label; any other line raises
-    MalformedInputError naming it.  The result is validated before being
-    returned.
+    line, `n` and `cover` lines carry exactly their integers, every cover
+    and label names elements of 0..n-1, and each element gets at most one
+    label; any other line raises MalformedInputError naming it.  The result
+    is validated before being returned.
     """
     n = None
-    covers = set()
+    covers = {}  # cover -> the first line that gives it
     labels = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -878,7 +885,7 @@ def load_poset(text: str) -> FinitePoset:
             elif kind == "n":
                 n = int(args[0])
             else:
-                covers.add((int(args[0]), int(args[1])))
+                covers.setdefault((int(args[0]), int(args[1])), lineno)
         except (IndexError, ValueError) as exc:
             raise MalformedInputError(f"line {lineno}: cannot parse {raw!r}") from exc
     if n is None:
@@ -886,10 +893,13 @@ def load_poset(text: str) -> FinitePoset:
     for x, (lineno, _) in labels.items():
         if not 0 <= x < n:
             raise MalformedInputError(f"line {lineno}: label for element {x} outside 0..{n - 1}")
+    for (a, b), lineno in covers.items():
+        if not (0 <= a < n and 0 <= b < n):
+            raise MalformedInputError(f"line {lineno}: cover {(a, b)} out of range")
     label_list = None
     if labels:
         label_list = [labels[x][1] if x in labels else str(x) for x in range(n)]
-    return FinitePoset(n, covers, label_list)
+    return FinitePoset(n, covers.keys(), label_list)
 
 
 def dump_poset(p: FinitePoset) -> str:

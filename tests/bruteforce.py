@@ -570,3 +570,74 @@ def maximal_chain_lengths(p) -> set[int]:
         if not p.lower_covers[x]:
             climb(x, 1)
     return lengths
+
+
+def slicing_weak_walk(w):
+    """(elements, below, down) of the weak interval below w, walked down by
+    descents breadth first, each step u * s sliced and concatenated: elements
+    starts with w, below[i] indexes the lower covers of elements[i], and
+    down[i] counts the paths from w down to elements[i].  The library's
+    earlier walk, kept as the oracle for its itemgetter steps."""
+    n = len(w)
+    elements = [w]
+    index = {w: 0}
+    below = []
+    down = [1]
+    for i, u in enumerate(elements):
+        lower = []
+        for s in range(1, n):
+            if u[s - 1] > u[s]:
+                v = u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
+                j = index.get(v)
+                if j is None:
+                    j = index[v] = len(elements)
+                    elements.append(v)
+                    down.append(0)
+                down[j] += down[i]
+                lower.append(j)
+        below.append(tuple(lower))
+    return tuple(elements), tuple(below), tuple(down)
+
+
+def member_set_expectation_X(elements) -> Fraction:
+    """The edge density of the weak interval whose members are `elements`,
+    w first, by the complementary count: each ascent step u * s whose result
+    is not in the member set leaves the interval.  The library's earlier
+    count, kept as the oracle for its inversion test."""
+    members = set(elements)
+    n = len(elements[0])
+    missing = 0
+    for u in members:
+        for s in range(1, n):
+            if u[s - 1] < u[s] and u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :] not in members:
+                missing += 1
+    return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(members)))
+
+
+def sorted_walk_poset(walk):
+    """(n, covers, labels) of the weak interval of a finished walk: its
+    elements in one global sort by (length, one-line notation), labels run
+    together up to n = 9 and comma separated beyond.  The library's earlier
+    ordering, kept as the oracle for its level-by-level sort."""
+    elements, below, _ = walk
+    depth = [0] * len(below)
+    for i, lower in enumerate(below):
+        for j in lower:
+            depth[j] = depth[i] + 1
+    ordered = sorted(range(len(elements)), key=lambda i: (-depth[i], elements[i]))
+    position = {i: k for k, i in enumerate(ordered)}
+    covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
+    sep = "" if len(elements[0]) <= 9 else ","
+    return len(ordered), covers, [sep.join(map(str, elements[i])) for i in ordered]
+
+
+def sorted_cover_lists(n, covers):
+    """(upper, lower) cover lists of 0..n-1, filled in one pass over the
+    covers in sorted order, so each list comes out ascending: the oracle for
+    FinitePoset's fill in set order with each list sorted."""
+    up = [[] for _ in range(n)]
+    down = [[] for _ in range(n)]
+    for a, b in sorted(covers):
+        up[a].append(b)
+        down[b].append(a)
+    return up, down

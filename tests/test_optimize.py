@@ -83,7 +83,19 @@ _CHECKS = [
     ("", "ps.expectation_under_multichain(ps.chain(2), 1, [0.5, 1])", "MalformedInputError"),
     ("import cde.permutations as pm", "pm.grassmannian_of_shape((1, 3))", "MalformedInputError"),
     ("", "ps.load_poset('n 2\\nlabel 5 x\\n')", "MalformedInputError"),
+    ("", "ps.FinitePoset(3, {(0, 3)})", "MalformedInputError"),
+    ("", "ps.FinitePoset(3, {(-1, 0)})", "MalformedInputError"),
 ]
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
 
 
 @pytest.mark.parametrize("setup, call, error", _CHECKS)
@@ -101,11 +113,24 @@ def test_check_raises_under_optimize(setup, call, error):
         "    raise SystemExit(0)\n"
         f"raise SystemExit({call!r} + ' raised nothing')\n"
     )
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    run = _run_optimized(script)
     assert run.returncode == 0, run.stderr
+
+
+def test_perm_text_round_trip_under_optimize():
+    # labels run together up to n = 9 and take commas from n = 10 on
+    script = (
+        "import random\n"
+        "from cde.permutations import parse_perm, perm_label\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "rng = random.Random(12)\n"
+        "for n in range(1, 13):\n"
+        "    for _ in range(20):\n"
+        "        w = tuple(rng.sample(range(1, n + 1), n))\n"
+        "        text = perm_label(w)\n"
+        "        if parse_perm(text) != w or (',' in text) != (n >= 10):\n"
+        "            raise SystemExit(f'{w} -> {text!r}')\n"
+    )
+    run = _run_optimized(script)
+    assert run.returncode == 0, run.stderr + run.stdout

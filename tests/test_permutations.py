@@ -418,6 +418,45 @@ def test_interval_summary_edge_density_matches_the_complementary_count():
             assert permutations._interval_summary(w).EX == expectation_X_complementary(w), w
 
 
+def _weak_interval_cases():
+    """Every w in S1..S6, w = (1,) first, then 30 seeded w in S9."""
+    for n in range(1, 7):
+        yield from iperm(range(1, n + 1))
+    rng = random.Random(19)
+    for _ in range(30):
+        yield tuple(rng.sample(range(1, 10), 9))
+
+
+def test_weak_walk_matches_the_slicing_walk():
+    for w in _weak_interval_cases():
+        assert permutations._weak_walk(w) == bruteforce.slicing_weak_walk(w), w
+
+
+def test_complementary_EX_matches_the_member_set_count():
+    # the inversion test needs no member set; the oracle looks each step up
+    cases = list(_weak_interval_cases())
+    staircase = _suite_conj_vexillary_staircase({"n": "7"})
+    assert len(staircase) == 211
+    cases += [parse_perm(check.instance["w"]) for check in staircase]
+    for w in cases:
+        expected = bruteforce.member_set_expectation_X(bruteforce.slicing_weak_walk(w)[0])
+        assert expectation_X_complementary(w) == expected, w
+
+
+def test_weak_interval_matches_the_globally_sorted_poset():
+    for w in _weak_interval_cases():
+        p = weak_interval(w)
+        n, covers, labels = bruteforce.sorted_walk_poset(bruteforce.slicing_weak_walk(w))
+        q = FinitePoset(n, covers, labels)
+        assert p == q and p.labels == q.labels == tuple(labels), w
+        cover_lists = bruteforce.sorted_cover_lists(n, covers)
+        assert (p.upper_covers, p.lower_covers) == cover_lists, w
+        assert (q.upper_covers, q.lower_covers) == cover_lists, w
+        assert p.order == q.order and p.level == q.level, w
+        # graded by length, from the identity at level 0 up to w
+        assert list(p.level) == sorted(p.level) and p.level[-1] == length(w), w
+
+
 def test_word_reversal_symmetry():
     for w in iperm(range(1, 5)):
         assert count_reduced(w) == count_reduced(inverse(w))

@@ -87,6 +87,27 @@ def test_validate_range():
         validate(FinitePoset(2, frozenset({(0, 5)})))
 
 
+def test_out_of_range_covers_name_the_least_one():
+    # as NotReducedError does, the message names the least offending pair,
+    # not whichever one the frozenset yields first
+    with pytest.raises(MalformedInputError, match=r"^cover \(7, 10\) out of range$"):
+        FinitePoset(8, {(1, 6), (8, -2), (5, 1), (7, 10)})
+    rng = random.Random(1906)
+    checked = 0
+    for _ in range(300):
+        n = rng.randrange(8)
+        covers = {
+            (rng.randrange(-3, n + 3), rng.randrange(-3, n + 3)) for _ in range(rng.randrange(1, 9))
+        }
+        bad = [(a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n)]
+        if bad:
+            with pytest.raises(MalformedInputError) as err:
+                FinitePoset(n, covers)
+            assert str(err.value) == f"cover {min(bad)} out of range"
+            checked += 1
+    assert checked > 200
+
+
 def test_validate_checks_a_large_ungraded_poset_without_the_order_relation(monkeypatch):
     # a pentagon (0 < 1 < 2 < 4 and 0 < 3 < 4) among isolated elements is not
     # graded, so validate searches below its cover 3 < 4 that skips a level;
@@ -119,6 +140,7 @@ def test_stored_order_and_levels_match_the_oracle():
         assert all(place[a] < place[b] for a, b in p.covers)
         assert list(p.level) == bruteforce.longest_chain_below(p)
         assert p.topological_order() == list(p.order)
+        assert (p.upper_covers, p.lower_covers) == bruteforce.sorted_cover_lists(p.n, p.covers)
 
 
 def _strict_closure(covers, n):
@@ -732,6 +754,9 @@ def test_file_roundtrip(tmp_path):
         ("n 2 3\n", 1),
         ("n 2\ncover 0\n", 2),
         ("n 2\nlabel 0 a\nlabel 0 b\n", 3),  # a second label for one element
+        ("n 3\ncover 1 5\n", 2),  # a cover outside 0..n-1
+        ("n 3\ncover 0 1\n\ncover -1 2\n", 4),
+        ("cover 0 4\nn 2\n", 1),  # checked once n is known
     ],
 )
 def test_load_poset_rejects_malformed_lines(text, line):
