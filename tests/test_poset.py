@@ -140,7 +140,11 @@ def test_stored_order_and_levels_match_the_oracle():
         assert all(place[a] < place[b] for a, b in p.covers)
         assert list(p.level) == bruteforce.longest_chain_below(p)
         assert p.topological_order() == list(p.order)
-        assert (p.upper_covers, p.lower_covers) == bruteforce.sorted_cover_lists(p.n, p.covers)
+        # the cover lists hold exactly the covers, each list ascending
+        lists = p.upper_covers + p.lower_covers
+        assert all(lst == sorted(lst) for lst in lists)
+        assert {(a, b) for a in range(p.n) for b in p.upper_covers[a]} == set(p.covers)
+        assert {(a, b) for b in range(p.n) for a in p.lower_covers[b]} == set(p.covers)
 
 
 def _strict_closure(covers, n):
