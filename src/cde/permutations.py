@@ -23,7 +23,7 @@ from .errors import (
     RangeError,
 )
 from .poset import FinitePoset, _check_capacity, _dd_through, _from_order, capacity
-from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase
+from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase, transpose
 
 __all__ = [
     "check_permutation",
@@ -132,19 +132,23 @@ def left_inversions(w) -> frozenset[tuple[int, int]]:
 
 
 def length(w) -> int:
-    return len(left_inversions(w))
+    return sum(lehmer_code(w))
 
 
 def lehmer_code(w) -> tuple[int, ...]:
-    """c_i = #{j > i : w(i) > w(j)}.
+    """c_i = #{j > i : w(i) > w(j)}, in one sweep from the right: c_i is the
+    number of entries already passed, kept sorted, that lie below w(i).
 
     >>> lehmer_code((4, 2, 3, 1))
     (3, 1, 1, 0)
     """
-    n = len(w)
-    return tuple(
-        sum(1 for j in range(i + 1, n) if w[i] > w[j]) for i in range(n)
-    )
+    seen = []
+    code = []
+    for v in reversed(w):
+        c = bisect_left(seen, v)
+        seen.insert(c, v)
+        code.append(c)
+    return tuple(reversed(code))
 
 
 def prepend_identity(w, N: int) -> tuple[int, ...]:
@@ -161,43 +165,25 @@ class PermClass:
     shape: tuple[int, ...] | None  # present iff vexillary
 
 
-def _contains_2143(w) -> bool:
-    n = len(w)
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            if w[i2] >= w[i1]:
-                continue
-            for i3 in range(i2 + 1, n):
-                if w[i3] <= w[i1]:
-                    continue
-                for i4 in range(i3 + 1, n):
-                    if w[i1] < w[i4] < w[i3]:
-                        return True
-    return False
-
-
-def _contains_132(w) -> bool:
-    n = len(w)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[j] <= w[i]:
-                continue
-            for k in range(j + 1, n):
-                if w[i] < w[k] < w[j]:
-                    return True
-    return False
+def _code_shape(code) -> tuple[int, ...]:
+    """The nonzero entries of a Lehmer code, largest first."""
+    return tuple(sorted((c for c in code if c), reverse=True))
 
 
 def classify(w) -> PermClass:
+    """The class of w, read off the Lehmer codes of w and w^-1 (Macdonald,
+    Notes on Schubert Polynomials, ch. I): w avoids 2143 (is vexillary)
+    exactly when the shape of w^-1 is the transpose of the shape of w, and
+    avoids 132 (is dominant) exactly when its code is a partition."""
     w = check_permutation(w)
-    vex = not _contains_2143(w)
-    dom = not _contains_132(w)
+    w_inv = inverse(w)
+    code = lehmer_code(w)
+    shape = _code_shape(code)
+    vex = _code_shape(lehmer_code(w_inv)) == transpose(shape)
+    dom = all(a >= b for a, b in zip(code, code[1:]))
     grass = len(descents(w)) <= 1
-    inv_grass = len(descents(inverse(w))) <= 1
-    shape = None
-    if vex:
-        shape = tuple(sorted((c for c in lehmer_code(w) if c), reverse=True))
-    return PermClass(vex, dom, grass, inv_grass, shape)
+    inv_grass = len(descents(w_inv)) <= 1
+    return PermClass(vex, dom, grass, inv_grass, shape if vex else None)
 
 
 def vexillary_permutations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -213,7 +199,9 @@ def vexillary_permutations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...
     largest entry, can only be its "4".  So the result is kept exactly when
     no i1 < i2 < q has w(i2) < w(i1) < max(w(q+1), ..., w(n)).  Inserting n
     at q gives it the code entry n - q and leaves the other entries alone,
-    so the shape grows along.  `classify` stays the oracle for this list.
+    so the shape grows along.  `classify` stays the oracle for this list by
+    another route: it compares the shapes read off the Lehmer codes of w and
+    w^-1, with no pattern search.
     """
     if n < 0:
         raise RangeError(f"n must be nonnegative, got {n}")
@@ -729,10 +717,15 @@ def _fk_tableaux(w, Ls) -> tuple[IntPolynomial, ...]:
     counts: the value at x is the sum over j of (number of tableaux with j
     entries, flag shifted by x) j! S(L, j), for x = 1..L+1, interpolated.
     One pass of the tableau DP for every x up to the largest L holds the
-    counts of every smaller total, so each L reads its own from them."""
+    counts of every smaller total, so each L reads its own from them.
+
+    The L + 1 points each sum up to L + 1 Stirling terms, so (L + 1)^2
+    point terms are charged against the capacity bound before the DP; the
+    bound counts big-integer operations, not their digits."""
     data = rothe(w)
     size = sum(data.lambda_w)
     top = max(Ls, default=-1)
+    _check_capacity((top + 1) ** 2, "FK tableaux point terms")
     counts = []
     if top >= size:
         counts = _ssyt_counts_by_shift(data.lambda_w, data.flag_w, top, range(1, top + 2))

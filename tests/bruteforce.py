@@ -629,3 +629,38 @@ def sorted_walk_poset(walk):
     covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
     sep = "" if len(elements[0]) <= 9 else ","
     return len(ordered), covers, [sep.join(map(str, elements[i])) for i in ordered]
+
+
+def contains_pattern(w, pattern) -> bool:
+    """Whether some entries of w, taken left to right at positions
+    i_1 < ... < i_k, stand in the relative order of `pattern`: every k
+    positions are tried."""
+    k = len(pattern)
+    for positions in combinations(range(len(w)), k):
+        entries = [w[i] for i in positions]
+        ranks = tuple(sorted(entries).index(v) + 1 for v in entries)
+        if ranks == tuple(pattern):
+            return True
+    return False
+
+
+def permutation_class(w):
+    """(vexillary, dominant, grassmannian, inverse_grassmannian, shape) of w
+    by definition: vexillary avoids 2143 and dominant avoids 132, the
+    Grassmannian flags count the descents of w and of its inverse, and the
+    shape, present when vexillary, is the sorted nonzero entries of the code
+    c_i = #{j > i : w(j) < w(i)}."""
+    n = len(w)
+    inv = [0] * n
+    for i, v in enumerate(w):
+        inv[v - 1] = i + 1
+    vexillary = not contains_pattern(w, (2, 1, 4, 3))
+    code = [sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n)]
+    shape = tuple(sorted((c for c in code if c), reverse=True)) if vexillary else None
+    return (
+        vexillary,
+        not contains_pattern(w, (1, 3, 2)),
+        sum(1 for i in range(n - 1) if w[i] > w[i + 1]) <= 1,
+        sum(1 for i in range(n - 1) if inv[i] > inv[i + 1]) <= 1,
+        shape,
+    )

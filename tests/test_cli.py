@@ -145,6 +145,14 @@ def test_fk_with_a_long_word_length_runs_without_recursion():
     assert coefficients[:3] == [1, 1200, 719400] and coefficients[-1] == 1
 
 
+def test_fk_tableaux_route_over_capacity_exits_2_before_the_dp(capsys, monkeypatch):
+    # 5001 points of up to 5001 Stirling terms each: 25,010,001 > 2,000,000
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    code, out, err = run_cli(capsys, "fk", "--w", "21", "--L", "5000", "--via", "tableaux")
+    assert code == 2 and out == ""
+    assert "FK tableaux point terms needs 25010001 > capacity 2000000" in err
+
+
 def test_perm_from_word(capsys):
     data = run_json(capsys, "perm", "stats", "--word", "1,2,1,1")
     assert data["w"] == "321"

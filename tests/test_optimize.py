@@ -85,6 +85,12 @@ _CHECKS = [
     ("", "ps.load_poset('n 2\\nlabel 5 x\\n')", "MalformedInputError"),
     ("", "ps.FinitePoset(3, {(0, 3)})", "MalformedInputError"),
     ("", "ps.FinitePoset(3, {(-1, 0)})", "MalformedInputError"),
+    ("import cde.permutations as pm", "pm.classify((1, 1))", "MalformedInputError"),
+    (
+        "import os, cde.permutations as pm; os.environ['CDE_CAPACITY'] = '40400'",
+        "pm.fk_polynomial((2, 1), 200, via='tableaux')",
+        "CapacityError",
+    ),
 ]
 
 

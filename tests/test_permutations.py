@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from cde.core import IntPolynomial, poly_divides
 from cde.errors import CapacityError, MalformedInputError, NotVexillaryError, RangeError
 from cde.permutations import (
+    PermClass,
     classify,
     compose,
     conjecture_fk_check,
@@ -46,7 +48,7 @@ from cde.permutations import (
     vexillary_permutations,
     word_to_hecke,
 )
-from cde import permutations
+from cde import cli, permutations
 from cde.poset import (
     FinitePoset,
     dual,
@@ -127,6 +129,16 @@ def test_classify_examples():
     assert c.vexillary and not c.dominant and not c.grassmannian
     assert not c.inverse_grassmannian
     assert c.shape == (3, 1, 1)
+
+
+def test_classify_matches_the_pattern_oracle():
+    # every w in S_0..S_7: 5,914 permutations, each field by definition
+    count = 0
+    for n in range(8):
+        for w in iperm(range(1, n + 1)):
+            assert classify(w) == PermClass(*bruteforce.permutation_class(w)), w
+            count += 1
+    assert count == 5914
 
 
 def test_vexillary_permutations_match_the_classify_filter():
@@ -479,6 +491,32 @@ def test_a_long_permutation_with_a_small_interval_costs_memory_linear_in_n(monke
     assert peak < 4 * 2**20, peak
 
 
+def test_long_permutations_cost_memory_linear_in_n_before_the_walk(capsys):
+    # the codes of w and w^-1 give the length and the class in O(n) memory;
+    # the n^2 / 2 inversion pairs of w_0 in S_2000 would take over 200 MB
+    n = 2000
+    w0 = tuple(range(n, 0, -1))
+    small = (2, 1) + tuple(range(3, n - 1)) + (n, n - 1)
+    tracemalloc.start()
+    try:
+        lengths = [length(w0), length(small)]
+        code_sums = [sum(lehmer_code(w0)), sum(lehmer_code(small))]
+        classes = [classify(w0), classify(small)]
+        exit_code = cli.main(["--emit", "json", "perm", "stats", "--w", perm_label(small)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths == code_sums == [n * (n - 1) // 2, 2]
+    assert classes == [
+        PermClass(True, True, False, False, tuple(range(n - 1, 0, -1))),
+        PermClass(False, False, False, False, None),
+    ]
+    assert exit_code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["interval_size"] == 4 and data["length"] == 2 and data["vexillary"] is False
+    assert peak < 4 * 2**20, peak
+
+
 def test_word_reversal_symmetry():
     for w in iperm(range(1, 5)):
         assert count_reduced(w) == count_reduced(inverse(w))
@@ -669,6 +707,15 @@ def test_fk_tableaux_route_edge_cases():
         assert by_tableaux == fk_polynomial(identity(3), L)
         assert by_tableaux == (IntPolynomial.one() if L == 0 else IntPolynomial.zero())
     # 201 flag shifts, all read from one pass of the tableau DP
+    assert fk_polynomial((2, 1), 200, via="tableaux") == fk_polynomial((2, 1), 200)
+
+
+def test_fk_tableaux_route_charges_its_point_terms(monkeypatch):
+    # L = 200 sums 201 points of up to 201 Stirling terms each: 40,401 terms
+    monkeypatch.setenv("CDE_CAPACITY", "40400")
+    with pytest.raises(CapacityError, match="FK tableaux point terms needs 40401 > capacity 40400"):
+        fk_polynomial((2, 1), 200, via="tableaux")
+    monkeypatch.setenv("CDE_CAPACITY", "40401")
     assert fk_polynomial((2, 1), 200, via="tableaux") == fk_polynomial((2, 1), 200)
 
 
