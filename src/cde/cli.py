@@ -149,11 +149,12 @@ def _cmd_shifted(args) -> int:
 def _cmd_perm(args) -> int:
     w = _perm_from_args(args)
     cls = perm.classify(w)
+    code = perm.lehmer_code(w)
     data = {
         "w": perm.perm_label(w),
         "n": len(w),
-        "length": perm.length(w),
-        "code": ",".join(map(str, perm.lehmer_code(w))),
+        "length": sum(code),
+        "code": ",".join(map(str, code)),
         "descents": ",".join(map(str, perm.descents(w))) or "-",
         "vexillary": cls.vexillary,
         "dominant": cls.dominant,
@@ -162,7 +163,7 @@ def _cmd_perm(args) -> int:
     }
     if cls.vexillary:
         data["shape"] = tb.shape_label(cls.shape)
-        data["flag"] = ",".join(map(str, perm.rothe(w).flag_w)) or "-"
+        data["flag"] = ",".join(map(str, perm._vexillary_flag(code, cls.shape))) or "-"
     summary = perm._interval_summary(w)  # the one walk of the interval
     data["interval_size"] = len(summary.walk[0])
     data["reduced_words"] = summary.reduced

@@ -7,11 +7,11 @@ group is always the length of the tuple.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iperm
+from itertools import accumulate, permutations as iperm
 from math import comb, factorial
 from operator import itemgetter
 
@@ -34,7 +34,6 @@ __all__ = [
     "compose",
     "length",
     "descents",
-    "left_inversions",
     "lehmer_code",
     "prepend_identity",
     "PermClass",
@@ -120,15 +119,6 @@ def descents(w) -> tuple[int, ...]:
     (1,)
     """
     return tuple(s for s in range(1, len(w)) if w[s - 1] > w[s])
-
-
-def left_inversions(w) -> frozenset[tuple[int, int]]:
-    """Value pairs (a, b), a < b, appearing out of order in w."""
-    pos = inverse(w)
-    n = len(w)
-    return frozenset(
-        (a, b) for a in range(1, n) for b in range(a + 1, n + 1) if pos[a - 1] > pos[b - 1]
-    )
 
 
 def length(w) -> int:
@@ -272,17 +262,13 @@ def inverse_grassmannian_of_shape(shape) -> tuple[int, ...]:
 # 0-Hecke products and the weak order
 
 
-def _swap(u, s: int) -> tuple[int, ...]:
-    """u * s: u with the entries at positions s and s+1 exchanged."""
-    return u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
-
-
 def hecke_product(u, s: int) -> tuple[int, ...]:
-    """u * T_s: apply s when it increases length, absorb it otherwise."""
+    """u * T_s: apply s, exchanging the entries at positions s and s+1, when
+    it increases length; absorb it otherwise."""
     if not 1 <= s <= len(u) - 1:
         raise RangeError(f"generator {s} out of range for n={len(u)}")
     if u[s - 1] < u[s]:
-        return _swap(u, s)
+        return u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :]
     return u
 
 
@@ -304,10 +290,12 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def left_factor_check(u, w) -> bool:
-    """u <= w in right weak order, tested by inversion-set containment."""
+    """u <= w in right weak order: length(u) + length(u^-1 w) = length(w)
+    (Björner–Brenti, Combinatorics of Coxeter Groups, ch. 3)."""
     if len(u) != len(w):
         raise MalformedInputError("permutations live in different symmetric groups")
-    return left_inversions(u) <= left_inversions(w)
+    u, w = check_permutation(u), check_permutation(w)
+    return length(u) + length(compose(inverse(u), w)) == length(w)
 
 
 def _weak_walk(w):
@@ -425,14 +413,9 @@ def count_reduced(w) -> int:
 
 
 def enumerate_reduced(w) -> list[tuple[int, ...]]:
-    w = check_permutation(w)
-    des = descents(w)
-    if not des:
-        return [()]
-    out = []
-    for s in des:
-        out.extend(word + (s,) for word in enumerate_reduced(_swap(w, s)))
-    return sorted(out)
+    """The reduced words of w, the 0-Hecke words of length length(w), in
+    lexicographic order."""
+    return enumerate_hecke_words(w, length(w))
 
 
 def count_nearly_reduced(w) -> int:
@@ -446,11 +429,14 @@ def count_nearly_reduced(w) -> int:
 
 
 def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
-    """All length-L words with 0-Hecke product w (small cases only)."""
+    """All length-L words with 0-Hecke product w (small cases only).  Every
+    prefix stays in [e, w]: an ascent s of u, with values a < b, adds only
+    the inversion (a, b), so u * s stays below w exactly when w puts b
+    before a, as in `_expectation_X`."""
     w = check_permutation(w)
     n = len(w)
-    target = left_inversions(w)
-    lw = len(target)
+    lw = length(w)
+    pos = (0,) + inverse(w)  # pos[v]: the position of the value v in w
     out = []
     word = []
 
@@ -463,11 +449,11 @@ def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
             return
         _check_capacity(len(out), "0-Hecke word enumeration")
         for s in range(1, n):
-            v = hecke_product(u, s)
-            if v is not u and not left_inversions(v) <= target:
-                continue
+            a, b = u[s - 1], u[s]
+            if a < b and pos[a] < pos[b]:
+                continue  # u * s would leave [e, w]
             word.append(s)
-            rec(v, lu + (0 if v is u else 1))
+            rec(hecke_product(u, s), lu + (a < b))
             word.pop()
 
     rec(identity(n), 0)
@@ -605,13 +591,7 @@ def rothe_diagram(w) -> frozenset[tuple[int, int]]:
     """Cells (i, j), 1-indexed, with w(i) > j and w^-1(j) > i."""
     w = check_permutation(w)
     pos = inverse(w)
-    n = len(w)
-    return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if w[i - 1] > j and pos[j - 1] > i
-    )
+    return frozenset((i, j) for i, v in enumerate(w, 1) for j in range(1, v) if pos[j - 1] > i)
 
 
 @dataclass(frozen=True)
@@ -627,37 +607,37 @@ def rothe(w) -> RotheData:
     permutation.  Raises NotVexillaryError otherwise: the flag rule is only
     meaningful in the vexillary case."""
     w = check_permutation(w)
+    lam, flag = _shape_and_flag(w)
+    diagram = rothe_diagram(w)
+    row_max = [0] * len(w)  # row_max[i - 1]: the last column of a cell in row i
+    for (i, j) in diagram:
+        row_max[i - 1] = max(row_max[i - 1], j)
+    mu = [m for m in accumulate(reversed(row_max), max) if m]  # mu_r: rows r and below
+    return RotheData(diagram, lam, tuple(reversed(mu)), flag)
+
+
+def _shape_and_flag(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shape and row flag of a checked vexillary w, off its code."""
     cls = classify(w)
     if not cls.vexillary:
         raise NotVexillaryError(f"{w} contains the pattern 2143")
-    diagram = rothe_diagram(w)
-    lam = cls.shape
-    row_max = {}
-    for (i, j) in diagram:
-        row_max[i] = max(row_max.get(i, 0), j)
-    last = max(row_max, default=0)
-    mu = []
-    running = 0
-    for i in range(last, 0, -1):
-        running = max(running, row_max.get(i, 0))
-        mu.append(running)
-    mu = tuple(reversed(mu))
+    return cls.shape, _vexillary_flag(lehmer_code(w), cls.shape)
 
-    def mu_at(r):
-        return mu[r - 1] if 1 <= r <= len(mu) else 0
 
-    flag = []
-    for i in range(1, len(lam) + 1):
-        diag = lam[i - 1] - i  # content of the rightmost cell of row i
-        r = max(1, 1 - diag)
-        best = None
-        while r + diag <= mu_at(r):
-            best = r
-            r += 1
-        if best is None:
-            raise NotVexillaryError(f"flag rule failed for {w}")
-        flag.append(best)
-    return RotheData(diagram, lam, mu, tuple(flag))
+def _vexillary_flag(code, shape) -> tuple[int, ...]:
+    """The row flag of a vexillary w from its code c and its shape
+    (Macdonald, Notes on Schubert Polynomials; Wachs, "Flagged Schur
+    functions, Schubert polynomials, and symmetrizing operators", 1985):
+    row r takes the r-th smallest position i (1-based) with c_i >= shape[r],
+    then the running maximum over the rows.  The parts fall row by row, so
+    the positions, sorted once by code, are admitted in that order."""
+    ranked = sorted(((c, i) for i, c in enumerate(code, start=1)), reverse=True)
+    admitted, rows = [], []
+    for r, part in enumerate(shape):
+        while len(admitted) < len(ranked) and ranked[len(admitted)][0] >= part:
+            insort(admitted, ranked[len(admitted)][1])
+        rows.append(admitted[r])
+    return tuple(accumulate(rows, max))
 
 
 # ---------------------------------------------------------------------------
@@ -673,19 +653,22 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     """The word polynomials for each L in Ls from one walk of [e, w].
 
     Every prefix of a 0-Hecke word for w has its product in the interval:
-    a letter s either is a descent of the product so far and is absorbed,
-    or climbs the cover that swaps positions s and s+1.  So the weight of
-    the words of length k ending at u obeys
+    a letter s is absorbed by a descent of the product so far, or climbs
+    the cover that swaps positions s and s+1.  So the words of length k
+    ending at u weigh
         P_k(u) = P_{k-1}(u) (des(u) x + sum of descents of u)
-                 + sum over lower covers v = u s of P_{k-1}(v) (x + s),
-    run up to the largest L.  Only u with length(u) <= k can be reached in
-    k letters, and only u with length(w) - length(u) <= max(Ls) - k can still
-    reach w, so each step updates that window of ranks, top down.
-    """
+                 + sum over lower covers v = u s of P_{k-1}(v) (x + s).
+    Step k updates only the ranks that k letters reach and that can still
+    reach w in max(Ls) - k.  No polynomial has more coefficients than a
+    chain of [e, w] has elements until step length(w), and each of the
+    e = max(Ls) - length(w) steps past it adds one, so (e + 1)^2 coefficient
+    terms are charged before the first step."""
     elements, below, _ = _interval_walk(w)
     n = len(w)
     depth = _walk_depth(below)
     ell = depth[-1]
+    top = max(Ls, default=-1)
+    _check_capacity((max(top - ell, 0) + 1) ** 2, "FK words coefficient terms")
     # the walk lists the ranks top down; rank d fills elements[first[d]:first[d + 1]]
     first = [bisect_left(depth, d) for d in range(ell + 2)]
     # below[i] follows the descents of elements[i] in increasing order
@@ -693,7 +676,7 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     for u, lower in zip(elements, below):
         des = [s for s in range(1, n) if u[s - 1] > u[s]]
         steps.append((len(des), sum(des), list(zip(lower, des))))
-    top = max(Ls, default=-1)
+    wanted = set(Ls)
     weight: list[list[int] | None] = [None] * len(elements)
     weight[-1] = [1]
     found = {0: weight[0]} if ell == 0 else {}
@@ -707,7 +690,7 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
                     term = _times_linear(weight[j], 1, s)
                     new = term if new is None else [c + t for c, t in zip(new, term)]
             weight[i] = new
-        if k >= ell:
+        if k in wanted:
             found[k] = weight[0]
     return tuple(IntPolynomial(tuple(found.get(L) or ())) for L in Ls)
 
@@ -722,13 +705,13 @@ def _fk_tableaux(w, Ls) -> tuple[IntPolynomial, ...]:
     The L + 1 points each sum up to L + 1 Stirling terms, so (L + 1)^2
     point terms are charged against the capacity bound before the DP; the
     bound counts big-integer operations, not their digits."""
-    data = rothe(w)
-    size = sum(data.lambda_w)
+    shape, flag = _shape_and_flag(w)
+    size = sum(shape)
     top = max(Ls, default=-1)
     _check_capacity((top + 1) ** 2, "FK tableaux point terms")
     counts = []
     if top >= size:
-        counts = _ssyt_counts_by_shift(data.lambda_w, data.flag_w, top, range(1, top + 2))
+        counts = _ssyt_counts_by_shift(shape, flag, top, range(1, top + 2))
     polys = {}
     for L in set(Ls):
         if L < size:

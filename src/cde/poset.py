@@ -81,7 +81,9 @@ def capacity() -> int:
 def _check_capacity(count: int, what: str):
     bound = capacity()
     if count > bound:
-        raise CapacityError(f"{what} needs {count} > capacity {bound}")
+        bits = count.bit_length()  # Python prints no int of over 4,300 digits
+        need = count if bits <= 256 else f"a {bits}-bit count"
+        raise CapacityError(f"{what} needs {need} > capacity {bound}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -226,22 +225,39 @@ def shifted_interval(shape) -> FinitePoset:
 # counting by corner recurrences
 
 
-@lru_cache(maxsize=None)
 def rank_generating_function(shape) -> IntPolynomial:
     """Generating function sum_{mu inside shape} q^|mu|, via the outside
-    corner recurrence; memoized on the subshapes it spawns."""
+    corner recurrence, filled smallest first by `_rank_table`."""
     shape = tuple(shape)
-    if not shape:
-        return IntPolynomial.one()
-    total = IntPolynomial.zero()
-    for (i, j) in outside_corners(shape):
-        below = shape[i:]
-        right = tuple(r - j for r in shape[: i - 1] if r > j)
-        term = rank_generating_function(below) * rank_generating_function(right)
-        exponent = i * (j - 1)
-        shifted = (0,) * exponent + term.coeffs
-        total = total + IntPolynomial(shifted)
-    return total
+    return _rank_table(shape)[shape]
+
+
+def _corner_splits(shape) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """(i, j, the rows under row i, the rows above it right of column j) for
+    each outside corner (i, j) of `shape`; both parts are smaller shapes."""
+    return [
+        (i, j, shape[i:], tuple(r - j for r in shape[: i - 1] if r > j))
+        for (i, j) in outside_corners(shape)
+    ]
+
+
+def _rank_table(shape) -> dict[tuple[int, ...], IntPolynomial]:
+    """The rank generating function of each subshape the corner recurrence
+    reaches from `shape`, with no recursion and no memo between calls."""
+    reached, stack = {shape}, [shape]
+    while stack:
+        for _, _, below, right in _corner_splits(stack.pop()):
+            for part in {below, right} - reached:
+                reached.add(part)
+                stack.append(part)
+    table = {(): IntPolynomial.one()}
+    for sub in sorted(reached - {()}, key=sum):
+        total = [0] * (sum(sub) + 1)
+        for i, j, below, right in _corner_splits(sub):
+            for k, c in enumerate((table[below] * table[right]).coeffs, start=i * (j - 1)):
+                total[k] += c
+        table[sub] = IntPolynomial(tuple(total))
+    return table
 
 
 def hook_lengths(shape) -> list[list[int]]:
@@ -447,13 +463,9 @@ def R_and_Rplus(shape) -> tuple[int, int]:
     outside-corner recurrence.  The verify `recurrences` suite checks them
     against the flagged tableau count and the interval itself."""
     shape = check_partition(shape) if shape else ()
-    r = rank_generating_function(shape)(1)
-    rp = 0
-    for (i, j) in outside_corners(shape):
-        below = shape[i:]
-        right = tuple(part - j for part in shape[: i - 1] if part > j)
-        rp += (i - 1) * rank_generating_function(below)(1) * rank_generating_function(right)(1)
-    return r, rp
+    table = _rank_table(shape)
+    splits = _corner_splits(shape)
+    return table[shape](1), sum((i - 1) * table[b](1) * table[r](1) for i, _, b, r in splits)
 
 
 # ---------------------------------------------------------------------------

@@ -664,3 +664,49 @@ def permutation_class(w):
         sum(1 for i in range(n - 1) if inv[i] > inv[i + 1]) <= 1,
         shape,
     )
+
+
+def left_inversions(w) -> frozenset[tuple[int, int]]:
+    """Value pairs (a, b), a < b, that w puts out of order, every pair
+    tried.  u <= w in right weak order exactly when the pairs of u lie
+    among those of w."""
+    n = len(w)
+    pos = {v: i for i, v in enumerate(w)}
+    return frozenset(
+        (a, b) for a in range(1, n) for b in range(a + 1, n + 1) if pos[a] > pos[b]
+    )
+
+
+def rothe_flag(w) -> tuple[int, ...]:
+    """The row flag of a vexillary w read off its Rothe diagram, the cells
+    (i, j) with w(i) > j and w^-1(j) > i.  The shape is the diagram's row
+    lengths, sorted; mu_r is the largest column of a cell in rows r and
+    below.  Row i of the shape, whose last cell has content d = shape_i - i,
+    takes the last r >= max(1, 1 - d) in the run with r + d <= mu_r.  The
+    library's earlier rule, kept as the oracle for its code-based flag."""
+    n = len(w)
+    pos = {v: i + 1 for i, v in enumerate(w)}
+    diagram = [
+        (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if w[i - 1] > j and pos[j] > i
+    ]
+    row_len = [0] * (n + 1)
+    row_max = [0] * (n + 2)
+    for i, j in diagram:
+        row_len[i] += 1
+        row_max[i] = max(row_max[i], j)
+    shape = sorted((c for c in row_len if c), reverse=True)
+    mu = row_max[:]
+    for i in range(n, 0, -1):
+        mu[i] = max(mu[i], mu[i + 1])
+    flag = []
+    for i, part in enumerate(shape, start=1):
+        d = part - i
+        r = max(1, 1 - d)
+        best = None
+        while r <= n and r + d <= mu[r]:
+            best = r
+            r += 1
+        if best is None:
+            raise ValueError(f"no flag for row {i} of {w}")
+        flag.append(best)
+    return tuple(flag)

@@ -153,6 +153,56 @@ def test_fk_tableaux_route_over_capacity_exits_2_before_the_dp(capsys, monkeypat
     assert "FK tableaux point terms needs 25010001 > capacity 2000000" in err
 
 
+def test_perm_stats_and_fk_tableaux_build_no_rothe_diagram(capsys, monkeypatch):
+    # the shape and the row flag come from the Lehmer code alone
+    def refuse(w):
+        raise RuntimeError(f"rothe_diagram({w}) called")
+
+    monkeypatch.setattr(permutations, "rothe_diagram", refuse)
+    data = run_json(capsys, "perm", "stats", "--w", "14253")
+    assert (data["shape"], data["flag"], data["reduced_words"]) == ("2,1", "2,4", 2)
+    data = run_json(capsys, "fk", "--w", "14253", "--L", "5", "--via", "tableaux")
+    assert data["coefficients"] == [4800, 8368, 5760, 1960, 330, 22]
+    assert data["coefficients"] == list(permutations.fk_polynomial((1, 4, 2, 5, 3), 5).coeffs)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("poset", "stats", "--builder", "boolean:20000"),
+            "boolean lattice needs a 20001-bit count > capacity 2000000",
+        ),
+        (
+            ("poset", "stats", "--builder", "tamari:12345"),
+            "tamari lattice needs a 24665-bit count > capacity 2000000",
+        ),
+        (
+            ("fk", "--w", "21", "--L", "99999999999999"),
+            "FK words coefficient terms needs 9999999999999800000000000001 > capacity 2000000",
+        ),
+    ],
+    ids=["boolean-20000", "tamari-12345", "fk-words-huge-L"],
+)
+def test_counts_over_capacity_exit_2_at_once(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_fk_words_huge_L_exits_2_at_a_low_bound(capsys, monkeypatch):
+    monkeypatch.setenv("CDE_CAPACITY", "5000")
+    code, out, err = run_cli(capsys, "fk", "--w", "21", "--L", "99999999999999")
+    assert code == 2 and out == ""
+    assert err.startswith("error: FK words coefficient terms needs ") and "Traceback" not in err
+
+
+def test_young_stats_of_a_long_row_needs_no_recursion(capsys):
+    data = run_json(capsys, "young", "stats", "--shape", "500")
+    assert (data["R"], data["R_plus"]) == (501, 500)
+
+
 def test_perm_from_word(capsys):
     data = run_json(capsys, "perm", "stats", "--word", "1,2,1,1")
     assert data["w"] == "321"

@@ -91,6 +91,9 @@ _CHECKS = [
         "pm.fk_polynomial((2, 1), 200, via='tableaux')",
         "CapacityError",
     ),
+    ("", "ps.boolean(20000)", "CapacityError"),
+    ("import cde.permutations as pm", "pm.fk_polynomial((2, 1), 99999999999999)", "CapacityError"),
+    ("import cde.permutations as pm", "pm.left_factor_check((1, 2), (1, 2, 3))", "MalformedInputError"),
 ]
 
 

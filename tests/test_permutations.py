@@ -30,7 +30,6 @@ from cde.permutations import (
     inverse,
     inverse_grassmannian_of_shape,
     left_factor_check,
-    left_inversions,
     lehmer_code,
     length,
     noninversion_poset,
@@ -72,7 +71,7 @@ from cde.tableaux import (
 )
 
 import bruteforce
-from bruteforce import hecke_words_bruteforce
+from bruteforce import hecke_words_bruteforce, left_inversions
 from cde.verify import _partitions_upto, _suite_conj_vexillary_staircase
 
 
@@ -582,6 +581,29 @@ def test_left_factor_check():
             assert left_factor_check(u, w) == hecke_route
 
 
+def test_left_factor_check_matches_inversion_set_containment():
+    # length additivity against the pairs of the brute-force oracle
+    for n in range(1, 6):
+        group = list(iperm(range(1, n + 1)))
+        pairs = {w: left_inversions(w) for w in group}
+        for u in group:
+            for w in group:
+                assert left_factor_check(u, w) == (pairs[u] <= pairs[w]), (u, w)
+    with pytest.raises(MalformedInputError):
+        left_factor_check((1, 2), (1, 2, 3))
+    with pytest.raises(MalformedInputError):
+        left_factor_check((1, 1, 2), (1, 2, 3))
+
+
+def test_hecke_words_match_brute_force_words():
+    # every w in S_1..S_4 at L = length(w) .. length(w) + 2, in the same order
+    for n in range(1, 5):
+        for w in iperm(range(1, n + 1)):
+            ell = length(w)
+            for L in range(ell, ell + 3):
+                assert enumerate_hecke_words(w, L) == hecke_words_bruteforce(w, L), (w, L)
+
+
 def test_noninversion_poset():
     p = noninversion_poset((3, 2, 1))
     assert p.covers == frozenset()
@@ -675,6 +697,17 @@ def test_flag_stabilization():
             shifted = rothe(prepend_identity(w, N))
             assert shifted.lambda_w == base.lambda_w
             assert shifted.flag_w == tuple(f + N for f in base.flag_w)
+
+
+def test_vexillary_flag_matches_the_rothe_diagram_oracle():
+    count = 0
+    for n in range(1, 8):
+        for w, shape in vexillary_permutations(n):
+            flag = permutations._vexillary_flag(lehmer_code(w), shape)
+            assert flag == bruteforce.rothe_flag(w), w
+            assert rothe(w).flag_w == flag
+            count += 1
+    assert count == 1 + 2 + 6 + 23 + 103 + 513 + 2761
 
 
 def test_fk_321():
