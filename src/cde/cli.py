@@ -164,15 +164,15 @@ def _cmd_perm(args) -> int:
     if cls.vexillary:
         data["shape"] = tb.shape_label(cls.shape)
         data["flag"] = ",".join(map(str, perm._vexillary_flag(code, cls.shape))) or "-"
-    summary = perm._interval_summary(w)  # the one walk of the interval
-    data["interval_size"] = len(summary.walk[0])
+    summary = perm.interval_summary(w)  # one walk and one pass over the interval
+    data["interval_size"] = len(summary.elements)
     data["reduced_words"] = summary.reduced
     data["nearly_reduced_words"] = summary.nearly
     data["EX"] = summary.EX
     data["EY"] = summary.EY
     data["is_CDE"] = data["EX"] == data["EY"]
     if args.xm:
-        data.update(_multichain_payload(perm._walk_poset(summary.walk), args.xm))
+        data.update(_multichain_payload(perm.weak_interval(w), args.xm))
     _emit(data, args)
     return 0
 

@@ -8,7 +8,7 @@ group is always the length of the tuple.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations as iperm
@@ -22,7 +22,7 @@ from .errors import (
     NotVexillaryError,
     RangeError,
 )
-from .poset import FinitePoset, _check_capacity, _dd_through, _from_order, capacity
+from .poset import FinitePoset, _check_capacity, _check_count, _dd_through, _from_order, capacity
 from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase, transpose
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
     "word_to_hecke",
     "parse_word",
     "left_factor_check",
+    "IntervalSummary",
+    "interval_summary",
     "weak_interval_elements",
     "weak_interval",
     "weak_order_full",
@@ -278,6 +280,7 @@ def word_to_hecke(word, n: int | None = None) -> tuple[int, ...]:
     word = tuple(word)
     if n is None:
         n = max(word) + 1 if word else 1
+    _check_capacity(n, "permutation entries")  # before the identity is built
     u = identity(n)
     for s in word:
         u = hecke_product(u, s)
@@ -302,11 +305,12 @@ def _weak_walk(w):
     """Walk down from w by descents, breadth first: the one walk over a weak
     interval in the package.
 
-    Returns (elements, below, down), all tuples, so that the memoised copy
-    `_interval_walk` shares cannot be changed by a caller.  elements
-    starts with w, lists every element after all the elements above it and
-    ends with the identity; below[i] holds the indices of the lower covers of
-    elements[i]; down[i] is the number of paths from w down to elements[i].
+    Returns (elements, below, down), all tuples, so that the memoised
+    `interval_summary` that keeps them cannot be changed by a caller.
+    elements starts with w, lists every element after all the elements above
+    it and ends with the identity; below[i] holds the indices of the lower
+    covers of elements[i]; down[i] is the number of paths from w down to
+    elements[i].
     """
     cap = capacity()
     n = len(w)
@@ -354,21 +358,17 @@ def _walk_depth(below) -> list[int]:
 
 def weak_interval_elements(w) -> set[tuple[int, ...]]:
     """All u below w in right weak order."""
-    return set(_interval_walk(w)[0])
+    return set(interval_summary(w).elements)
 
 
 def weak_interval(w) -> FinitePoset:
     """The interval below w in right weak order, as a validated poset whose
-    elements come by length, then lexicographically."""
-    return _walk_poset(_interval_walk(w))
-
-
-def _walk_poset(walk) -> FinitePoset:
-    """The poset of a finished `_weak_walk`, ordered as in weak_interval.
+    elements come by length, then lexicographically.
 
     The walk lists the elements by depth, so each level is one run of it:
     the runs go deepest first, each sorted by itself."""
-    elements, below, _ = walk
+    summary = interval_summary(w)
+    elements, below = summary.elements, summary._below
     depth = _walk_depth(below)
     ordered = []
     for d in range(depth[-1], -1, -1):
@@ -379,14 +379,23 @@ def _walk_poset(walk) -> FinitePoset:
     return FinitePoset(len(ordered), covers, [perm_label(elements[i]) for i in ordered])
 
 
+def _check_group_order(n: int, what: str):
+    """Charge the n! elements of the symmetric group on 1..n; n! is at least
+    2^(n-1), so a large n is refused from its width before n! is computed."""
+    if n < 0:
+        raise RangeError(f"n must be nonnegative, got {n}")
+    _check_count(n, f"{n}!", lambda: factorial(n), what)
+
+
 def weak_order_full(n: int) -> FinitePoset:
+    _check_group_order(n, "weak order interval")  # before w0 is built
     w0 = tuple(range(n, 0, -1))
     return weak_interval(w0)
 
 
 def strong_bruhat(n: int) -> FinitePoset:
     """Strong Bruhat order on the whole symmetric group."""
-    _check_capacity(factorial(n), "strong Bruhat order")
+    _check_group_order(n, "strong Bruhat order")
     elements = sorted(iperm(range(1, n + 1)), key=lambda u: (length(u), u))
     index = {u: i for i, u in enumerate(elements)}
     covers = set()
@@ -409,7 +418,7 @@ def strong_bruhat(n: int) -> FinitePoset:
 
 def count_reduced(w) -> int:
     """Number of reduced words, i.e. maximal chains of the weak interval."""
-    return _interval_walk(w)[2][-1]
+    return interval_summary(w).reduced
 
 
 def enumerate_reduced(w) -> list[tuple[int, ...]]:
@@ -425,56 +434,63 @@ def count_nearly_reduced(w) -> int:
     of its prefixes, so the count is a descent-weighted sum of path counts
     through the weak interval.
     """
-    return _interval_summary(w).nearly
+    return interval_summary(w).nearly
 
 
 def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
-    """All length-L words with 0-Hecke product w (small cases only).  Every
-    prefix stays in [e, w]: an ascent s of u, with values a < b, adds only
-    the inversion (a, b), so u * s stays below w exactly when w puts b
-    before a, as in `_expectation_X`."""
+    """All length-L words with 0-Hecke product w (small cases only), in
+    lexicographic order.  Every prefix stays in [e, w]: an ascent s of u,
+    with values a < b, adds only the inversion (a, b), so u * s stays below
+    w exactly when w puts b before a, as in `_expectation_X`.
+
+    The search is depth first with an explicit stack, so a long word needs
+    no deep call stack.  A stack entry (u, length(u), k, s) is the product u
+    of a prefix of k letters ending in s; the letters before s are still in
+    `word`, since only the subtrees of earlier siblings ran in between."""
     w = check_permutation(w)
     n = len(w)
     lw = length(w)
     pos = (0,) + inverse(w)  # pos[v]: the position of the value v in w
+    cap = capacity()
     out = []
     word = []
-
-    def rec(u, lu):
-        if len(word) == L:
+    stack = [(identity(n), 0, 0, None)]
+    while stack:
+        u, lu, k, s = stack.pop()
+        if k:
+            del word[k - 1 :]
+            word.append(s)
+        if k == L:
             if u == w:
                 out.append(tuple(word))
-            return
-        if lw - lu > L - len(word):
-            return
-        _check_capacity(len(out), "0-Hecke word enumeration")
-        for s in range(1, n):
+                if len(out) > cap:
+                    _check_capacity(len(out), "0-Hecke word enumeration")
+            continue
+        if lw - lu > L - k:
+            continue
+        for s in range(n - 1, 0, -1):  # largest first, so the smallest pops first
             a, b = u[s - 1], u[s]
             if a < b and pos[a] < pos[b]:
                 continue  # u * s would leave [e, w]
-            word.append(s)
-            rec(hecke_product(u, s), lu + (a < b))
-            word.pop()
-
-    rec(identity(n), 0)
+            stack.append((hecke_product(u, s), lu + (a < b), k + 1, s))
     return out
 
 
 def expectation_Y_words(w) -> Fraction:
     """Chain-weighted down-degree expectation of the weak interval, straight
     from word counts."""
-    return _interval_summary(w).EY
+    return interval_summary(w).EY
 
 
 def expectation_X_complementary(w) -> Fraction:
     """Edge density of the weak interval via the complementary count of
     up-steps that leave the interval."""
-    return _expectation_X(_interval_walk(w)[0])
+    return _expectation_X(interval_summary(w).elements)
 
 
 def _expectation_X(elements) -> Fraction:
     """The count of up-steps that leave the interval behind
-    expectation_X_complementary, over the elements of a finished `_weak_walk`.
+    expectation_X_complementary, over the elements of the interval, w first.
 
     u <= w in right weak order exactly when the inversions of u lie among
     those of w (Björner–Brenti).  An ascent s of u puts its values a < b out
@@ -493,40 +509,37 @@ def _expectation_X(elements) -> Fraction:
 
 
 @dataclass(frozen=True)
-class _IntervalSummary:
-    walk: tuple  # (elements, below, down) of _weak_walk; elements are the members
-    reduced: int
-    nearly: int
-    EX: Fraction
-    EY: Fraction
+class IntervalSummary:
+    """The weak interval [e, w] and the numbers the paper reads off it, all
+    from its one descent walk."""
+
+    elements: tuple[tuple[int, ...], ...]  # w first, each after all above it, e last
+    edge_count: int  # covers
+    reduced: int  # reduced words: maximal chains
+    nearly: int  # nearly reduced words: 0-Hecke words of length length(w) + 1
+    EX: Fraction  # edge density: covers / elements
+    EY: Fraction  # down-degree expectation over the maximal chains
+    # _below[i]: the indices of the lower covers of elements[i]; the walk's
+    # layout, read only in this module
+    _below: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
 
-def _interval_walk(w):
-    """The `_weak_walk` of the interval below w, walked once per
+def interval_summary(w) -> IntervalSummary:
+    """The summary of the interval below w, computed once per
     (w, CDE_CAPACITY): every entry point that walks the interval
     (weak_interval_elements, weak_interval, count_reduced,
     count_nearly_reduced, expectation_Y_words, expectation_X_complementary,
-    the FK words route and `_interval_summary`) reads this value.  The bound
-    is part of the key, so lowering CDE_CAPACITY walks again and raises
-    CapacityError where a fresh walk would; only the last interval is kept.
-
-    The memo serves a session that asks several of these functions about
-    one w through the public API; the CLI and the suites already read one
-    `_interval_summary` per w."""
-    return _walk_at(check_permutation(w), capacity())
+    the FK words route, `cde perm stats` and the vexillary suites) reads this
+    value.  The bound is part of the key, so lowering CDE_CAPACITY walks again
+    and raises CapacityError where a fresh walk would; only the last summary
+    is kept."""
+    return _summary_at(check_permutation(w), capacity())
 
 
 @lru_cache(maxsize=1)
-def _walk_at(w, bound):
-    """_interval_walk of a checked w; `bound` is only part of the key, since
-    `_weak_walk` reads the capacity itself."""
-    return _weak_walk(w)
-
-
-def _interval_summary(w) -> _IntervalSummary:
-    """The weak interval below w with the word counts and expectations read
-    from its one memoised walk; count_nearly_reduced and expectation_Y_words
-    return its fields.
+def _summary_at(w, bound) -> IntervalSummary:
+    """interval_summary of a checked w; `bound` is only part of the key, since
+    `_weak_walk` reads the capacity itself.
 
     A nearly reduced word repeats one descent of a prefix of a reduced word,
     so it is a path from w down to some u, a descent of u, and a path from u
@@ -538,12 +551,12 @@ def _interval_summary(w) -> _IntervalSummary:
     E(X) is read off the walk as covers / elements, the edge density itself;
     expectation_X_complementary stays the independent route, by the count of
     up-steps that leave the interval, and Tier-1 compares the two."""
-    walk = _interval_walk(w)
-    elements, below, down = walk
+    elements, below, down = _weak_walk(w)
     up, nearly = _dd_through(below, range(len(elements)), down)
-    ex = Fraction(sum(map(len, below)), len(below))
-    ey = Fraction(nearly, (length(elements[0]) + 1) * up[0])
-    return _IntervalSummary(walk, up[0], nearly, ex, ey)
+    edges = sum(map(len, below))
+    ex = Fraction(edges, len(elements))
+    ey = Fraction(nearly, (length(w) + 1) * up[0])
+    return IntervalSummary(elements, edges, up[0], nearly, ex, ey, below)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +676,8 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     chain of [e, w] has elements until step length(w), and each of the
     e = max(Ls) - length(w) steps past it adds one, so (e + 1)^2 coefficient
     terms are charged before the first step."""
-    elements, below, _ = _interval_walk(w)
+    summary = interval_summary(w)
+    elements, below = summary.elements, summary._below
     n = len(w)
     depth = _walk_depth(below)
     ell = depth[-1]

@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 DEFAULT_CAPACITY = 2_000_000
+_EXACT_BITS = 1 << 15  # counts up to this width are computed to name them
 
 
 def capacity() -> int:
@@ -84,6 +85,17 @@ def _check_capacity(count: int, what: str):
         bits = count.bit_length()  # Python prints no int of over 4,300 digits
         need = count if bits <= 256 else f"a {bits}-bit count"
         raise CapacityError(f"{what} needs {need} > capacity {bound}")
+
+
+def _check_count(bits: int, formula: str, count, what: str):
+    """_check_capacity for the count that `count()` computes, known to have
+    at least `bits` bits.  A count wider than both the bound and
+    _EXACT_BITS is over the bound by its width alone, so it is refused
+    before it is computed, and named by `formula` instead."""
+    bound = capacity()
+    if bits > max(bound.bit_length(), _EXACT_BITS):
+        raise CapacityError(f"{what} needs {formula} > capacity {bound}")
+    _check_capacity(count(), what)
 
 
 @dataclass(frozen=True)
@@ -387,6 +399,7 @@ def _multichain_expectations(p: FinitePoset, M: int) -> list[Fraction]:
     if M < 1:
         return []
     _require_nonempty(p)
+    _check_capacity(M, "multichain expectations")
     table = _chain_table(p, M)
     dd = p.down_degrees()
     # k-chains through the elements, by k: counted plainly and by down-degree
@@ -416,6 +429,7 @@ def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
 def chain(a: int) -> FinitePoset:
     if a < 1:
         raise SizeError("chain needs a >= 1 element")
+    _check_capacity(a, "poset elements")  # before the covers are listed
     return FinitePoset(a, {(i, i + 1) for i in range(a - 1)})
 
 
@@ -429,7 +443,7 @@ def boolean(n: int) -> FinitePoset:
     """Lattice of subsets of an n-set ordered by inclusion."""
     if n < 0:
         raise SizeError("boolean needs n >= 0")
-    _check_capacity(1 << n, "boolean lattice")
+    _check_count(n + 1, f"2^{n}", lambda: 1 << n, "boolean lattice")
     covers = set()
     for s in range(1 << n):
         for i in range(n):
@@ -479,6 +493,7 @@ def pabcd(a: int, b: int, c: int, d: int) -> FinitePoset:
     if min(a, b, c, d) < 1:
         raise SizeError("pabcd needs four positive integers")
     n = a + b + c + d
+    _check_capacity(n, "poset elements")  # before the chains are listed
     covers = set()
     w = list(range(a))
     x = list(range(a, a + b))
@@ -504,7 +519,8 @@ def _triangulations(n: int) -> list[tuple[tuple[int, int], ...]]:
     triangle (i, k, j); triangulating i..k and k..j independently and adding
     (i, k) and (k, j) where they are diagonals gives each triangulation once.
     """
-    _check_capacity(comb(2 * n - 4, n - 2) // (n - 1), "tamari lattice")  # C(n-2)
+    # C(n-2), at least 2^(n-3): each C(m+1)/C(m) = (4m+2)/(m+2) is at least 2
+    _check_count(n - 2, f"C({n - 2})", lambda: comb(2 * n - 4, n - 2) // (n - 1), "tamari lattice")
     # polygon[i, j]: the triangulations of the polygon on vertices i..j
     polygon = {(i, i + 1): [()] for i in range(1, n)}
     for span in range(2, n):

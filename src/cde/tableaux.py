@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _chain_counts, _check_capacity, _ideals
+from .poset import FinitePoset, _chain_counts, _check_capacity, _ideals, capacity
 
 __all__ = [
     "check_partition",
@@ -183,6 +183,7 @@ def _diagram_ideals(shape, shifted: bool):
     """
     check = check_strict_partition if shifted else check_partition
     shape = check(shape) if shape else ()
+    _check_capacity(sum(shape), "poset elements")  # before the cells are listed
     cells = [(i, i * shifted + j) for i, part in enumerate(shape) for j in range(part)]
     index = {c: e for e, c in enumerate(cells)}
     covers = {
@@ -243,10 +244,20 @@ def _corner_splits(shape) -> list[tuple[int, int, tuple[int, ...], tuple[int, ..
 
 def _rank_table(shape) -> dict[tuple[int, ...], IntPolynomial]:
     """The rank generating function of each subshape the corner recurrence
-    reaches from `shape`, with no recursion and no memo between calls."""
+    reaches from `shape`, with no recursion and no memo between calls.
+
+    A subshape of m cells holds m + 1 coefficients, charged against the
+    capacity bound before the recurrence splits it: one row of N cells
+    reaches N + 1 subshapes, so the table holds about N^2 / 2 coefficients."""
+    cap = capacity()
+    terms = 0
     reached, stack = {shape}, [shape]
     while stack:
-        for _, _, below, right in _corner_splits(stack.pop()):
+        sub = stack.pop()
+        terms += sum(sub) + 1
+        if terms > cap:
+            _check_capacity(terms, "rank generating function coefficients")
+        for _, _, below, right in _corner_splits(sub):
             for part in {below, right} - reached:
                 reached.add(part)
                 stack.append(part)
@@ -262,6 +273,7 @@ def _rank_table(shape) -> dict[tuple[int, ...], IntPolynomial]:
 
 def hook_lengths(shape) -> list[list[int]]:
     shape = tuple(shape)
+    _check_capacity(sum(shape), "hook lengths")  # one per cell, before they are listed
     conj = transpose(shape)
     return [
         [shape[i] + conj[j] - i - j - 1 for j in range(shape[i])]

@@ -117,6 +117,7 @@ def _grid(first, *rest) -> ps.FinitePoset:
 
 
 def _zigzag(n) -> ps.FinitePoset:
+    ps._check_capacity(n, "poset elements")  # before the covers are listed
     covers = set()
     for i in range(1, n, 2):
         covers.add((i - 1, i))
@@ -611,7 +612,7 @@ def _suite_vexillary(params):
             continue
 
         def run(w=w, shape=shape):
-            summary = perm._interval_summary(w)
+            summary = perm.interval_summary(w)
             red_ok = summary.reduced == tb.hook_f(shape)
             nearly_ok = summary.nearly == tb.f_plus_one(shape)
             ey_ok = summary.EY == _young_EY(shape)
@@ -825,7 +826,7 @@ def _suite_conj_vexillary_staircase(params):
         }
 
         def run(w=w, target=target, settled=settled):
-            summary = perm._interval_summary(w)
+            summary = perm.interval_summary(w)
             ex, ey = summary.EX, summary.EY
             ok = ex == ey == target
             expected = str(target) if settled else "conjectural"

@@ -11,6 +11,8 @@ from cde import permutations, poset
 from cde.cli import main
 from cde.poset import dump_poset, pabcd
 
+import cli_fuzz
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -97,7 +99,7 @@ def test_perm_stats_xm(capsys):
     ids=["w-25314", "w-53124-xm-3", "word-1,2,1,1"],
 )
 def test_perm_stats_walks_the_interval_once(capsys, monkeypatch, argv, line):
-    permutations._walk_at.cache_clear()  # no walk memoised by an earlier test
+    permutations._summary_at.cache_clear()  # no summary memoised by an earlier test
     walks = []
     real = permutations._weak_walk
     monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real(w))
@@ -166,6 +168,9 @@ def test_perm_stats_and_fk_tableaux_build_no_rothe_diagram(capsys, monkeypatch):
     assert data["coefficients"] == list(permutations.fk_polynomial((1, 4, 2, 5, 3), 5).coeffs)
 
 
+_N = 99999999999999  # a size far past any bound
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -181,14 +186,78 @@ def test_perm_stats_and_fk_tableaux_build_no_rothe_diagram(capsys, monkeypatch):
             ("fk", "--w", "21", "--L", "99999999999999"),
             "FK words coefficient terms needs 9999999999999800000000000001 > capacity 2000000",
         ),
+        *[
+            (("poset", "stats", "--builder", f"{name}:{_N}"), f"poset elements needs {_N} > capacity 2000000")
+            for name in ("chain", "grid", "zigzag", "young", "shifted")
+        ],
+        (
+            ("poset", "stats", "--builder", f"pabcd:1,1,1,{_N}"),
+            f"poset elements needs {_N + 3} > capacity 2000000",
+        ),
+        (
+            ("poset", "stats", "--builder", f"weak-order:{_N}"),
+            f"weak order interval needs {_N}! > capacity 2000000",
+        ),
+        (
+            ("poset", "stats", "--builder", f"boolean:{_N}"),
+            f"boolean lattice needs 2^{_N} > capacity 2000000",
+        ),
+        (
+            ("poset", "stats", "--builder", f"strong-bruhat:{_N}"),
+            f"strong Bruhat order needs {_N}! > capacity 2000000",
+        ),
+        (
+            ("poset", "stats", "--builder", f"tamari:{_N}"),
+            f"tamari lattice needs C({_N - 2}) > capacity 2000000",
+        ),
+        (
+            ("poset", "stats", "--builder", "grid:2,2", "--xm", str(_N)),
+            f"multichain expectations needs {_N} > capacity 2000000",
+        ),
+        (
+            ("perm", "stats", "--w", "321", "--xm", str(_N)),
+            f"multichain expectations needs {_N} > capacity 2000000",
+        ),
+        (
+            ("perm", "stats", "--word", "1", "--n", str(_N)),
+            f"permutation entries needs {_N} > capacity 2000000",
+        ),
+        (
+            ("perm", "stats", "--word", str(_N)),
+            f"permutation entries needs {_N + 1} > capacity 2000000",
+        ),
+        (
+            ("fk", "--word", "1", "--n", str(_N), "--L", "2"),
+            f"permutation entries needs {_N} > capacity 2000000",
+        ),
+        (
+            ("young", "stats", "--shape", str(_N)),
+            f"rank generating function coefficients needs {_N + 1} > capacity 2000000",
+        ),
+        (
+            ("shifted", "stats", "--shape", str(_N)),
+            f"poset elements needs {_N} > capacity 2000000",
+        ),
     ],
-    ids=["boolean-20000", "tamari-12345", "fk-words-huge-L"],
+    ids=[
+        "boolean-20000", "tamari-12345", "fk-words-huge-L",
+        "chain-N", "grid-N", "zigzag-N", "young-N", "shifted-N", "pabcd-N", "weak-order-N",
+        "boolean-N", "strong-bruhat-N", "tamari-N", "poset-xm-N", "perm-xm-N",
+        "perm-word-n-N", "perm-word-N", "fk-word-n-N", "young-stats-N", "shifted-stats-N",
+    ],
 )
 def test_counts_over_capacity_exit_2_at_once(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_exit_codes_hold_over_a_seeded_fuzz_of_every_subcommand(monkeypatch):
+    # every exit code is 0, 1 or 2 and no traceback reaches stderr; the
+    # grammar bounds each call by work (cli_fuzz), so no clock is read
+    monkeypatch.setenv("CDE_CAPACITY", "3000")
+    assert cli_fuzz.fuzz(seed=7, calls=1000) == []
 
 
 def test_fk_words_huge_L_exits_2_at_a_low_bound(capsys, monkeypatch):

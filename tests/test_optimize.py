@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _raises_assertion_error(node) -> bool:
@@ -140,6 +141,23 @@ def test_perm_text_round_trip_under_optimize():
         "        text = perm_label(w)\n"
         "        if parse_perm(text) != w or (',' in text) != (n >= 10):\n"
         "            raise SystemExit(f'{w} -> {text!r}')\n"
+    )
+    run = _run_optimized(script)
+    assert run.returncode == 0, run.stderr + run.stdout
+
+
+def test_cli_fuzz_under_optimize():
+    # the exit-code fuzz of test_cli, once, with every assert stripped
+    script = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"
+        "import cli_fuzz\n"
+        "if __debug__:\n"
+        "    raise SystemExit('not running under -O')\n"
+        "os.environ['CDE_CAPACITY'] = '3000'\n"
+        "bad = cli_fuzz.fuzz(seed=7, calls=1000)\n"
+        "if bad:\n"
+        "    raise SystemExit(repr(bad[:3]))\n"
     )
     run = _run_optimized(script)
     assert run.returncode == 0, run.stderr + run.stdout

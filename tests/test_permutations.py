@@ -27,6 +27,7 @@ from cde.permutations import (
     grassmannian_of_shape,
     hecke_product,
     identity,
+    interval_summary,
     inverse,
     inverse_grassmannian_of_shape,
     left_factor_check,
@@ -230,6 +231,18 @@ def test_weak_interval_iso_to_young_dual():
     assert is_isomorphic(weak_interval(inverse(w)), young_interval((3, 1, 1)))
 
 
+def test_group_sizes_are_checked_before_anything_is_built(monkeypatch):
+    for build in (strong_bruhat, weak_order_full):
+        with pytest.raises(RangeError):
+            build(-1)
+    monkeypatch.setenv("CDE_CAPACITY", "4")
+    with pytest.raises(CapacityError, match="^weak order interval needs 6 > capacity 4$"):
+        weak_order_full(3)
+    with pytest.raises(CapacityError, match="^permutation entries needs 5 > capacity 4$"):
+        word_to_hecke((1,), 5)
+    assert word_to_hecke((3,)) == (1, 2, 4, 3)
+
+
 def test_strong_bruhat_negative_example():
     p = strong_bruhat(3)
     assert expectation_X(p) == Fraction(4, 3)
@@ -334,7 +347,7 @@ _WALK_ENTRY_POINTS = (
 
 def test_one_walk_serves_every_entry_point_per_w_and_bound(monkeypatch):
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
-    permutations._walk_at.cache_clear()
+    permutations._summary_at.cache_clear()
     walks = []
     real = permutations._weak_walk
     monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real(w))
@@ -344,11 +357,12 @@ def test_one_walk_serves_every_entry_point_per_w_and_bound(monkeypatch):
     first = [f(w) for f in _WALK_ENTRY_POINTS]
     assert walks == [w]
     # work count: the walk of 53124 has 15 elements and 20 covers
-    elements, below, down = permutations._interval_summary(w).walk
-    assert (len(elements), sum(map(len, below))) == (15, 20)
-    assert first[0] == set(elements) and first[2] == down[-1] == 9
-    # the shared walk is immutable all the way down
-    assert all(type(part) is tuple for part in (elements, below, down))
+    summary = permutations.interval_summary(w)
+    elements, below = summary.elements, summary._below
+    assert (len(elements), summary.edge_count, sum(map(len, below))) == (15, 20, 20)
+    assert first[0] == set(elements) and first[2] == summary.reduced == 9
+    # the shared summary is immutable all the way down
+    assert all(type(part) is tuple for part in (elements, below))
     assert all(type(lower) is tuple for lower in below)
     assert all(type(u) is tuple for u in elements)
     # a lower bound is a new key: with the walk of w memoised, every route
@@ -365,6 +379,30 @@ def test_one_walk_serves_every_entry_point_per_w_and_bound(monkeypatch):
     v = (2, 5, 3, 1, 4)
     assert count_reduced(v) == len(enumerate_reduced(v))
     assert walks[-2:] == [w, v]
+
+
+def test_one_summary_pass_serves_the_api_the_fk_words_route_and_the_cli(monkeypatch, capsys):
+    # the walk and the summary's one pass of _dd_through are made once for
+    # w, whichever of these asks first
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    permutations._summary_at.cache_clear()
+    walks, passes = [], []
+    real_walk, real_pass = permutations._weak_walk, permutations._dd_through
+    monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real_walk(w))
+    monkeypatch.setattr(permutations, "_dd_through", lambda *a: passes.append(a) or real_pass(*a))
+    w = (5, 3, 1, 2, 4)
+    classify(w)
+    weak_interval_elements(w)
+    count_reduced(w)
+    count_nearly_reduced(w)
+    expectation_X_complementary(w)
+    expectation_Y_words(w)
+    weak_interval(w)
+    fk_polynomial(w, length(w) + 1)
+    assert cli.main(["--emit", "json", "perm", "stats", "--w", "53124", "--xm", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["interval_size"], data["reduced_words"], data["is_mCDE_upto_2"]) == (15, 9, False)
+    assert (len(walks), len(passes)) == (1, 1)
 
 
 def test_enumerate_words():
@@ -402,17 +440,17 @@ def test_routes_agree_with_poset_statistics():
 
 
 def _assert_summary_matches_every_route(w):
-    summary = permutations._interval_summary(w)
+    summary = interval_summary(w)
     interval = weak_interval(w)
     st = stats(interval)
     members = weak_interval_elements(w)
-    assert len(summary.walk[0]) == len(members) == interval.n
-    assert set(summary.walk[0]) == members
+    assert len(summary.elements) == len(members) == interval.n
+    assert set(summary.elements) == members
+    assert summary.edge_count == st.edge_count
     assert summary.reduced == count_reduced(w) == st.maximal_chain_count
     assert summary.nearly == count_nearly_reduced(w)
     assert summary.EX == expectation_X_complementary(w) == st.EX
     assert summary.EY == expectation_Y_words(w) == st.EY
-    assert permutations._walk_poset(summary.walk) == interval
 
 
 def test_interval_summary_matches_the_public_functions():
@@ -427,7 +465,7 @@ def test_interval_summary_matches_the_public_functions():
 def test_interval_summary_edge_density_matches_the_complementary_count():
     for n in (5, 6):
         for w, _ in vexillary_permutations(n):
-            assert permutations._interval_summary(w).EX == expectation_X_complementary(w), w
+            assert interval_summary(w).EX == expectation_X_complementary(w), w
 
 
 def _weak_interval_cases():
@@ -602,6 +640,21 @@ def test_hecke_words_match_brute_force_words():
             ell = length(w)
             for L in range(ell, ell + 3):
                 assert enumerate_hecke_words(w, L) == hecke_words_bruteforce(w, L), (w, L)
+
+
+def test_hecke_words_need_no_call_stack_per_letter():
+    # s_1 has exactly one word of each length, here far past the recursion limit
+    assert enumerate_hecke_words((2, 1), 1200) == [(1,) * 1200]
+    assert enumerate_reduced((1,)) == [()]
+
+
+def test_hecke_words_are_charged_as_they_are_found(monkeypatch):
+    # 321 has 8 words of length 4
+    monkeypatch.setenv("CDE_CAPACITY", "7")
+    with pytest.raises(CapacityError, match="0-Hecke word enumeration needs 8 > capacity 7"):
+        enumerate_hecke_words((3, 2, 1), 4)
+    monkeypatch.setenv("CDE_CAPACITY", "8")
+    assert len(enumerate_hecke_words((3, 2, 1), 4)) == 8
 
 
 def test_noninversion_poset():

@@ -417,6 +417,21 @@ def test_tamari_checks_the_catalan_count_before_building(monkeypatch):
     assert tamari(7).n == 42
 
 
+def test_a_count_far_past_the_bound_is_refused_by_its_width(monkeypatch):
+    # 2^40000 has 40001 bits, past the bound and too wide to compute for the
+    # message, so it is named by its formula; 2^20000 is computed and named
+    # by its width, and under a bound as wide it passes
+    def refuse():
+        raise AssertionError("computed")
+
+    with pytest.raises(CapacityError, match=r"^x needs 2\^40000 > capacity 2000000$"):
+        poset._check_count(40001, "2^40000", refuse, "x")
+    with pytest.raises(CapacityError, match="^x needs a 20001-bit count > capacity 2000000$"):
+        poset._check_count(20001, "2^20000", lambda: 1 << 20000, "x")
+    monkeypatch.setenv("CDE_CAPACITY", "1" + "0" * 4000)  # a 13,288-bit bound
+    poset._check_count(13001, "2^13000", lambda: 1 << 13000, "x")
+
+
 def test_isomorphism_search_counts_nodes_against_capacity(monkeypatch):
     # each of the 5 levels of the search is one node
     monkeypatch.setenv("CDE_CAPACITY", "5")

@@ -424,6 +424,16 @@ def test_R_and_Rplus():
     assert Fraction(rp, r) == Fraction(4, 3)
 
 
+def test_rank_table_charges_its_coefficients(monkeypatch):
+    # one row of 500 cells reaches the rows of 0..500 cells, m + 1
+    # coefficients each: 501 * 502 / 2 in all
+    monkeypatch.setenv("CDE_CAPACITY", "125750")
+    with pytest.raises(CapacityError, match="rank generating function coefficients needs 125751 "):
+        R_and_Rplus((500,))
+    monkeypatch.setenv("CDE_CAPACITY", "125751")
+    assert R_and_Rplus((500,)) == (501, 500)
+
+
 def test_tableau_formulas_match_poset_statistics():
     for shape in [(2, 1), (3, 1), (2, 2), (3, 1, 1), (4, 2), (3, 3)]:
         p = young_interval(shape)

@@ -226,10 +226,10 @@ def test_vexillary_staircase_instances_have_settled_flag():
 def _counting(monkeypatch, module, name):
     """Wrap module.name so that every call is counted; returns the count list.
 
-    The memoised weak interval is dropped first, so that a walk an earlier
+    The memoised interval summary is dropped first, so that a walk an earlier
     test left behind can neither hide a walk from the count nor stand in
     for one."""
-    permutations._walk_at.cache_clear()
+    permutations._summary_at.cache_clear()
     calls = []
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
