@@ -65,6 +65,7 @@ __all__ = [
 
 DEFAULT_CAPACITY = 2_000_000
 _EXACT_BITS = 1 << 15  # counts up to this width are computed to name them
+_SHOWN_CHARS = 40  # a longer CDE_CAPACITY is named by its length, not echoed
 
 
 def capacity() -> int:
@@ -75,7 +76,12 @@ def capacity() -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise MalformedInputError(f"CDE_CAPACITY={env!r} is not an integer") from exc
+            if len(env) <= _SHOWN_CHARS:
+                raise MalformedInputError(f"CDE_CAPACITY={env!r} is not an integer") from exc
+            # Python converts no numeral of over 4,300 digits (by default)
+            too_long = str(exc).startswith("Exceeds the limit")
+            why = "has more digits than Python converts to an integer" if too_long else "is not an integer"
+            raise MalformedInputError(f"CDE_CAPACITY of {len(env)} characters {why}") from exc
     return DEFAULT_CAPACITY
 
 

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from inspect import signature
 from itertools import combinations_with_replacement, permutations as iperm
 from pathlib import Path
@@ -97,9 +97,10 @@ class CheckReport:
 @dataclass
 class _Check:
     """A single grid point: an instance record plus a deferred evaluation
-    returning (expected, computed, ok)."""
+    returning (expected, computed, ok).  run_suite stamps each report with
+    the suite's registry key, and on a conjectural check it replaces the
+    expected value and reads ok as conjecture-consistent or -violated."""
 
-    check_id: str
     instance: dict
     run: callable
     conjectural: bool = False
@@ -261,29 +262,33 @@ def _young_EY(shape) -> Fraction:
     return Fraction(tb.f_plus_one(shape), (sum(shape) + 1) * tb.hook_f(shape))
 
 
-def _suite_thm_main_a(params):
+def _thm_main(params, statistic, young_value, classes):
+    """Theorem (a) or (b) on one w: statistic(w) equals young_value of its
+    shape when w is in one of `classes` (`perm.classify` fields); any other w
+    fails, naming the precondition, and only a vexillary w gets a shape."""
     w = perm.parse_perm(params["w"])
     cls = perm.classify(w)
+    instance = {"w": params["w"]}
+    if cls.vexillary:
+        instance["shape"] = tb.shape_label(cls.shape)
 
     def run():
-        lhs = perm.expectation_Y_words(w)
-        rhs = _young_EY(cls.shape)
-        return (str(rhs), str(lhs), cls.vexillary and lhs == rhs)
+        if not any(getattr(cls, c) for c in classes):
+            found = " ".join(f"{c}={getattr(cls, c)}" for c in classes)
+            return (" or ".join(classes), found, False)
+        got, want = statistic(w), young_value(cls.shape)
+        return (str(want), str(got), got == want)
 
-    return [_Check("thm-main-a", {"w": params["w"], "shape": tb.shape_label(cls.shape)}, run)]
+    return [_Check(instance, run)]
+
+
+def _suite_thm_main_a(params):
+    return _thm_main(params, perm.expectation_Y_words, _young_EY, ("vexillary",))
 
 
 def _suite_thm_main_b(params):
-    w = perm.parse_perm(params["w"])
-    cls = perm.classify(w)
-
-    def run():
-        lhs = perm.expectation_X_complementary(w)
-        rhs = _young_EX(cls.shape)
-        ok = (cls.grassmannian or cls.inverse_grassmannian) and lhs == rhs
-        return (str(rhs), str(lhs), ok)
-
-    return [_Check("thm-main-b", {"w": params["w"], "shape": tb.shape_label(cls.shape)}, run)]
+    classes = ("grassmannian", "inverse_grassmannian")
+    return _thm_main(params, perm.expectation_X_complementary, _young_EX, classes)
 
 
 def _suite_thm_main_c(params):
@@ -313,7 +318,7 @@ def _suite_thm_main_c(params):
         computed = " ".join(f"{k}={v}" for k, v in sorted(values.items()))
         return (str(target), computed, ok)
 
-    return [_Check("thm-main-c", instance, run)]
+    return [_Check(instance, run)]
 
 
 def _suite_prop_products(params):
@@ -335,7 +340,7 @@ def _suite_prop_products(params):
             ok,
         )
 
-    return [_Check("prop-products", instance, run)]
+    return [_Check(instance, run)]
 
 
 def _suite_prop_chain_products(params):
@@ -364,7 +369,7 @@ def _suite_prop_chain_products(params):
         ok = lhs == rhs == brute
         return (str(rhs), f"dp={lhs} brute={brute}", ok)
 
-    return [_Check("prop-chain-products", instance, run)]
+    return [_Check(instance, run)]
 
 
 def _suite_prop_self_dual(params):
@@ -386,7 +391,7 @@ def _suite_prop_self_dual(params):
             )
         return (expect, str(got), ok)
 
-    return [_Check("prop-self-dual", instance, run)]
+    return [_Check(instance, run)]
 
 
 def _suite_cor_tamari(params):
@@ -404,36 +409,26 @@ def _suite_cor_tamari(params):
         ]
         return (str(want), " ".join(map(str, vals)), all(v == want for v in vals))
 
-    return [_Check("cor-tamari", {"n": n}, run)]
+    return [_Check({"n": n}, run)]
 
 
 def _suite_prop_toggle(params):
     m = int(params["m"])
     if "all_n" in params:
         n = int(params["all_n"])
-        checks = []
-        for idx, base in enumerate(all_posets_upto_iso(n)):
-            covers = sorted(base.covers)
+        cases = [
+            ({"n": n, "index": idx, "covers": str(sorted(base.covers)), "m": m}, base)
+            for idx, base in enumerate(all_posets_upto_iso(n))
+        ]
+    else:
+        cases = [({"base": params["base"], "m": m}, params["base"])]
 
-            def run(base=base):
-                ok = ps.toggle_symmetry_check(base, m)
-                return ("toggle-symmetric", str(ok), ok)
-
-            checks.append(
-                _Check(
-                    "prop-toggle",
-                    {"n": n, "index": idx, "covers": str(covers), "m": m},
-                    run,
-                )
-            )
-        return checks
-    spec = params["base"]
-
-    def run():
-        ok = ps.toggle_symmetry_check(build_poset(spec), m)
+    def run(base):  # a builder spec is built when its check runs
+        p = build_poset(base) if isinstance(base, str) else base
+        ok = ps.toggle_symmetry_check(p, m)
         return ("toggle-symmetric", str(ok), ok)
 
-    return [_Check("prop-toggle", {"base": spec, "m": m}, run)]
+    return [_Check(instance, partial(run, base)) for instance, base in cases]
 
 
 # `recurrences kind=fplus` compares the corner recurrence with the chain count
@@ -488,46 +483,31 @@ def _suite_recurrences(params):
                 return ("0", "0" if ok else "nonzero", ok)
         else:
             raise MalformedInputError(f"unknown recurrences kind {kind!r}")
-        checks.append(_Check("recurrences", instance, run))
+        checks.append(_Check(instance, run))
     return checks
 
 
 def _suite_bijections(params):
     kind = params["kind"]
     checks = []
-    if kind == "roundtrip":
-        max_size = int(params["max_size"])
-        for shape in _partitions_upto(max_size):
-            if not shape:
-                continue
-
+    if kind in ("roundtrip", "flagged-roundtrip"):
+        flagged = kind == "flagged-roundtrip"
+        for shape in _partitions_upto(int(params["max_size"]))[1:]:  # () comes first
             def run(shape=shape):
-                count = 0
-                for t in tb.enumerate_standard_barely(shape):
-                    t_plus, corner, i0 = tb.uncrowd(t)
-                    if tb.crowd(t_plus, corner, i0) != t:
-                        return ("identity", f"broken at {t.rows}", False)
-                    count += 1
-                want = tb.f_plus_one(shape)
-                return (str(want), str(count), count == want)
-
-            checks.append(_Check("bijections", {"kind": kind, "shape": tb.shape_label(shape)}, run))
-    elif kind == "flagged-roundtrip":
-        max_size = int(params["max_size"])
-        for shape in _partitions_upto(max_size):
-            if not shape:
-                continue
-
-            def run(shape=shape):
-                flag = tb.default_flag(shape)
-                listed = tb.enumerate_ssyt(shape, flag, sum(shape) + 1)
+                if flagged:
+                    listed = tb.enumerate_ssyt(shape, tb.default_flag(shape), sum(shape) + 1)
+                else:
+                    listed = tb.enumerate_standard_barely(shape)
                 for t in listed:
                     t_plus, corner, i0 = tb.uncrowd(t)
                     if tb.crowd(t_plus, corner, i0) != t:
                         return ("identity", f"broken at {t.rows}", False)
-                return ("identity", f"{len(listed)} round trips", True)
+                if flagged:
+                    return ("identity", f"{len(listed)} round trips", True)
+                want = tb.f_plus_one(shape)
+                return (str(want), str(len(listed)), len(listed) == want)
 
-            checks.append(_Check("bijections", {"kind": kind, "shape": tb.shape_label(shape)}, run))
+            checks.append(_Check({"kind": kind, "shape": tb.shape_label(shape)}, run))
     elif kind == "chain-maps":
         shape = tb.parse_shape(params["shape"])
 
@@ -566,7 +546,7 @@ def _suite_bijections(params):
                 ok,
             )
 
-        checks.append(_Check("bijections", {"kind": kind, "shape": params["shape"]}, run))
+        checks.append(_Check({"kind": kind, "shape": params["shape"]}, run))
     elif kind == "fixtures":
         def run():
             t = tb.svt([[1, (2, 5), 6], [3, 7], [4]])
@@ -582,7 +562,7 @@ def _suite_bijections(params):
             ok = ok and tb.flagged_to_partition(((1, 2, 2), (2, 3), (4,))) == (1, 1)
             return ("worked examples reproduce", "ok" if ok else "mismatch", ok)
 
-        checks.append(_Check("bijections", {"kind": kind}, run))
+        checks.append(_Check({"kind": kind}, run))
     else:
         raise MalformedInputError(f"unknown bijections kind {kind!r}")
     return checks
@@ -603,7 +583,7 @@ def _suite_vexillary(params):
             )
             return ("interval isomorphic to shape interval", str(ok), ok)
 
-        return [_Check("vexillary", {"kind": "grassmannian-iso", "shape": params["shape"]}, run)]
+        return [_Check({"kind": "grassmannian-iso", "shape": params["shape"]}, run)]
 
     n = int(params["n"])
     checks = []
@@ -624,7 +604,7 @@ def _suite_vexillary(params):
             )
 
         instance = {"n": n, "w": perm.perm_label(w), "shape": tb.shape_label(shape)}
-        checks.append(_Check("vexillary", instance, run))
+        checks.append(_Check(instance, run))
     return checks
 
 
@@ -639,7 +619,7 @@ def _suite_forest(params):
                     return ("forest iff dominant", f"fails at {w}", False)
             return ("forest iff dominant", f"all {n}! permutations agree", True)
 
-        return [_Check("forest", {"kind": kind, "n": n}, run)]
+        return [_Check({"kind": kind, "n": n}, run)]
     if kind == "hook":
         max_n = int(params["max_n"])
         catalog = [
@@ -673,7 +653,7 @@ def _suite_forest(params):
                     tested += 1
             return ("hook formula equals ideal DP", f"{tested} forests agree", True)
 
-        return [_Check("forest", {"kind": kind, "max_n": max_n}, run)]
+        return [_Check({"kind": kind, "max_n": max_n}, run)]
     if kind == "merge-ratio":
         def run():
             tested = 0
@@ -693,7 +673,7 @@ def _suite_forest(params):
                     tested += 1
             return ("telescoped ratio equals quotient ratio", f"{tested} covers agree", True)
 
-        return [_Check("forest", {"kind": kind}, run)]
+        return [_Check({"kind": kind}, run)]
     raise MalformedInputError(f"unknown forest kind {kind!r}")
 
 
@@ -708,7 +688,7 @@ def _suite_fk_theorem(params):
             brute = len(perm.enumerate_hecke_words(w, L))
             return (str(brute), str(lead), lead == brute)
 
-        return [_Check("fk-theorem", {"kind": "leading", "w": params["w"], "L": L}, run)]
+        return [_Check({"kind": "leading", "w": params["w"], "L": L}, run)]
 
     n = int(params["n"])
     checks = []
@@ -724,13 +704,12 @@ def _suite_fk_theorem(params):
                     return ("two routes agree", f"differ at L={L}", False)
             return ("two routes agree", f"L={ell}..{ell+2} agree", True)
 
-        checks.append(_Check("fk-theorem", {"n": n, "w": perm.perm_label(w)}, run))
+        checks.append(_Check({"n": n, "w": perm.perm_label(w)}, run))
     return checks
 
 
 def _suite_conj_fk(params):
     d, a, b = int(params["d"]), int(params["a"]), int(params["b"])
-    conjectural = d >= 3
     instance = {"d": d, "a": a, "b": b}
 
     def run():
@@ -744,25 +723,26 @@ def _suite_conj_fk(params):
             f"divides={rep.divides} quotient={quotient} "
             f"quotient_matches={rep.quotient_matches} ssyt_ratio_ok={rep.ssyt_ratio_ok}"
         )
-        expected = "conjectural" if conjectural else predicted
-        return (expected, computed, rep.consistent)
+        return (predicted, computed, rep.consistent)
 
-    return [_Check("conj-fk", instance, run, conjectural=conjectural)]
+    return [_Check(instance, run, conjectural=d >= 3)]
+
+
+def _shifted_interval_check(instance, lam, want) -> _Check:
+    """The conjecture that E(X) = E(Y) = want on the shifted interval of lam."""
+    def run():
+        p = tb.shifted_interval(lam)
+        ex, ey = ps.expectation_X(p), ps.expectation_Y(p)
+        return (str(want), f"EX={ex} EY={ey} predicted={want}", ex == ey == want)
+
+    return _Check(instance, run, conjectural=True)
 
 
 def _suite_conj_shifted_1(params):
     ell, k = int(params["l"]), int(params["k"])
     lam = tuple(ell - 2 * i for i in range(k + 1))
     instance = {"l": ell, "k": k, "shape": tb.shape_label(lam)}
-
-    def run():
-        p = tb.shifted_interval(lam)
-        want = Fraction(sum(lam), ell + 1)
-        ex, ey = ps.expectation_X(p), ps.expectation_Y(p)
-        ok = ex == ey == want
-        return ("conjectural", f"EX={ex} EY={ey} predicted={want}", ok)
-
-    return [_Check("conj-shifted-1", instance, run, conjectural=True)]
+    return [_shifted_interval_check(instance, lam, Fraction(sum(lam), ell + 1))]
 
 
 def _shifted2_shape(a, d, e):
@@ -788,22 +768,14 @@ def _suite_conj_shifted_2(params):
                 ok,
             )
 
-        return [_Check("conj-shifted-2", {"kind": "overlap", "N": N}, run)]
+        return [_Check({"kind": "overlap", "N": N}, run)]
 
     a, d, e = int(params["a"]), int(params["d"]), int(params["e"])
     if d <= a * (e - 1) + 1:
         raise MalformedInputError("need d > a(e-1)+1")
     lam = _shifted2_shape(a, d, e)
     instance = {"a": a, "d": d, "e": e, "shape": tb.shape_label(lam)}
-
-    def run():
-        p = tb.shifted_interval(lam)
-        want = Fraction(d + a * (e - 1), 4)
-        ex, ey = ps.expectation_X(p), ps.expectation_Y(p)
-        ok = ex == ey == want
-        return ("conjectural", f"EX={ex} EY={ey} predicted={want}", ok)
-
-    return [_Check("conj-shifted-2", instance, run, conjectural=True)]
+    return [_shifted_interval_check(instance, lam, Fraction(d + a * (e - 1), 4))]
 
 
 def _suite_conj_vexillary_staircase(params):
@@ -825,16 +797,12 @@ def _suite_conj_vexillary_staircase(params):
             "settled": str(settled),
         }
 
-        def run(w=w, target=target, settled=settled):
+        def run(w=w, target=target):
             summary = perm.interval_summary(w)
             ex, ey = summary.EX, summary.EY
-            ok = ex == ey == target
-            expected = str(target) if settled else "conjectural"
-            return (expected, f"EX={ex} EY={ey} predicted={target}", ok)
+            return (str(target), f"EX={ex} EY={ey} predicted={target}", ex == ey == target)
 
-        checks.append(
-            _Check("conj-vexillary-staircase", instance, run, conjectural=not settled)
-        )
+        checks.append(_Check(instance, run, conjectural=not settled))
     return checks
 
 
@@ -846,15 +814,15 @@ def _suite_conj_mcde_product(params):
     def run():
         witness = search_mcde_product_counterexample(max_elems, m_max)
         if witness is None:
-            return ("conjectural", f"no counterexample up to {max_elems} elements", True)
+            return ("no counterexample", f"no counterexample up to {max_elems} elements", True)
         p, q, m = witness
         return (
-            "conjectural",
+            "no counterexample",
             f"violated by {sorted(p.covers)} x {sorted(q.covers)} at m={m}",
             False,
         )
 
-    return [_Check("conj-mcde-product", instance, run, conjectural=True)]
+    return [_Check(instance, run, conjectural=True)]
 
 
 _NEGATIVE_CASES = {
@@ -876,7 +844,7 @@ def _suite_negatives(params):
             ok = ex == want_x and ey == want_y and not ps.is_CDE(p)
             return (f"EX={want_x} EY={want_y} not CDE", f"EX={ex} EY={ey}", ok)
 
-        return [_Check("negatives", instance, run)]
+        return [_Check(instance, run)]
     if case == "j-cube":
         def run():
             j = ps.order_ideal_lattice(_grid(2, 2, 2))
@@ -884,7 +852,7 @@ def _suite_negatives(params):
             ok = ex != ey
             return ("EX != EY (not CDE)", f"EX={ex} EY={ey}", ok)
 
-        return [_Check("negatives", instance, run)]
+        return [_Check(instance, run)]
     raise MalformedInputError(f"unknown negative case {case!r}")
 
 
@@ -932,7 +900,7 @@ def suite_ids() -> list[str]:
     return seen
 
 
-def _not_run(check_id, instance, exc=None, conjectural=False) -> CheckReport:
+def _not_run(suite_id, instance, exc=None, conjectural=False) -> CheckReport:
     """The report of a check that gave no verdict: skipped(budget) when the
     time budget ran out before it started (exc is None), skipped(capacity)
     with the CapacityError's message, which names the layer and the size,
@@ -945,7 +913,7 @@ def _not_run(check_id, instance, exc=None, conjectural=False) -> CheckReport:
     else:
         expected, computed, status = "no exception", f"{type(exc).__name__}: {exc}", "error"
     return CheckReport(
-        check_id, instance, "conjectural" if conjectural else expected, computed, status, 0.0
+        suite_id, instance, "conjectural" if conjectural else expected, computed, status, 0.0
     )
 
 
@@ -971,13 +939,13 @@ def run_suite(suite_id: str, budget: float = 600.0) -> list[CheckReport]:
             continue
         for check in checks:
             if time.monotonic() > deadline:
-                reports.append(_not_run(check.check_id, check.instance, None, check.conjectural))
+                reports.append(_not_run(suite_id, check.instance, None, check.conjectural))
                 continue
             start = time.monotonic()
             try:
                 expected, computed, ok = check.run()
             except Exception as exc:
-                reports.append(_not_run(check.check_id, check.instance, exc, check.conjectural))
+                reports.append(_not_run(suite_id, check.instance, exc, check.conjectural))
                 continue
             elapsed = time.monotonic() - start
             if check.conjectural:
@@ -986,7 +954,7 @@ def run_suite(suite_id: str, budget: float = 600.0) -> list[CheckReport]:
             else:
                 status = "pass" if ok else "fail"
             reports.append(
-                CheckReport(check.check_id, check.instance, expected, computed, status, elapsed)
+                CheckReport(suite_id, check.instance, expected, computed, status, elapsed)
             )
     return reports
 

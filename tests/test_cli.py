@@ -260,6 +260,19 @@ def test_exit_codes_hold_over_a_seeded_fuzz_of_every_subcommand(monkeypatch):
     assert cli_fuzz.fuzz(seed=7, calls=1000) == []
 
 
+def test_an_unreadable_capacity_exits_2_and_a_long_one_is_named_by_its_length(capsys, monkeypatch):
+    argv = ("poset", "stats", "--builder", "chain:3")
+    monkeypatch.setenv("CDE_CAPACITY", "abc")
+    assert run_cli(capsys, *argv) == (2, "", "error: CDE_CAPACITY='abc' is not an integer\n")
+    # Python converts no numeral of 4,301 digits; the message must not echo it
+    monkeypatch.setenv("CDE_CAPACITY", "1" + "0" * 4300)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and len(err.encode()) < 200
+    assert err == "error: CDE_CAPACITY of 4301 characters has more digits than Python converts to an integer\n"
+    monkeypatch.setenv("CDE_CAPACITY", "x" * 5000)
+    assert run_cli(capsys, *argv) == (2, "", "error: CDE_CAPACITY of 5000 characters is not an integer\n")
+
+
 def test_fk_words_huge_L_exits_2_at_a_low_bound(capsys, monkeypatch):
     monkeypatch.setenv("CDE_CAPACITY", "5000")
     code, out, err = run_cli(capsys, "fk", "--w", "21", "--L", "99999999999999")

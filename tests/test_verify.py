@@ -25,6 +25,7 @@ from cde.tableaux import parse_shape, shape_label
 import bruteforce
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_suite_ids_order():
@@ -33,6 +34,24 @@ def test_suite_ids_order():
     assert "negatives" in ids
     assert "conj-fk" in ids
     assert len(ids) == 19
+
+
+def test_every_registry_entry_has_manifest_rows_and_back():
+    # a report's id is its suite's registry key, so neither side may be orphaned
+    assert set(verify._SUITES) == set(suite_ids())
+
+
+def test_verify_output_matches_the_pinned_campaign_digests(monkeypatch):
+    # the benchmark's campaign gate, replayed in-process: every report but
+    # its elapsed time matches the digests pinned in perfbench/campaign.sha256
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    import run as bench
+
+    lines = [r.to_json() for r in verify.run_all()]
+    attempted, failed, _, gates = bench.check_campaign({"exit_code": 0}, lines)
+    assert (attempted, failed) == (2511, 0)
+    assert gates["digest_matches"], gates
 
 
 def test_unknown_suite():
@@ -194,12 +213,28 @@ def test_build_poset_specs():
         build_poset("zigzag:-1")
 
 
-def test_thm_main_b_precondition_is_part_of_the_verdict():
+def test_thm_main_b_precondition_is_part_of_the_verdict(monkeypatch):
     # 1432 is vexillary but neither Grassmannian nor inverse Grassmannian
     (check,) = verify._suite_thm_main_b({"w": "1432"})
-    assert check.run()[2] is False
+    assert check.instance == {"w": "1432", "shape": "2,1"}
+    assert check.run() == (
+        "grassmannian or inverse_grassmannian",
+        "grassmannian=False inverse_grassmannian=False",
+        False,
+    )
     (check,) = verify._suite_thm_main_b({"w": "2413"})
     assert check.run()[2] is True
+    # 2143 is not vexillary: it has no shape, and either theorem's check
+    # fails on it, naming the precondition, where it used to raise
+    for builder in (verify._suite_thm_main_a, verify._suite_thm_main_b):
+        (check,) = builder({"w": "2143"})
+        assert check.instance == {"w": "2143"}
+        assert check.run()[2] is False
+    (check,) = verify._suite_thm_main_a({"w": "2143"})
+    assert check.run() == ("vexillary", "vexillary=False", False)
+    rows = (("thm-main-a", (("w", "2143"),)), ("thm-main-a", (("w", "321"),)))
+    monkeypatch.setattr(verify, "_manifest_rows", lambda: rows)
+    assert [r.status for r in run_suite("thm-main-a")] == ["fail", "pass"]
 
 
 def test_format_reports_table():
