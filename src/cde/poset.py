@@ -2,8 +2,13 @@
 
 Elements are always the dense integers 0..n-1; builders attach human-readable
 labels as metadata only.  A poset is immutable once validated, and every
-statistic below is a pure function, so shared posets are safe to use from
-multiple threads.
+statistic below is a pure function of it, so shared posets are safe to use
+from multiple threads.  One value is written after construction: the table
+of chain counts behind the multichain statistics, kept on the poset on
+first use.  It is a derived value, rebuilt the same by any thread; it is an
+immutable tuple, assigned whole in one attribute store, and read once per
+call, so a reader sees either no table or a complete one, and two threads
+that build at once only repeat work.
 """
 
 from __future__ import annotations
@@ -123,6 +128,10 @@ class FinitePoset:
     lower_covers: list[list[int]] = field(init=False, compare=False, repr=False)
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     level: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # (size, rows): the largest chain table built so far, written by
+    # _chain_table alone and on first use; a class default, not a field, so
+    # construction never touches it and equality never reads it
+    _chains = (0, ())
 
     def __post_init__(self):
         object.__setattr__(self, "covers", frozenset(self.covers))
@@ -310,9 +319,44 @@ def expectation_Y(p: FinitePoset) -> Fraction:
     return stats(p).EY
 
 
+def _pack_width(n: int, size: int) -> int:
+    """W, the bits per entry of a packed chain-table row of `size` entries
+    on n elements: each entry is at most C(n-1, k) for some k < size, and
+    C(n-1, k) grows with k up to k = (n-1)//2."""
+    return comb(n - 1, min(size - 1, (n - 1) // 2)).bit_length() + 1
+
+
 def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
     """Row e: a(e, k), the number of k-element chains through e, for
-    k = 1..size (shorter when no longer chain passes through e).
+    k = 1..size (shorter when no longer chain passes through e), as fresh
+    lists.
+
+    The table is a derived value of p, filled in on first use: p keeps the
+    largest table built so far, and a request no larger is read from its
+    prefix.  A larger request builds at least twice the kept size, so the
+    sizes 2..8 asked one by one cost three builds.  No chain has more
+    elements than the longest one, so `size` is clamped there, and a table
+    of that size answers every later request.  The request itself, not the
+    build, is charged against the capacity bound, in 64-bit words of packed
+    rows, so that no verdict depends on earlier calls.
+    """
+    n = p.n
+    longest = max(p.level) + 1  # at most n
+    size = min(size, longest)
+    words = n * -(-size * _pack_width(n, size) // 64)
+    if words > capacity():
+        _check_capacity(words, "multichain table words")
+    built, rows = p._chains
+    if size > built:
+        built = min(max(size, 2 * built), longest)
+        rows = _build_chain_table(p, built)
+        if built > p._chains[0]:  # another thread may have kept a larger one
+            object.__setattr__(p, "_chains", (built, rows))
+    return [list(row[:size]) for row in rows]
+
+
+def _build_chain_table(p: FinitePoset, size: int) -> tuple[tuple[int, ...], ...]:
+    """The chain table of `_chain_table`, built at `size`, rows as tuples.
 
     A chain through e is a chain with top e joined at e to a chain with
     bottom e, so row e is the convolution of the two, truncated at `size`.
@@ -330,8 +374,7 @@ def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
     row is pushed to the elements below it.
     """
     n = p.n
-    size = min(size, n)  # no chain has more than n elements
-    W = max(comb(n - 1, k) for k in range(size)).bit_length() + 1
+    W = _pack_width(n, size)
     keep = (1 << W * size) - 1
     order = p.order
     lower = p.lower_covers
@@ -358,8 +401,8 @@ def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
         while packed:
             row.append(packed & entry)
             packed >>= W
-        table.append(row)
-    return table
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def multichain_counts(p: FinitePoset, m: int) -> list[int]:
@@ -387,13 +430,19 @@ def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
         raise MalformedInputError(f"{len(values)} values for {p.n} elements")
     if not all(isinstance(v, Rational) for v in values):
         raise MalformedInputError("multichain expectation values must be int or Fraction")
+    return _multichain_mean(p, m, values)
+
+
+def _multichain_mean(p: FinitePoset, m: int, values) -> Fraction:
+    """expectation_under_multichain on values already known to be n exact
+    rationals."""
     counts = multichain_counts(p, m)
     return Fraction(sum(map(mul, values, counts)), sum(counts))
 
 
 def expectation_Xm(p: FinitePoset, m: int) -> Fraction:
     """Expected down-degree under the m-element multichain distribution."""
-    return expectation_under_multichain(p, m, p.down_degrees())
+    return _multichain_mean(p, m, p.down_degrees())
 
 
 def is_CDE(p: FinitePoset) -> bool:

@@ -219,6 +219,11 @@ _N = 99999999999999  # a size far past any bound
             f"multichain expectations needs {_N} > capacity 2000000",
         ),
         (
+            # n·⌈size·W/64⌉ words of packed rows, W = 1995 bits per entry
+            ("poset", "stats", "--builder", "chain:2000", "--xm", "2000"),
+            "multichain table words needs 124688000 > capacity 2000000",
+        ),
+        (
             ("perm", "stats", "--word", "1", "--n", str(_N)),
             f"permutation entries needs {_N} > capacity 2000000",
         ),
@@ -242,7 +247,7 @@ _N = 99999999999999  # a size far past any bound
     ids=[
         "boolean-20000", "tamari-12345", "fk-words-huge-L",
         "chain-N", "grid-N", "zigzag-N", "young-N", "shifted-N", "pabcd-N", "weak-order-N",
-        "boolean-N", "strong-bruhat-N", "tamari-N", "poset-xm-N", "perm-xm-N",
+        "boolean-N", "strong-bruhat-N", "tamari-N", "poset-xm-N", "perm-xm-N", "poset-xm-chain-2000",
         "perm-word-n-N", "perm-word-N", "fk-word-n-N", "young-stats-N", "shifted-stats-N",
     ],
 )

@@ -46,6 +46,26 @@ def test_library_imports_only_at_module_level():
         assert not lines, f"{path.name} imports inside a function on lines {lines}"
 
 
+def test_only_construction_and_the_chain_table_write_to_a_poset():
+    # a poset is immutable once built; its chain table is the one value
+    # filled in later, on first use, by the reader that keeps it
+    tree = ast.parse((SRC / "cde" / "poset.py").read_text())
+    cls = next(node for node in tree.body if getattr(node, "name", None) == "FinitePoset")
+    writers = [node for node in cls.body if getattr(node, "name", None) == "__post_init__"]
+    writers += [node for node in tree.body if getattr(node, "name", None) == "_chain_table"]
+    assert len(writers) == 2
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+        and not any(f.lineno <= node.lineno <= f.end_lineno for f in writers)
+    ]
+    assert not lines, f"poset.py writes to an object after construction on lines {lines}"
+
+
 def test_library_reads_the_stored_topological_order():
     # a poset derives its order once, on construction; the library reads
     # `p.order`, and `topological_order()` is a copy for callers outside it

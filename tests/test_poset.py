@@ -289,13 +289,42 @@ def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
 
 
 def test_chain_table_matches_the_list_convolution_oracle():
-    for p in _small_posets():
-        for size in range(1, 10):
-            assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
-    # tamari(6) is not graded: its chains skip ranks
-    for p in (boolean(5), product(chain(3), chain(4)), tamari(6)):
-        for size in range(1, 10):
-            assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
+    # ascending sizes grow each poset's kept table; descending sizes, on
+    # fresh posets, read every size below the first from its prefix
+    for sizes in (range(1, 10), range(9, 0, -1)):
+        # tamari(6) is not graded: its chains skip ranks
+        for p in _small_posets() + [boolean(5), product(chain(3), chain(4)), tamari(6)]:
+            for size in sizes:
+                assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
+
+
+def test_chain_table_is_built_once_per_poset_and_grown_by_doubling(monkeypatch):
+    built = []
+    real = poset._build_chain_table
+    monkeypatch.setattr(poset, "_build_chain_table", lambda p, size: built.append(size) or real(p, size))
+    p = product(chain(5), chain(5))  # its longest chain has 9 elements
+    xm = [expectation_Xm(p, m) for m in range(1, 9)]
+    assert is_mCDE_upto(p, 8)
+    assert built == [2, 4, 8]  # m = 1 needs no table; 3 and 5 miss
+    assert [expectation_Xm(p, m) for m in range(1, 9)] == xm and is_mCDE_upto(p, 8)
+    assert built == [2, 4, 8]
+    # a larger request builds at most the longest chain, which answers all
+    zeta = [sum(a * comb(99, k) for k, a in enumerate(row)) for row in bruteforce.chain_table(p, 100)]
+    assert multichain_counts(p, 100) == zeta
+    assert is_mCDE_upto(p, 50) and built == [2, 4, 8, 9]
+    # an equal poset built apart has no table yet
+    q = product(chain(5), chain(5))
+    assert q == p and expectation_Xm(q, 8) == xm[-1]
+    assert built == [2, 4, 8, 9, 8]
+
+
+def test_a_chain_table_read_is_the_callers_own():
+    p = boolean(3)
+    table = poset._chain_table(p, 4)
+    table[0][0] = 99
+    table[1].append(7)
+    table.pop()
+    assert poset._chain_table(p, 4) == bruteforce.chain_table(p, 4)
 
 
 def test_chain_table_packs_entries_wider_than_a_machine_word():
