@@ -303,14 +303,16 @@ def left_factor_check(u, w) -> bool:
 
 def _weak_walk(w):
     """Walk down from w by descents, breadth first: the one walk over a weak
-    interval in the package.
+    interval in the package, and the one source of its ranks.
 
-    Returns (elements, below, down), all tuples, so that the memoised
+    Returns (elements, below, down, starts), all tuples, so that the memoised
     `interval_summary` that keeps them cannot be changed by a caller.
-    elements starts with w, lists every element after all the elements above
-    it and ends with the identity; below[i] holds the indices of the lower
-    covers of elements[i]; down[i] is the number of paths from w down to
-    elements[i].
+    elements starts with w and ends with the identity; below[i] holds the
+    indices of the lower covers of elements[i]; down[i] is the number of
+    paths from w down to elements[i].  Breadth first, the elements of length
+    length(w) - d are elements[starts[d]:starts[d + 1]]: the walk has found
+    all of them, and none shorter, when it reaches the first, so the next
+    rank starts at the current end.  length(w) = len(starts) - 2.
     """
     cap = capacity()
     n = len(w)
@@ -325,7 +327,10 @@ def _weak_walk(w):
     index = {w: 0}
     below = []
     down = [1]
+    starts = [0]
     for i, u in enumerate(elements):
+        if i == starts[-1]:
+            starts.append(len(elements))
         lower = []
         for a, b in pairs:
             if u[a] > u[b]:
@@ -343,17 +348,7 @@ def _weak_walk(w):
                 down[j] += down[i]
                 lower.append(j)
         below.append(tuple(lower))
-    return tuple(elements), tuple(below), tuple(down)
-
-
-def _walk_depth(below) -> list[int]:
-    """depth[i] = length(w) - length(elements[i]) for a `_weak_walk`; the
-    walk lists the elements by depth, so the list is nondecreasing."""
-    depth = [0] * len(below)
-    for i, lower in enumerate(below):
-        for j in lower:
-            depth[j] = depth[i] + 1
-    return depth
+    return tuple(elements), tuple(below), tuple(down), tuple(starts)
 
 
 def weak_interval_elements(w) -> set[tuple[int, ...]]:
@@ -365,18 +360,20 @@ def weak_interval(w) -> FinitePoset:
     """The interval below w in right weak order, as a validated poset whose
     elements come by length, then lexicographically.
 
-    The walk lists the elements by depth, so each level is one run of it:
-    the runs go deepest first, each sorted by itself."""
+    The walk's `starts` cut it into ranks, placed deepest first and each sorted
+    by itself; an element's lower covers lie one rank deeper, so its covers
+    are read as it is placed."""
     summary = interval_summary(w)
-    elements, below = summary.elements, summary._below
-    depth = _walk_depth(below)
-    ordered = []
-    for d in range(depth[-1], -1, -1):
-        level = range(bisect_left(depth, d), bisect_left(depth, d + 1))
-        ordered += sorted(level, key=elements.__getitem__)
-    position = {i: k for k, i in enumerate(ordered)}
-    covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
-    return FinitePoset(len(ordered), covers, [perm_label(elements[i]) for i in ordered])
+    elements, below, starts = summary.elements, summary._below, summary._starts
+    position = [0] * len(elements)
+    labels = []
+    covers = []
+    for d in range(len(starts) - 2, -1, -1):
+        for i in sorted(range(starts[d], starts[d + 1]), key=elements.__getitem__):
+            k = position[i] = len(labels)
+            labels.append(perm_label(elements[i]))
+            covers += [(position[j], k) for j in below[i]]
+    return FinitePoset(len(labels), covers, labels)
 
 
 def _check_group_order(n: int, what: str):
@@ -511,7 +508,7 @@ def _expectation_X(elements) -> Fraction:
 @dataclass(frozen=True)
 class IntervalSummary:
     """The weak interval [e, w] and the numbers the paper reads off it, all
-    from its one descent walk."""
+    from its one descent walk, which lists the interval rank by rank."""
 
     elements: tuple[tuple[int, ...], ...]  # w first, each after all above it, e last
     edge_count: int  # covers
@@ -519,9 +516,10 @@ class IntervalSummary:
     nearly: int  # nearly reduced words: 0-Hecke words of length length(w) + 1
     EX: Fraction  # edge density: covers / elements
     EY: Fraction  # down-degree expectation over the maximal chains
-    # _below[i]: the indices of the lower covers of elements[i]; the walk's
-    # layout, read only in this module
+    # the walk's layout, read only in this module: _below[i] indexes the lower
+    # covers of elements[i]; elements[_starts[d]:_starts[d + 1]] have length(w) - d
     _below: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _starts: tuple[int, ...] = field(repr=False, compare=False)
 
 
 def interval_summary(w) -> IntervalSummary:
@@ -551,12 +549,13 @@ def _summary_at(w, bound) -> IntervalSummary:
     E(X) is read off the walk as covers / elements, the edge density itself;
     expectation_X_complementary stays the independent route, by the count of
     up-steps that leave the interval, and Tier-1 compares the two."""
-    elements, below, down = _weak_walk(w)
+    elements, below, down, starts = _weak_walk(w)
     up, nearly = _dd_through(below, range(len(elements)), down)
     edges = sum(map(len, below))
     ex = Fraction(edges, len(elements))
-    ey = Fraction(nearly, (length(w) + 1) * up[0])
-    return IntervalSummary(elements, edges, up[0], nearly, ex, ey, below)
+    ell = len(starts) - 2  # length(w)
+    ey = Fraction(nearly, (ell + 1) * up[0])
+    return IntervalSummary(elements, edges, up[0], nearly, ex, ey, below, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -671,20 +670,18 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     ending at u weigh
         P_k(u) = P_{k-1}(u) (des(u) x + sum of descents of u)
                  + sum over lower covers v = u s of P_{k-1}(v) (x + s).
-    Step k updates only the ranks that k letters reach and that can still
-    reach w in max(Ls) - k.  No polynomial has more coefficients than a
+    Step k updates only the ranks, cut by the walk's `starts`, that k letters
+    reach and that can still reach w in max(Ls) - k.  No polynomial has more coefficients than a
     chain of [e, w] has elements until step length(w), and each of the
     e = max(Ls) - length(w) steps past it adds one, so (e + 1)^2 coefficient
     terms are charged before the first step."""
     summary = interval_summary(w)
-    elements, below = summary.elements, summary._below
+    # rank d, of length ell - d, fills elements[first[d]:first[d + 1]]
+    elements, below, first = summary.elements, summary._below, summary._starts
     n = len(w)
-    depth = _walk_depth(below)
-    ell = depth[-1]
+    ell = len(first) - 2
     top = max(Ls, default=-1)
     _check_capacity((max(top - ell, 0) + 1) ** 2, "FK words coefficient terms")
-    # the walk lists the ranks top down; rank d fills elements[first[d]:first[d + 1]]
-    first = [bisect_left(depth, d) for d in range(ell + 2)]
     # below[i] follows the descents of elements[i] in increasing order
     steps = []
     for u, lower in zip(elements, below):

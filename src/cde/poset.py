@@ -128,10 +128,11 @@ class FinitePoset:
     lower_covers: list[list[int]] = field(init=False, compare=False, repr=False)
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     level: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    # (size, rows): the largest chain table built so far, written by
-    # _chain_table alone and on first use; a class default, not a field, so
-    # construction never touches it and equality never reads it
-    _chains = (0, ())
+    # (size, rows, pairs): the largest chain table built so far and the pair
+    # count of the strict order behind it, written by _chain_table alone and
+    # on first use; a class default, not a field, so construction never
+    # touches it and equality never reads it
+    _chains = (0, (), 0)
 
     def __post_init__(self):
         object.__setattr__(self, "covers", frozenset(self.covers))
@@ -338,25 +339,30 @@ def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
     elements than the longest one, so `size` is clamped there, and a table
     of that size answers every later request.  The request itself, not the
     build, is charged against the capacity bound, in 64-bit words of packed
-    rows, so that no verdict depends on earlier calls.
+    rows, so that no verdict depends on earlier calls.  The build charges the
+    pairs of the strict order it holds; they do not depend on the size, so a
+    kept table whose pairs are over the current bound is built again, and
+    refused as a fresh equal poset would be.
     """
     n = p.n
     longest = max(p.level) + 1  # at most n
     size = min(size, longest)
+    bound = capacity()
     words = n * -(-size * _pack_width(n, size) // 64)
-    if words > capacity():
+    if words > bound:
         _check_capacity(words, "multichain table words")
-    built, rows = p._chains
-    if size > built:
+    built, rows, pairs = p._chains
+    if size > built or pairs > bound:
         built = min(max(size, 2 * built), longest)
-        rows = _build_chain_table(p, built)
+        rows, pairs = _build_chain_table(p, built)
         if built > p._chains[0]:  # another thread may have kept a larger one
-            object.__setattr__(p, "_chains", (built, rows))
+            object.__setattr__(p, "_chains", (built, rows, pairs))
     return [list(row[:size]) for row in rows]
 
 
-def _build_chain_table(p: FinitePoset, size: int) -> tuple[tuple[int, ...], ...]:
-    """The chain table of `_chain_table`, built at `size`, rows as tuples.
+def _build_chain_table(p: FinitePoset, size: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The chain table of `_chain_table`, built at `size`, rows as tuples,
+    and the number of pairs in the strict order it was built from.
 
     A chain through e is a chain with top e joined at e to a chain with
     bottom e, so row e is the convolution of the two, truncated at `size`.
@@ -371,20 +377,26 @@ def _build_chain_table(p: FinitePoset, size: int) -> tuple[tuple[int, ...], ...]
 
     The strict order is built once, as down-sets on the way up: top rows
     pull from the elements below, and on the way down each finished bottom
-    row is pushed to the elements below it.
+    row is pushed to the elements below it.  Its pairs are counted as the
+    down-sets are built and refused once they pass the capacity bound.
     """
     n = p.n
     W = _pack_width(n, size)
     keep = (1 << W * size) - 1
     order = p.order
     lower = p.lower_covers
+    bound = capacity()
     # strict[x]: the elements below x; tops[x], bottoms[x], entry k: the
     # k-element chains with top x, with bottom x
     strict = [None] * n
     tops = [0] * n
+    pairs = 0
     for x in order:
         near = lower[x]
         below = strict[x] = set(near).union(*map(strict.__getitem__, near))
+        pairs += len(below)
+        if pairs > bound:
+            _check_capacity(pairs, "multichain strict order pairs")
         tops[x] = (1 + (sum(map(tops.__getitem__, below)) << W)) & keep
     above = [0] * n  # above[x]: the bottom rows of the elements above x, shifted
     bottoms = [0] * n
@@ -402,7 +414,7 @@ def _build_chain_table(p: FinitePoset, size: int) -> tuple[tuple[int, ...], ...]
             row.append(packed & entry)
             packed >>= W
         table.append(tuple(row))
-    return tuple(table)
+    return tuple(table), pairs
 
 
 def multichain_counts(p: FinitePoset, m: int) -> list[int]:

@@ -258,6 +258,17 @@ def test_counts_over_capacity_exit_2_at_once(capsys, monkeypatch, argv, message)
     assert err == f"error: {message}\n"
 
 
+def test_the_chain_tables_strict_order_is_charged(capsys, monkeypatch):
+    # the weak order of S5 holds 1,779 strict pairs, in 600 table words at size 8
+    argv = ("poset", "stats", "--builder", "weak-order:5", "--xm", "8")
+    monkeypatch.setenv("CDE_CAPACITY", "1000")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: multichain strict order pairs needs 1019 > capacity 1000\n"
+    monkeypatch.setenv("CDE_CAPACITY", "1779")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_exit_codes_hold_over_a_seeded_fuzz_of_every_subcommand(monkeypatch):
     # every exit code is 0, 1 or 2 and no traceback reaches stderr; the
     # grammar bounds each call by work (cli_fuzz), so no clock is read

@@ -83,6 +83,30 @@ def test_library_reads_the_stored_topological_order():
         assert not lines, f"{path.name} calls .topological_order( on lines {lines}"
 
 
+def test_only_the_permutations_module_reads_the_interval_layout():
+    # the private fields of IntervalSummary are the walk's layout, "read only
+    # in this module"; every other module reads the public fields
+    path = SRC / "cde" / "permutations.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cls = next(node for node in tree.body if getattr(node, "name", None) == "IntervalSummary")
+    private = {
+        node.target.id
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and node.target.id.startswith("_")
+    }
+    assert private == {"_below", "_starts"}
+    for path in sorted((SRC / "cde").rglob("*.py")):
+        if path.name == "permutations.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in private
+        ]
+        assert not lines, f"{path.name} reads the interval layout on lines {lines}"
+
+
 # (setup, call, error): after `setup`, `call` must raise `error`
 _CHECKS = [
     ("", "tb.add_corner((2, 1), (1, 2))", "NotCornerError"),

@@ -479,7 +479,23 @@ def _weak_interval_cases():
 
 def test_weak_walk_matches_the_slicing_walk():
     for w in _weak_interval_cases():
-        assert permutations._weak_walk(w) == bruteforce.slicing_weak_walk(w), w
+        elements, below, down, starts = permutations._weak_walk(w)
+        oracle = bruteforce.slicing_weak_walk(w)
+        assert (elements, below, down) == oracle, w
+        # the ranks by another route: the length of each element the oracle found
+        ranks = [d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1])]
+        assert starts[0] == 0 and ranks == [length(w) - length(u) for u in oracle[0]], w
+        assert len(starts) - 2 == length(w), w
+
+
+@pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
+def test_a_one_element_interval(w):
+    p = weak_interval(w)
+    assert p == FinitePoset(1, [], [perm_label(w)]) and p.labels == (perm_label(w),)
+    assert p.order == p.level == (0,)
+    assert interval_summary(w)._starts == (0, 1)
+    # only the empty word has the identity as its 0-Hecke product
+    assert fk_polynomials(w, (0, 1, 2)) == (IntPolynomial((1,)), IntPolynomial(()), IntPolynomial(()))
 
 
 def test_complementary_EX_matches_the_member_set_count():

@@ -15,6 +15,7 @@ from cde.errors import (
     NotReducedError,
     SizeError,
 )
+from cde.permutations import weak_order_full
 from cde.poset import (
     FinitePoset,
     antichain,
@@ -316,6 +317,24 @@ def test_chain_table_is_built_once_per_poset_and_grown_by_doubling(monkeypatch):
     q = product(chain(5), chain(5))
     assert q == p and expectation_Xm(q, 8) == xm[-1]
     assert built == [2, 4, 8, 9, 8]
+
+
+def test_a_kept_chain_table_is_refused_under_a_lower_bound_as_a_fresh_poset_is(monkeypatch):
+    # weak-order:5 holds 1,779 strict pairs; the build passes 1,000 at 1,019
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    p = weak_order_full(5)
+    xm = expectation_Xm(p, 8)
+    monkeypatch.setenv("CDE_CAPACITY", "1000")
+    with pytest.raises(CapacityError) as fresh:
+        expectation_Xm(weak_order_full(5), 8)
+    assert str(fresh.value) == "multichain strict order pairs needs 1019 > capacity 1000"
+    # the kept table, and a smaller request read from its prefix, are refused alike
+    for m in (8, 2):
+        with pytest.raises(CapacityError) as kept:
+            expectation_Xm(p, m)
+        assert str(kept.value) == str(fresh.value)
+    monkeypatch.setenv("CDE_CAPACITY", "1779")
+    assert expectation_Xm(p, 8) == expectation_Xm(weak_order_full(5), 8) == xm
 
 
 def test_a_chain_table_read_is_the_callers_own():
