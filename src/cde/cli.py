@@ -29,13 +29,11 @@ def _fmt(value):
     return value
 
 
-def _emit(data: dict, args, order=None):
+def _emit(data: dict, args):
     if args.emit == "json":
         print(json.dumps({k: _fmt(v) for k, v in data.items()}, sort_keys=True))
         return
-    keys = order or list(data)
-    for k in keys:
-        v = data[k]
+    for k, v in data.items():
         line = f"{k}: {_fmt(v)}"
         if args.approx and isinstance(v, Fraction):
             line += f"  (~{float(v):.6g})"
@@ -131,8 +129,8 @@ def _cmd_young(args) -> int:
 
 
 def _cmd_shifted(args) -> int:
-    shape = tb.check_strict_partition(tb.parse_shape(args.shape))
-    p = tb.shifted_interval(shape)
+    shape = tb.parse_shape(args.shape)
+    p = tb.shifted_interval(shape)  # checks that the shape is strict
     st = ps.stats(p)
     data = {
         "shape": tb.shape_label(shape),

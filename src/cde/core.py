@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import index
 
-from .errors import DomainError
+from .errors import DomainError, MalformedInputError
 
 __all__ = [
     "stirling2",
@@ -86,6 +87,18 @@ def chu_vandermonde_check(m: int, B: Fraction | int, C: Fraction | int) -> bool:
     return total == pochhammer(C - B, m) / pochhammer(C, m)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as ints, through operator.index: an int or a bool passes,
+    and a float or a Fraction, which int() would truncate, raises
+    MalformedInputError naming the first such value."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise MalformedInputError(f"{what} {bad!r} is not an integer") from None
+
+
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
@@ -104,7 +117,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in self.coeffs)))
+        object.__setattr__(self, "coeffs", _trim(_integers(self.coeffs, "polynomial coefficient")))
 
     @staticmethod
     def zero() -> "IntPolynomial":

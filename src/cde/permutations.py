@@ -15,7 +15,7 @@ from itertools import accumulate, permutations as iperm
 from math import comb, factorial
 from operator import itemgetter
 
-from .core import IntPolynomial, interpolate_integer_polynomial, poly_divides, stirling2_row
+from .core import IntPolynomial, _integers, interpolate_integer_polynomial, poly_divides, stirling2_row
 from .errors import (
     CapacityError,
     MalformedInputError,
@@ -72,7 +72,7 @@ __all__ = [
 
 
 def check_permutation(w) -> tuple[int, ...]:
-    w = tuple(int(v) for v in w)
+    w = _integers(w, "permutation entry")
     if sorted(w) != list(range(1, len(w) + 1)):
         raise MalformedInputError(f"{w} is not a permutation of 1..{len(w)}")
     return w
@@ -674,14 +674,19 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     reach and that can still reach w in max(Ls) - k.  No polynomial has more coefficients than a
     chain of [e, w] has elements until step length(w), and each of the
     e = max(Ls) - length(w) steps past it adds one, so (e + 1)^2 coefficient
-    terms are charged before the first step."""
+    terms are charged before the first step, and then the |[e, w]| e^2 terms
+    that the steps past length(w) update."""
     summary = interval_summary(w)
     # rank d, of length ell - d, fills elements[first[d]:first[d + 1]]
     elements, below, first = summary.elements, summary._below, summary._starts
     n = len(w)
     ell = len(first) - 2
     top = max(Ls, default=-1)
-    _check_capacity((max(top - ell, 0) + 1) ** 2, "FK words coefficient terms")
+    extra = max(top - ell, 0)
+    _check_capacity((extra + 1) ** 2, "FK words coefficient terms")
+    terms = len(elements) * extra**2
+    if terms > capacity():
+        _check_capacity(terms, "FK words coefficient terms")
     # below[i] follows the descents of elements[i] in increasing order
     steps = []
     for u, lower in zip(elements, below):

@@ -143,13 +143,12 @@ class FinitePoset:
             raise SizeError("element count must be nonnegative")
         _check_capacity(n, "poset elements")  # before the n cover lists are built
         covers = self.covers
+        up = [[] for _ in range(n)]
+        down = [[] for _ in range(n)]
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 bad = min((a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n))
                 raise MalformedInputError(f"cover {bad} out of range")
-        up = [[] for _ in range(n)]
-        down = [[] for _ in range(n)]
-        for a, b in covers:
             up[a].append(b)
             down[b].append(a)
         for lst in up:
@@ -541,13 +540,13 @@ def disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
 
 
 def ordinal_sum(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    """Everything in p below everything in q."""
-    covers = set(p.covers) | {(a + p.n, b + p.n) for a, b in q.covers}
+    """Everything in p below everything in q: their disjoint union plus the
+    covers from the maximal elements of p to the minimal ones of q."""
+    union = disjoint_union(p, q)
     p_max = [x for x in range(p.n) if not p.upper_covers[x]]
-    q_min = [y for y in range(q.n) if not q.lower_covers[y]]
-    covers |= {(x, y + p.n) for x in p_max for y in q_min}
-    labels = [p.label(x) for x in range(p.n)] + [q.label(y) for y in range(q.n)]
-    return FinitePoset(p.n + q.n, covers, labels)
+    q_min = [y + p.n for y in range(q.n) if not q.lower_covers[y]]
+    covers = union.covers | {(x, y) for x in p_max for y in q_min}
+    return FinitePoset(union.n, covers, union.labels)
 
 
 def dual(p: FinitePoset) -> FinitePoset:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .core import IntPolynomial
+from .core import IntPolynomial, _integers
 from .errors import (
     MalformedInputError,
     NotBarelySetValuedError,
@@ -71,7 +71,7 @@ __all__ = [
 
 
 def check_partition(shape) -> tuple[int, ...]:
-    shape = tuple(int(p) for p in shape)
+    shape = _integers(shape, "partition part")
     if any(p <= 0 for p in shape):
         raise MalformedInputError(f"partition {shape} has a nonpositive part")
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
@@ -331,7 +331,7 @@ def default_flag(shape) -> tuple[int, ...]:
 
 def _checked_flag(shape, flag) -> tuple[int, ...]:
     rows = len(shape)
-    flag = tuple(int(b) for b in flag)
+    flag = _integers(flag, "flag bound")
     if len(flag) < rows:
         raise MalformedInputError(
             f"flag {flag} shorter than the {rows} rows of {shape}"
@@ -817,11 +817,12 @@ def dual_triple_to_barely(chain, mu, nu) -> SetValuedTableau:
 
 def flagged_to_partition(t) -> tuple[int, ...]:
     """Tableau flagged by (2,3,4,...) -> the subdiagram of cells holding
-    their own row index."""
+    their own row index.  A cell is an int or a tuple read by its first
+    entry; an empty tuple is malformed."""
     cells = []
     for i, row in enumerate(t, start=1):
         for j, v in enumerate(row, start=1):
-            val = v if isinstance(v, int) else v[0]
+            val = v if isinstance(v, int) or not v else v[0]
             if val == i:
                 cells.append((i, j))
             elif val != i + 1:
@@ -842,41 +843,29 @@ def partition_to_flagged(mu, shape) -> tuple[tuple[int, ...], ...]:
 
 def flagged_barely_to_cover(t: SetValuedTableau):
     """Barely set-valued tableau flagged by (2,3,4,...) -> the cover
-    (nu, mu) it encodes."""
+    (nu, mu) it encodes: nu is the flagged tableau read with the two-entry
+    cell (i, i+1) at its larger entry, and mu is nu plus that cell."""
     if not t.is_barely():
         raise NotBarelySetValuedError("expected exactly one two-entry cell")
-    nu_cells = []
-    x0 = None
-    for i, row in enumerate(t.rows, start=1):
-        for j, c in enumerate(row, start=1):
-            if c == (i,):
-                nu_cells.append((i, j))
-            elif c == (i, i + 1):
-                x0 = (i, j)
-            elif c != (i + 1,):
-                raise MalformedInputError(f"cell ({i},{j}) holds {c}")
-    *_, nu, mu = _grow(nu_cells + [x0])
-    return nu, mu
+    ((i, j),) = t.doubleton_cells()
+    if t.cell(i, j) != (i, i + 1):
+        raise MalformedInputError(f"cell ({i},{j}) holds {t.cell(i, j)}")
+    nu = flagged_to_partition([[c[-1:] for c in row] for row in t.rows])
+    try:
+        return nu, add_corner(nu, (i, j))
+    except NotCornerError as exc:
+        raise MalformedInputError("cells do not form a partition diagram") from exc
 
 
 def cover_to_flagged_barely(nu, mu, shape) -> SetValuedTableau:
+    """Inverse of flagged_barely_to_cover: the flagged tableau of nu with
+    the cell that mu adds, in row i, set to (i, i+1)."""
     nu, mu, shape = tuple(nu), tuple(mu), tuple(shape)
     k = _added_row(nu, mu, "nu is not covered by mu")
     if len(mu) > len(shape) or any(m > s for m, s in zip(mu, shape)):
         raise MalformedInputError(f"{mu} does not fit in {shape}")
-    x0 = (k + 1, mu[k])
-    rows = []
-    for i, length in enumerate(shape, start=1):
-        cut = nu[i - 1] if i <= len(nu) else 0
-        row = []
-        for j in range(1, length + 1):
-            if (i, j) == x0:
-                row.append((i, i + 1))
-            elif j <= cut:
-                row.append((i,))
-            else:
-                row.append((i + 1,))
-        rows.append(tuple(row))
+    rows = [list(row) for row in partition_to_flagged(nu, shape)]
+    rows[k][mu[k] - 1] = (k + 1, k + 2)
     return svt(rows)
 
 

@@ -129,12 +129,14 @@ def test_fk_command(capsys):
 
 
 def test_fk_with_a_long_word_length_runs_without_recursion():
-    # the words route is a loop over L, so L = 1200 needs no deep call stack
+    # the words route is a loop over L, so L = 1200 needs no deep call stack;
+    # it sweeps the 2 elements of [e, 21] for 1,199 steps past the length,
+    # 2 * 1199^2 = 2,875,202 coefficient terms, over the default bound
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "cde.cli", "--emit", "json", "fk", "--w", "21", "--L", "1200"],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, "CDE_CAPACITY": "2875202"},
         capture_output=True,
         text=True,
         timeout=120,
@@ -185,6 +187,11 @@ _N = 99999999999999  # a size far past any bound
         (
             ("fk", "--w", "21", "--L", "99999999999999"),
             "FK words coefficient terms needs 9999999999999800000000000001 > capacity 2000000",
+        ),
+        (
+            # |[e, w0]| * (L - 15)^2 = 720 * 53^2 terms; L = 67 runs
+            ("fk", "--w", "654321", "--L", "68"),
+            "FK words coefficient terms needs 2022480 > capacity 2000000",
         ),
         *[
             (("poset", "stats", "--builder", f"{name}:{_N}"), f"poset elements needs {_N} > capacity 2000000")
@@ -245,7 +252,7 @@ _N = 99999999999999  # a size far past any bound
         ),
     ],
     ids=[
-        "boolean-20000", "tamari-12345", "fk-words-huge-L",
+        "boolean-20000", "tamari-12345", "fk-words-huge-L", "fk-words-w0-S6-L68",
         "chain-N", "grid-N", "zigzag-N", "young-N", "shifted-N", "pabcd-N", "weak-order-N",
         "boolean-N", "strong-bruhat-N", "tamari-N", "poset-xm-N", "perm-xm-N", "poset-xm-chain-2000",
         "perm-word-n-N", "perm-word-N", "fk-word-n-N", "young-stats-N", "shifted-stats-N",
@@ -294,6 +301,16 @@ def test_fk_words_huge_L_exits_2_at_a_low_bound(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "fk", "--w", "21", "--L", "99999999999999")
     assert code == 2 and out == ""
     assert err.startswith("error: FK words coefficient terms needs ") and "Traceback" not in err
+
+
+def test_fk_words_charge_counts_the_interval(capsys, monkeypatch):
+    # [e, 321] has 6 elements: L = 13 costs 6 * 10^2 = 600 terms, L = 14 726
+    expected = permutations.fk_polynomial((3, 2, 1), 13, via="tableaux")
+    monkeypatch.setenv("CDE_CAPACITY", "600")
+    assert run_json(capsys, "fk", "--w", "321", "--L", "13")["coefficients"] == list(expected.coeffs)
+    code, out, err = run_cli(capsys, "fk", "--w", "321", "--L", "14")
+    assert (code, out) == (2, "")
+    assert err == "error: FK words coefficient terms needs 726 > capacity 600\n"
 
 
 def test_young_stats_of_a_long_row_needs_no_recursion(capsys):

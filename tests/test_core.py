@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -14,9 +15,36 @@ from cde.core import (
     stirling2,
     stirling2_row,
 )
-from cde.errors import DomainError
+from cde.errors import DomainError, MalformedInputError
+from cde.permutations import check_permutation, classify, interval_summary
+from cde.tableaux import check_partition, count_ssyt_by_total, young_interval
 
 from bruteforce import set_partitions_into
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: classify((2.5, 1)), "2.5"),
+        (lambda: young_interval((2.9, 1.2)), "2.9"),
+        (lambda: interval_summary((3.7, 2, 1)), "3.7"),
+        (lambda: count_ssyt_by_total((2, 1), (2.9, 3), 4), "2.9"),
+        (lambda: IntPolynomial((Fraction(1, 2), 1)), "Fraction(1, 2)"),
+        (lambda: IntPolynomial((0.9,)), "0.9"),
+    ],
+    ids=["permutation", "partition", "interval", "flag", "fraction-coefficient", "float-coefficient"],
+)
+def test_integer_inputs_are_not_truncated(call, value):
+    with pytest.raises(MalformedInputError, match=f"{re.escape(value)} is not an integer$"):
+        call()
+
+
+def test_ints_and_bools_still_pass_the_integer_checks():
+    assert IntPolynomial((True, False, 2)).coeffs == (1, 0, 2)
+    assert check_partition((2, True)) == (2, 1)
+    assert type(check_partition((True,))[0]) is int
+    assert check_permutation((2, True)) == (2, 1)
+    assert count_ssyt_by_total((2, 1), (2, 3), 4) == count_ssyt_by_total((2, True), [2, 3], 4)
 
 
 def test_stirling_trivial_and_paper_values():

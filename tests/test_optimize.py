@@ -139,6 +139,14 @@ _CHECKS = [
     ("", "ps.boolean(20000)", "CapacityError"),
     ("import cde.permutations as pm", "pm.fk_polynomial((2, 1), 99999999999999)", "CapacityError"),
     ("import cde.permutations as pm", "pm.left_factor_check((1, 2), (1, 2, 3))", "MalformedInputError"),
+    ("import cde.permutations as pm", "pm.check_permutation((2.5, 1))", "MalformedInputError"),
+    ("", "tb.check_partition((2.9, 1))", "MalformedInputError"),
+    ("", "tb.count_ssyt_by_total((2, 1), (2.9, 3), 4)", "MalformedInputError"),
+    (
+        "from fractions import Fraction; from cde.core import IntPolynomial",
+        "IntPolynomial((Fraction(1, 2), 1))",
+        "MalformedInputError",
+    ),
 ]
 
 

@@ -431,6 +431,23 @@ def test_ordinal_sum_negative_example():
     assert not is_CDE(p)
 
 
+def test_ordinal_sum_is_the_disjoint_union_plus_maxima_below_minima():
+    small = [p for n in range(1, 4) for p in all_posets_upto_iso(n)]
+    assert len(small) == 8
+    for p in small:
+        for q in small:
+            s = ordinal_sum(p, q)
+            p_max = [x for x in range(p.n) if not p.upper_covers[x]]
+            q_min = [y for y in range(q.n) if not q.lower_covers[y]]
+            assert s.n == p.n + q.n
+            assert s.covers == (
+                p.covers
+                | {(a + p.n, b + p.n) for a, b in q.covers}
+                | {(x, y + p.n) for x in p_max for y in q_min}
+            )
+            assert s.labels == tuple(map(p.label, range(p.n))) + tuple(map(q.label, range(q.n)))
+
+
 def test_builders_size_errors():
     for bad in (0, -1):
         with pytest.raises(SizeError):

@@ -660,6 +660,9 @@ def test_chain_bijections_full_domain():
         (cover_to_flagged_barely, ((1,), (2,), (1,))),
         (barely_to_triple, (SetValuedTableau((((1, 3),), ((2,),))),)),
         (barely_to_dual_triple, (SetValuedTableau((((1,), (4,)), ((2,), (3, 5)))),)),
+        (flagged_barely_to_cover, (SetValuedTableau((((1, 2), ()),)),)),
+        (flagged_barely_to_cover, (SetValuedTableau((((2,), (1, 2)),)),)),
+        (flagged_barely_to_cover, (SetValuedTableau((((1,), (2,)), ((1, 3),))),)),
     ],
     ids=[
         "chain-row-shrinks",
@@ -677,6 +680,9 @@ def test_chain_bijections_full_domain():
         "flagged-mu-outside-shape",
         "triple-barely-not-column-strict",
         "dual-barely-not-column-strict-in-second-column",
+        "flagged-barely-empty-cell",
+        "flagged-barely-doubleton-not-a-corner",
+        "flagged-barely-doubleton-off-its-row",
     ],
 )
 def test_malformed_chains_and_triples_are_rejected(convert, args):
@@ -707,14 +713,17 @@ def test_flagged_barely_bijection():
     nu, mu = flagged_barely_to_cover(t)
     assert (nu, mu) == ((2, 1), (2, 2))
     assert cover_to_flagged_barely(nu, mu, (4, 3, 1)) == t
-    # full domain on (2,2): barely flagged tableaux <-> covers of the interval
-    shape = (2, 2)
-    p = young_interval(shape)
-    listed = enumerate_ssyt(shape, default_flag(shape), sum(shape) + 1)
-    pairs = {flagged_barely_to_cover(t) for t in listed}
-    assert len(pairs) == len(listed) == len(p.covers)
-    for nu, mu in pairs:
-        assert cover_to_flagged_barely(nu, mu, shape) in listed
+    # full domain on every shape of at most 6 cells: each barely flagged
+    # tableau maps to a cover of the interval and back, and every cover is
+    # hit exactly once
+    for shape in all_partitions(6):
+        elements = subpartitions(shape)
+        covers = {(elements[a], elements[b]) for a, b in young_interval(shape).covers}
+        listed = enumerate_ssyt(shape, default_flag(shape), sum(shape) + 1)
+        pairs = [flagged_barely_to_cover(t) for t in listed]
+        assert sorted(pairs) == sorted(covers), shape
+        for t, (nu, mu) in zip(listed, pairs):
+            assert cover_to_flagged_barely(nu, mu, shape) == t, shape
 
 
 def test_hook_content_count():
