@@ -22,7 +22,7 @@ from .errors import (
     NotVexillaryError,
     RangeError,
 )
-from .poset import FinitePoset, _check_capacity, _check_count, _dd_through, _from_order, capacity
+from .poset import FinitePoset, _check_capacity, _check_count, _dd_through, _from_order, _ideals, capacity
 from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase, transpose
 
 __all__ = [
@@ -437,8 +437,9 @@ def count_nearly_reduced(w) -> int:
 def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
     """All length-L words with 0-Hecke product w (small cases only), in
     lexicographic order.  Every prefix stays in [e, w]: an ascent s of u,
-    with values a < b, adds only the inversion (a, b), so u * s stays below
-    w exactly when w puts b before a, as in `_expectation_X`.
+    with values a < b, adds only the inversion (a, b), and u <= w in right
+    weak order exactly when the inversions of u lie among those of w
+    (Björner–Brenti), so u * s stays below w exactly when w puts b before a.
 
     The search is depth first with an explicit stack, so a long word needs
     no deep call stack.  A stack entry (u, length(u), k, s) is the product u
@@ -480,29 +481,50 @@ def expectation_Y_words(w) -> Fraction:
 
 
 def expectation_X_complementary(w) -> Fraction:
-    """Edge density of the weak interval via the complementary count of
-    up-steps that leave the interval."""
-    return _expectation_X(interval_summary(w).elements)
+    """Edge density of the weak interval below w, read off the order ideals
+    of its noninversion poset: an independent route, which never walks [e, w].
+
+    [e, u ⊕ v] is the product [e, u] × [e, v], and E(X) adds over products,
+    so each direct-sum block of w of two or more entries is read alone, and
+    a long w with small blocks costs O(n)."""
+    w = check_permutation(w)
+    total = Fraction(0)
+    start = top = 0
+    for k, v in enumerate(w, start=1):
+        top = max(top, v)
+        if top == k:  # w[start:k] holds the values start+1..k
+            if k - start > 1:
+                size, edges = _extension_counts(tuple(x - start for x in w[start:k]))
+                total += Fraction(edges, size)
+            start = k
+    return total
 
 
-def _expectation_X(elements) -> Fraction:
-    """The count of up-steps that leave the interval behind
-    expectation_X_complementary, over the elements of the interval, w first.
+def _extension_counts(w) -> tuple[int, int]:
+    """(|[e, w]|, covers of [e, w]) from one pass over the covers of J(N(w)).
 
-    u <= w in right weak order exactly when the inversions of u lie among
-    those of w (Björner–Brenti).  An ascent s of u puts its values a < b out
-    of order and adds only the inversion (a, b), so u * s leaves [e, w]
-    exactly when w keeps a before b: two comparisons per adjacent pair of
-    each u, with no member set and no step built."""
-    w = elements[0]
-    n = len(w)
-    pos = (0,) + inverse(w)  # pos[v]: the position of the value v in w
-    missing = 0
-    for u in elements:
-        for a, b in zip(u, u[1:]):
-            if a < b and pos[a] < pos[b]:
-                missing += 1
-    return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(elements)))
+    [e, w] is the set of linear extensions of N = noninversion_poset(w), each
+    read as the values in the order it places them, so |[e, w]| counts the
+    paths from the empty ideal to the full one.  The lower covers of u in
+    [e, w] are its descents, two values placed one after the other, the later
+    one smaller: with fwd counting paths up to an ideal and bwd paths on from
+    it, the covers of [e, w] number fwd[h] * bwd[j] summed over the steps h to
+    i placing a, then i to j placing b < a."""
+    masks, covers = _ideals(noninversion_poset(w))
+    fwd = [1] + [0] * (len(masks) - 1)
+    into = [[] for _ in masks]  # into[i]: (value placed last, fwd of the ideal before)
+    for i, j, e in covers:  # sorted by i, so fwd[i] is complete
+        fwd[j] += fwd[i]
+        into[j].append((e, fwd[i]))
+    bwd = [0] * (len(masks) - 1) + [1]
+    edges = 0
+    for i, j, b in reversed(covers):
+        back = bwd[j]
+        bwd[i] += back
+        for a, f in into[i]:
+            if a > b:
+                edges += f * back
+    return fwd[-1], edges
 
 
 @dataclass(frozen=True)
@@ -526,11 +548,10 @@ def interval_summary(w) -> IntervalSummary:
     """The summary of the interval below w, computed once per
     (w, CDE_CAPACITY): every entry point that walks the interval
     (weak_interval_elements, weak_interval, count_reduced,
-    count_nearly_reduced, expectation_Y_words, expectation_X_complementary,
-    the FK words route, `cde perm stats` and the vexillary suites) reads this
-    value.  The bound is part of the key, so lowering CDE_CAPACITY walks again
-    and raises CapacityError where a fresh walk would; only the last summary
-    is kept."""
+    count_nearly_reduced, expectation_Y_words, the FK words route,
+    `cde perm stats` and the `vexillary` suite) reads this value.  The bound
+    is part of the key, so lowering CDE_CAPACITY walks again and raises
+    CapacityError where a fresh walk would; only the last summary is kept."""
     return _summary_at(check_permutation(w), capacity())
 
 
@@ -547,8 +568,8 @@ def _summary_at(w, bound) -> IntervalSummary:
     the sum of des(u) * up * down over the interval, the nearly reduced ones.
 
     E(X) is read off the walk as covers / elements, the edge density itself;
-    expectation_X_complementary stays the independent route, by the count of
-    up-steps that leave the interval, and Tier-1 compares the two."""
+    expectation_X_complementary is the independent route, by path sums over
+    the order ideals of the noninversion poset, and Tier-1 compares the two."""
     elements, below, down, starts = _weak_walk(w)
     up, nearly = _dd_through(below, range(len(elements)), down)
     edges = sum(map(len, below))
@@ -563,8 +584,11 @@ def _summary_at(w, bound) -> IntervalSummary:
 
 
 def noninversion_poset(w) -> FinitePoset:
-    """Order on {1..n} keeping i < j exactly when w leaves the pair in order;
-    linear extensions of this poset are the weak interval below w."""
+    """Order on {1..n} keeping i < j exactly when w leaves the pair in order.
+    Its linear extensions, read as one-line permutations, are the weak
+    interval below w: u <= w exactly when u keeps in order every pair that w
+    keeps (Björner–Wachs, "Permutation statistics and linear extensions of
+    posets", JCTA 1991)."""
     w = check_permutation(w)
     n = len(w)
     pos = inverse(w)

@@ -636,7 +636,9 @@ def _ideals(p: FinitePoset) -> tuple[list[int], list[tuple[int, int, int]]]:
 
     Ideals come by size, then lexicographically on their sorted elements; a
     cover (i, j, e) says ideal j is ideal i plus element e, and covers come
-    sorted by i.  This is the one walk over ideals in the package.
+    sorted by i.  This is the one walk over ideals in the package.  Both are
+    charged as they grow, an ideal as one unit and a cover as half of one, so
+    a lattice of up to two covers per ideal fits the bound its ideals fit.
     """
     lower = [sum(1 << z for z in zs) for zs in p.lower_covers]
     cap = capacity()
@@ -645,16 +647,20 @@ def _ideals(p: FinitePoset) -> tuple[list[int], list[tuple[int, int, int]]]:
     start = 0
     while start < len(masks):
         end = len(masks)
+        room = 2 * cap - len(covers)  # the covers this layer may add
         grown = []
         fresh = set()
         for i in range(start, end):
             m = masks[i]
             for e in range(p.n):
                 if not (m >> e) & 1 and lower[e] & m == lower[e]:
-                    grown.append((i, m | 1 << e, e))
-                    fresh.add(m | 1 << e)
+                    g = m | 1 << e
+                    grown.append((i, g, e))
+                    fresh.add(g)
                     if end + len(fresh) > cap:
                         _check_capacity(end + len(fresh), "order ideal enumeration")
+            if len(grown) > room:
+                _check_capacity((len(covers) + len(grown) + 1) // 2, "order ideal cover pairs")
         # descending on the bits read from element 0 up: a smaller first
         # differing element comes first
         masks += sorted(fresh, key=lambda g: format(g, f"0{p.n}b")[::-1], reverse=True)

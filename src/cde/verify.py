@@ -23,7 +23,7 @@ from pathlib import Path
 from . import permutations as perm
 from . import poset as ps
 from . import tableaux as tb
-from .errors import CapacityError, MalformedInputError, UnknownSuiteError
+from .errors import CapacityError, MalformedInputError, SizeError, UnknownSuiteError
 
 __all__ = [
     "CheckReport",
@@ -182,7 +182,9 @@ def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
     Built by repeatedly attaching a new maximal element on top of an order
     ideal, then deduplicating by canonical form (n <= 7 only).
     """
-    layer = [ps.FinitePoset(1, frozenset())]
+    if n < 0:
+        raise SizeError(f"n must be nonnegative, got {n}")
+    layer = [ps.FinitePoset(min(n, 1), frozenset())]
     for size in range(2, n + 1):
         seen = {}
         for p in layer:
@@ -797,9 +799,8 @@ def _suite_conj_vexillary_staircase(params):
             "settled": str(settled),
         }
 
-        def run(w=w, target=target):
-            summary = perm.interval_summary(w)
-            ex, ey = summary.EX, summary.EY
+        def run(w=w, shape=shape, target=target):
+            ex, ey = perm.expectation_X_complementary(w), _young_EY(shape)
             return (str(target), f"EX={ex} EY={ey} predicted={target}", ex == ey == target)
 
         checks.append(_Check(instance, run, conjectural=not settled))

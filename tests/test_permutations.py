@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations as iperm
+from pathlib import Path
 
 import pytest
 
@@ -333,13 +337,13 @@ def test_weak_walk_stops_at_the_capacity_bound(monkeypatch):
     assert count_nearly_reduced(w) == 84
 
 
-# every public route that walks the weak interval below w
+# every public route that walks the weak interval below w;
+# expectation_X_complementary reads the ideals of N(w) instead
 _WALK_ENTRY_POINTS = (
     weak_interval_elements,
     weak_interval,
     count_reduced,
     count_nearly_reduced,
-    expectation_X_complementary,
     expectation_Y_words,
     lambda w: fk_polynomial(w, length(w) + 1),
 )
@@ -499,14 +503,14 @@ def test_a_one_element_interval(w):
 
 
 def test_complementary_EX_matches_the_member_set_count():
-    # the inversion test needs no member set; the oracle looks each step up
-    cases = list(_weak_interval_cases())
-    staircase = _suite_conj_vexillary_staircase({"n": "7"})
-    assert len(staircase) == 211
-    cases += [parse_perm(check.instance["w"]) for check in staircase]
+    # the ideal route against the walk's covers / elements and the brute-force
+    # count of up-steps that leave the member set: every w in S1..S6, 30
+    # seeded w in S9, and all 5,040 w in S7
+    cases = list(_weak_interval_cases()) + list(iperm(range(1, 8)))
+    assert len(cases) == 5943
     for w in cases:
         expected = bruteforce.member_set_expectation_X(bruteforce.slicing_weak_walk(w)[0])
-        assert expectation_X_complementary(w) == expected, w
+        assert expectation_X_complementary(w) == interval_summary(w).EX == expected, w
 
 
 def test_weak_interval_matches_the_globally_sorted_poset():
@@ -518,6 +522,75 @@ def test_weak_interval_matches_the_globally_sorted_poset():
         assert p.order == q.order and p.level == q.level, w
         # graded by length, from the identity at level 0 up to w
         assert list(p.level) == sorted(p.level) and p.level[-1] == length(w), w
+
+
+def test_the_ideal_route_adds_over_direct_sum_blocks():
+    # [e, u + v] = [e, u] x [e, v]: 321 + 21 + 1 gives 1 + 1/2, and
+    # 4231 + 21 gives 5/4 + 1/2; a block of one entry adds nothing
+    assert expectation_X_complementary((3, 2, 1, 5, 4, 6)) == Fraction(3, 2)
+    assert expectation_X_complementary((4, 2, 3, 1, 6, 5)) == Fraction(7, 4)
+    assert expectation_X_complementary(identity(9)) == 0
+
+
+def test_the_ideal_route_reaches_far_past_the_walks_bound(monkeypatch):
+    # [e, w0] of S12 has 12! elements, refused by the walk from S10 on; N(w0)
+    # is an antichain, whose 4,096 ideals give E(X) = (n - 1)/2
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+
+    def refuse(w):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(permutations, "_weak_walk", refuse)
+    permutations._summary_at.cache_clear()
+    assert expectation_X_complementary(tuple(range(12, 0, -1))) == Fraction(11, 2)
+
+
+def test_the_ideal_route_is_charged_for_the_covers_it_holds(monkeypatch):
+    # J(N(w0)) of S10 has 2^10 ideals and 10 * 2^9 = 5,120 covers, two to a
+    # unit of the bound, and holds under 1 KB per unit at its bound
+    w0 = tuple(range(10, 0, -1))
+    monkeypatch.setenv("CDE_CAPACITY", "2559")
+    with pytest.raises(CapacityError, match="^order ideal cover pairs needs 2560 > capacity 2559$"):
+        expectation_X_complementary(w0)
+    monkeypatch.setenv("CDE_CAPACITY", "2560")
+    tracemalloc.start()
+    try:
+        ex = expectation_X_complementary(w0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ex == Fraction(9, 2)
+    assert peak < 2560 * 2**10, peak
+
+
+def test_w0_of_S20_is_refused_at_the_default_bound_before_its_covers_fill_memory():
+    # the antichain of 20 has 2^20 ideals, under the bound, but 10,485,760
+    # covers (~1 GB as tuples); the charge stops the walk once it holds
+    # over 4,000,000 of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import resource\n"
+        "from cde.errors import CapacityError\n"
+        "from cde.permutations import expectation_X_complementary\n"
+        "try:\n"
+        "    expectation_X_complementary(tuple(range(20, 0, -1)))\n"
+        "except CapacityError as exc:\n"
+        "    print(exc)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "CDE_CAPACITY"}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**env, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    message, max_rss_kb = done.stdout.splitlines()
+    assert message == "order ideal cover pairs needs 2000001 > capacity 2000000"
+    assert int(max_rss_kb) < 2**20, max_rss_kb  # under 1 GB
 
 
 def test_a_long_permutation_with_a_small_interval_costs_memory_linear_in_n(monkeypatch):

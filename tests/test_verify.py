@@ -117,6 +117,12 @@ def test_all_posets_upto_iso_counts():
         assert len(all_posets_upto_iso(n)) == want
 
 
+def test_all_posets_upto_iso_of_no_elements_and_of_a_negative_count():
+    assert [(p.n, p.covers) for p in all_posets_upto_iso(0)] == [(0, frozenset())]
+    with pytest.raises(SizeError):
+        all_posets_upto_iso(-3)
+
+
 def test_all_posets_upto_iso_representatives_pinned():
     # prop-toggle reports carry each representative's covers, so the first
     # poset seen per isomorphism class must not change
@@ -271,7 +277,7 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_vexillary_staircase_walks_each_instance_once(monkeypatch):
+def test_vexillary_staircase_makes_no_walk(monkeypatch):
     rows = [row for row in verify._manifest_rows()
             if row == ("conj-vexillary-staircase", (("n", "6"),))]
     assert len(rows) == 1
@@ -281,8 +287,9 @@ def test_vexillary_staircase_walks_each_instance_once(monkeypatch):
     reports = run_suite("conj-vexillary-staircase")
     assert len(reports) == 92
     assert all(r.status in ("pass", "conjecture-consistent") for r in reports)
-    # one walk per instance, and classify only for the instances kept
-    assert [perm_label(args[0]) for args in walks] == [r.instance["w"] for r in reports]
+    # E(X) comes off the ideals of N(w) and E(Y) off the shape, so no
+    # interval is walked; classify runs only for the instances kept
+    assert walks == []
     assert len(classified) == len(reports)
 
 
@@ -415,9 +422,27 @@ def test_fplus_row_enumerates_up_to_size_8_and_counts_chains_for_all(monkeypatch
     assert max(sum(shape) for (shape,) in enumerated) == 8
 
 
-def test_staircase_suite_skips_the_complementary_count(monkeypatch):
-    complementary = _counting(monkeypatch, permutations, "_expectation_X")
+def test_staircase_suite_reads_EX_off_the_ideals_and_EY_off_the_shape(monkeypatch):
+    routes = _counting(monkeypatch, permutations, "expectation_X_complementary")
+    shapes = _counting(monkeypatch, verify, "_young_EY")
+    summaries = _counting(monkeypatch, permutations, "_summary_at")  # last: it clears the memo
     checks = verify._suite_conj_vexillary_staircase({"n": "6"})
     assert all(check.run()[2] for check in checks)
     assert len(checks) == 92
-    assert complementary == []
+    assert summaries == []
+    assert [perm_label(w) for (w,) in routes] == [c.instance["w"] for c in checks]
+    assert [shape_label(shape) for (shape,) in shapes] == [c.instance["shape"] for c in checks]
+
+
+def test_the_walks_EY_equals_the_shape_value_on_every_staircase_row():
+    # the staircase suite reads E(Y) off the shape, which the vexillary word
+    # counts settle; this keeps the walk's own E(Y) checked on its 828 w
+    count = 0
+    for n in range(3, 9):
+        for check in verify._suite_conj_vexillary_staircase({"n": str(n)}):
+            w, shape = parse_perm(check.instance["w"]), parse_shape(check.instance["shape"])
+            assert permutations.interval_summary(w).EY == verify._young_EY(shape), w
+            count += 1
+    assert count == 828
+
+
