@@ -90,8 +90,13 @@ def chu_vandermonde_check(m: int, B: Fraction | int, C: Fraction | int) -> bool:
 def _integers(values, what: str) -> tuple[int, ...]:
     """The values as ints, through operator.index: an int or a bool passes,
     and a float or a Fraction, which int() would truncate, raises
-    MalformedInputError naming the first such value."""
-    values = tuple(values)
+    MalformedInputError naming the first such value.  So does input that
+    cannot be iterated over, such as None, naming its type."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        kind = type(values).__name__
+        raise MalformedInputError(f"{what} values must come as a sequence, not {kind}") from None
     try:
         return tuple(map(index, values))
     except TypeError:

@@ -446,6 +446,7 @@ def enumerate_hecke_words(w, L: int) -> list[tuple[int, ...]]:
     of a prefix of k letters ending in s; the letters before s are still in
     `word`, since only the subtrees of earlier siblings ran in between."""
     w = check_permutation(w)
+    (L,) = _integers((L,), "word length")
     n = len(w)
     lw = length(w)
     pos = (0,) + inverse(w)  # pos[v]: the position of the value v in w
@@ -510,7 +511,7 @@ def _extension_counts(w) -> tuple[int, int]:
     one smaller: with fwd counting paths up to an ideal and bwd paths on from
     it, the covers of [e, w] number fwd[h] * bwd[j] summed over the steps h to
     i placing a, then i to j placing b < a."""
-    masks, covers = _ideals(noninversion_poset(w))
+    masks, covers = _ideals(_noninversion_order(w))
     fwd = [1] + [0] * (len(masks) - 1)
     into = [[] for _ in masks]  # into[i]: (value placed last, fwd of the ideal before)
     for i, j, e in covers:  # sorted by i, so fwd[i] is complete
@@ -590,10 +591,22 @@ def noninversion_poset(w) -> FinitePoset:
     keeps (Björner–Wachs, "Permutation statistics and linear extensions of
     posets", JCTA 1991)."""
     w = check_permutation(w)
-    n = len(w)
-    pos = inverse(w)
-    below = [sum(1 << a for a in range(b) if pos[a] < pos[b]) for b in range(n)]
-    return _from_order(below, [str(v) for v in range(1, n + 1)])
+    return _from_order(_noninversion_order(w), [str(v) for v in range(1, len(w) + 1)])
+
+
+def _noninversion_order(w) -> list[int]:
+    """The order of noninversion_poset(w) in order_relation()'s format, on
+    the values 1..n as elements 0..n-1: bit a of entry b is set iff a = b,
+    or a < b and w places the value a + 1 before b + 1.  It is charged as
+    poset elements before it is built, as the poset itself is."""
+    _check_capacity(len(w), "poset elements")
+    down = [0] * len(w)
+    placed = 0  # the values w places before v
+    for v in w:
+        bit = 1 << (v - 1)
+        down[v - 1] = (placed & (bit - 1)) | bit
+        placed |= bit
+    return down
 
 
 def dominant_EX_closed_form(d: int, a: int, b: int) -> Fraction:
@@ -774,7 +787,7 @@ def fk_polynomials(w, Ls, via: str = "words") -> tuple[IntPolynomial, ...]:
     flagged set-valued tableau DP for every x up to the largest L.
     """
     w = check_permutation(w)
-    Ls = tuple(Ls)
+    Ls = _integers(Ls, "word length")
     if any(L < 0 for L in Ls):
         raise RangeError("L must be nonnegative")
     if via == "words":

@@ -21,6 +21,7 @@ from math import comb, factorial
 from numbers import Rational
 from operator import mul
 
+from .core import _integers
 from .errors import (
     CapacityError,
     CycleError,
@@ -246,18 +247,20 @@ def validate(p: FinitePoset) -> None:
         raise NotReducedError(min(implied))
 
 
-def _from_order(below: list[int], labels=None) -> FinitePoset:
-    """The poset whose strict order is `below`: bit x of below[y] is set iff
-    x < y, and the relation is transitively closed.  This is the one Hasse
-    reduction in the package: the lower covers of y are the elements of
-    below[y] that lie under no other element of below[y]."""
-    n = len(below)
+def _from_order(down: list[int], labels=None) -> FinitePoset:
+    """The poset whose order is `down`, in order_relation()'s format: bit x
+    of down[y] is set iff x <= y, and the relation is transitively closed.
+    This is the one Hasse reduction in the package: the lower covers of y
+    are the elements strictly below y that lie strictly below no other
+    element strictly below y."""
+    n = len(down)
     covers = set()
-    for y, mask in enumerate(below):
+    for y, mask in enumerate(down):
+        strict = mask & ~(1 << y)
         shadow = 0
-        for z in _members(mask, n):
-            shadow |= below[z]
-        covers.update((x, y) for x in _members(mask & ~shadow, n))
+        for z in _members(strict, n):
+            shadow |= down[z] & ~(1 << z)
+        covers.update((x, y) for x in _members(strict & ~shadow, n))
     return FinitePoset(n, covers, labels)
 
 
@@ -424,6 +427,7 @@ def multichain_counts(p: FinitePoset, m: int) -> list[int]:
     their set (the zeta-polynomial expansion, Stanley, EC1 3.12).
     """
     _require_nonempty(p)
+    (m,) = _integers((m,), "multichain size")
     if m < 1:
         raise SizeError("m must be a positive integer")
     if m == 1:  # the one 1-element multichain through e is {e}
@@ -462,6 +466,7 @@ def is_CDE(p: FinitePoset) -> bool:
 
 def _multichain_expectations(p: FinitePoset, M: int) -> list[Fraction]:
     """E(X^(m)) for m = 1..M, all read from one table of chain counts."""
+    (M,) = _integers((M,), "largest multichain size")
     if M < 1:
         return []
     _require_nonempty(p)
@@ -484,6 +489,7 @@ def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
     This is a necessary condition for the (infinite) property that the
     expectation is constant for every m >= 1; it never certifies more.
     """
+    (M,) = _integers((M,), "largest multichain size")
     base = expectation_X(p)
     return M < 2 or all(e == base for e in _multichain_expectations(p, M))
 
@@ -631,16 +637,22 @@ def tamari(n: int) -> FinitePoset:
     return FinitePoset(len(tris), covers, labels)
 
 
-def _ideals(p: FinitePoset) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Every order ideal of p as a bitmask, and the covers of J(P).
+def _ideals(down: list[int]) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Every order ideal of the order `down` as a bitmask, and the covers of
+    J(P).
 
-    Ideals come by size, then lexicographically on their sorted elements; a
-    cover (i, j, e) says ideal j is ideal i plus element e, and covers come
-    sorted by i.  This is the one walk over ideals in the package.  Both are
-    charged as they grow, an ideal as one unit and a cover as half of one, so
-    a lattice of up to two covers per ideal fits the bound its ideals fit.
+    `down` is in order_relation()'s format, bit z of down[y] set iff z <= y.
+    Element e can join ideal m exactly when down[e] & ~m is e alone, so any
+    reflexive masks that generate the order by transitivity, such as each
+    element with its lower covers, give the same walk.  Ideals come by size,
+    then lexicographically on their sorted elements; a cover (i, j, e) says
+    ideal j is ideal i plus element e, and covers come sorted by i.  This is
+    the one walk over ideals in the package.  Both are charged as they grow,
+    an ideal as one unit and a cover as half of one, so a lattice of up to
+    two covers per ideal fits the bound its ideals fit.
     """
-    lower = [sum(1 << z for z in zs) for zs in p.lower_covers]
+    n = len(down)
+    items = [(e, d, 1 << e) for e, d in enumerate(down)]
     cap = capacity()
     masks = [0]
     covers = []
@@ -652,9 +664,10 @@ def _ideals(p: FinitePoset) -> tuple[list[int], list[tuple[int, int, int]]]:
         fresh = set()
         for i in range(start, end):
             m = masks[i]
-            for e in range(p.n):
-                if not (m >> e) & 1 and lower[e] & m == lower[e]:
-                    g = m | 1 << e
+            outside = ~m
+            for e, d, bit in items:
+                if d & outside == bit:
+                    g = m | bit
                     grown.append((i, g, e))
                     fresh.add(g)
                     if end + len(fresh) > cap:
@@ -663,7 +676,7 @@ def _ideals(p: FinitePoset) -> tuple[list[int], list[tuple[int, int, int]]]:
                 _check_capacity((len(covers) + len(grown) + 1) // 2, "order ideal cover pairs")
         # descending on the bits read from element 0 up: a smaller first
         # differing element comes first
-        masks += sorted(fresh, key=lambda g: format(g, f"0{p.n}b")[::-1], reverse=True)
+        masks += sorted(fresh, key=lambda g: format(g, f"0{n}b")[::-1], reverse=True)
         index = {g: j for j, g in enumerate(masks[end:], end)}
         covers += [(i, index[g], e) for i, g, e in grown]
         start = end
@@ -676,12 +689,12 @@ def _members(mask: int, n: int) -> list[int]:
 
 def order_ideals(p: FinitePoset) -> list[frozenset[int]]:
     """All order ideals (down-closed subsets), by size, then lexicographically."""
-    return [frozenset(_members(m, p.n)) for m in _ideals(p)[0]]
+    return [frozenset(_members(m, p.n)) for m in _ideals(p.order_relation())[0]]
 
 
 def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     """Distributive lattice of order ideals, ordered by containment."""
-    masks, covers = _ideals(p)
+    masks, covers = _ideals(p.order_relation())
     labels = ["{" + ",".join(p.label(e) for e in _members(m, p.n)) + "}" for m in masks]
     return FinitePoset(len(masks), {(i, j) for i, j, _ in covers}, labels)
 
@@ -695,7 +708,7 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     complement of ideal i, and every such incidence is one cover.
     """
     _require_nonempty(base)
-    masks, covers = _ideals(base)
+    masks, covers = _ideals(base.order_relation())
     counts = multichain_counts(FinitePoset(len(masks), {(i, j) for i, j, _ in covers}), m)
     balance = [0] * base.n
     for i, j, e in covers:
@@ -708,9 +721,10 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
 
 
 def _refine_colors(p: FinitePoset):
-    sig = [(p.down_degree(x), len(p.upper_covers[x])) for x in range(p.n)]
-    palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-    colors = [palette[s] for s in sig]
+    """Colour refinement from one colour: the first round splits the
+    elements by their down- and up-degrees, and each later round by the
+    colours of their lower and upper covers, until no class splits."""
+    colors = [0] * p.n
     while True:
         sig = [
             (
@@ -847,7 +861,7 @@ def linear_extension_count(p: FinitePoset) -> int:
 
 def _linear_extensions_by_ideals(p: FinitePoset) -> int:
     """Maximal chains of J(P): paths from the empty ideal to the full one."""
-    masks, covers = _ideals(p)
+    masks, covers = _ideals(p.order_relation())
     paths = [1] + [0] * (len(masks) - 1)
     for i, j, _ in covers:
         paths[j] += paths[i]
@@ -890,19 +904,19 @@ def quotient_cover(p: FinitePoset, i: int, j: int) -> FinitePoset:
     masks = p.order_relation()
     keep = [x for x in range(p.n) if x != j]
     low = (1 << j) - 1
-    below = []
+    down = []
     for y in keep:
         # x <= y in the quotient iff x <= y originally, or the chain may hop
         # through the merged pair: x <= j and i <= y
         mask = masks[y] | (masks[j] if (masks[y] >> i) & 1 else 0)
-        mask &= ~(1 << y | 1 << j)
-        below.append(mask & low | mask >> 1 & ~low)  # renumber past j as keep does
+        mask &= ~(1 << j)
+        down.append(mask & low | mask >> 1 & ~low)  # renumber past j as keep does
     labels = None
     if p.labels is not None:
         labels = [
             p.label(x) if x != i else f"{p.label(i)}={p.label(j)}" for x in keep
         ]
-    return _from_order(below, labels)
+    return _from_order(down, labels)
 
 
 # ---------------------------------------------------------------------------

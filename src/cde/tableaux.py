@@ -182,14 +182,20 @@ def _diagram_ideals(shape, shifted: bool):
     are those of an ideal one cover below it plus the cell the cover adds.
     """
     check = check_strict_partition if shifted else check_partition
-    shape = check(shape) if shape else ()
+    shape = check(shape)
     _check_capacity(sum(shape), "poset elements")  # before the cells are listed
     cells = [(i, i * shifted + j) for i, part in enumerate(shape) for j in range(part)]
     index = {c: e for e, c in enumerate(cells)}
-    covers = {
-        (index[i, j], index[c]) for i, j in cells for c in ((i, j + 1), (i + 1, j)) if c in index
-    }
-    masks, walk = _ideals(FinitePoset(len(cells), covers))
+    # down[e]: the cells weakly below cell e, which are e and the cells
+    # weakly below its left and upper neighbours, both listed before it
+    down = []
+    for e, (i, j) in enumerate(cells):
+        mask = 1 << e
+        for c in ((i, j - 1), (i - 1, j)):
+            if c in index:
+                mask |= down[index[c]]
+        down.append(mask)
+    masks, walk = _ideals(down)
     parts = [()] + [None] * (len(masks) - 1)
     for a, b, e in walk:  # sorted by a < b, so parts[a] is known
         if parts[b] is None:
@@ -365,7 +371,7 @@ def _ssyt_counts_by_shift(shape, flag, max_total: int, shifts) -> tuple[dict[int
     share the other rows reach c'[i] through one running sum.  The live
     states of each step are charged against the capacity bound.
     """
-    shape = check_partition(shape) if shape else ()
+    shape = check_partition(shape)
     if not shape:
         return tuple({0: 1} if max_total >= 0 else {} for _ in shifts)
     flag = _checked_flag(shape, flag)
@@ -433,7 +439,7 @@ def _lex_subsets(pool, max_size):
 def enumerate_ssyt(shape, flag, total: int) -> list["SetValuedTableau"]:
     """All tableaux counted by count_ssyt, in row-major order with cells
     compared lexicographically as sorted entry tuples."""
-    shape = check_partition(shape) if shape else ()
+    shape = check_partition(shape)
     if not shape:
         return [SetValuedTableau(())] if total == 0 else []
     flag = _checked_flag(shape, flag)
@@ -474,7 +480,7 @@ def R_and_Rplus(shape) -> tuple[int, int]:
     """Element and cover counts of the interval below `shape`, by the
     outside-corner recurrence.  The verify `recurrences` suite checks them
     against the flagged tableau count and the interval itself."""
-    shape = check_partition(shape) if shape else ()
+    shape = check_partition(shape)
     table = _rank_table(shape)
     splits = _corner_splits(shape)
     return table[shape](1), sum((i - 1) * table[b](1) * table[r](1) for i, _, b, r in splits)
@@ -677,7 +683,7 @@ def enumerate_standard_tableaux(shape) -> list[tuple[tuple[int, ...], ...]]:
 
     Raises CapacityError before the search when the hook-length count is
     over the capacity bound."""
-    shape = check_partition(shape) if shape else ()
+    shape = check_partition(shape)
     fills = _increasing_fills(shape, False, hook_f(shape), "standard tableau enumeration")
     return [tuple(tuple(v for (v,) in row) for row in t) for t in fills]
 
@@ -692,7 +698,7 @@ def enumerate_standard_barely(shape) -> list[SetValuedTableau]:
     shape up to size 10 and with this search for the shapes up to size 8;
     the `bijections` suite and Tier-1 check the listed tableaux themselves.
     """
-    shape = check_partition(shape) if shape else ()
+    shape = check_partition(shape)
     fills = _increasing_fills(
         shape, True, f_plus_one(shape), "barely set-valued tableau enumeration"
     )
@@ -876,7 +882,7 @@ def cover_to_flagged_barely(nu, mu, shape) -> SetValuedTableau:
 def hook_content_count(shape, t: int) -> int:
     """Number of column-strict tableaux with entries at most t, by the
     hook-content product."""
-    shape = check_partition(shape) if shape else ()
+    shape = check_partition(shape)
     out = Fraction(1)
     hooks = hook_lengths(shape)
     for i in range(len(shape)):

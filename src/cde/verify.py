@@ -189,7 +189,7 @@ def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
         seen = {}
         for p in layer:
             upper = [sum(1 << u for u in us) for us in p.upper_covers]
-            for ideal in ps._ideals(p)[0]:
+            for ideal in ps._ideals(p.order_relation())[0]:
                 maxima = [
                     e for e in range(p.n) if (ideal >> e) & 1 and not ideal & upper[e]
                 ]

@@ -16,8 +16,25 @@ from cde.core import (
     stirling2_row,
 )
 from cde.errors import DomainError, MalformedInputError
-from cde.permutations import check_permutation, classify, interval_summary
-from cde.tableaux import check_partition, count_ssyt_by_total, young_interval
+from cde.permutations import (
+    check_permutation,
+    classify,
+    enumerate_hecke_words,
+    fk_polynomials,
+    interval_summary,
+)
+from cde.poset import _multichain_expectations, chain, is_mCDE_upto, multichain_counts
+from cde.tableaux import (
+    R_and_Rplus,
+    check_partition,
+    count_ssyt_by_total,
+    enumerate_ssyt,
+    enumerate_standard_barely,
+    enumerate_standard_tableaux,
+    hook_content_count,
+    shifted_interval,
+    young_interval,
+)
 
 from bruteforce import set_partitions_into
 
@@ -31,12 +48,48 @@ from bruteforce import set_partitions_into
         (lambda: count_ssyt_by_total((2, 1), (2.9, 3), 4), "2.9"),
         (lambda: IntPolynomial((Fraction(1, 2), 1)), "Fraction(1, 2)"),
         (lambda: IntPolynomial((0.9,)), "0.9"),
+        (lambda: enumerate_hecke_words((2, 1), 2.5), "2.5"),
+        (lambda: fk_polynomials((2, 1), (3, Fraction(7, 2))), "Fraction(7, 2)"),
+        (lambda: multichain_counts(chain(3), 1.0), "1.0"),
+        (lambda: _multichain_expectations(chain(3), 2.0), "2.0"),
+        (lambda: is_mCDE_upto(chain(3), 1.5), "1.5"),
     ],
-    ids=["permutation", "partition", "interval", "flag", "fraction-coefficient", "float-coefficient"],
+    ids=[
+        "permutation",
+        "partition",
+        "interval",
+        "flag",
+        "fraction-coefficient",
+        "float-coefficient",
+        "word-length",
+        "fk-lengths",
+        "multichain-size",
+        "multichain-expectations",
+        "mcde-bound",
+    ],
 )
 def test_integer_inputs_are_not_truncated(call, value):
     with pytest.raises(MalformedInputError, match=f"{re.escape(value)} is not an integer$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: young_interval(s).n,
+        lambda s: shifted_interval(s).n,
+        lambda s: count_ssyt_by_total(s, (2,), 1),
+        lambda s: enumerate_ssyt(s, (2,), 1),
+        R_and_Rplus,
+        enumerate_standard_tableaux,
+        enumerate_standard_barely,
+        lambda s: hook_content_count(s, 1),
+    ],
+)
+def test_a_missing_shape_is_an_error_not_the_empty_shape(call):
+    with pytest.raises(MalformedInputError, match="^partition part values must come as a sequence, not NoneType$"):
+        call(None)
+    assert call(()) == call([])
 
 
 def test_ints_and_bools_still_pass_the_integer_checks():

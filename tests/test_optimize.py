@@ -147,6 +147,16 @@ _CHECKS = [
         "IntPolynomial((Fraction(1, 2), 1))",
         "MalformedInputError",
     ),
+    ("", "tb.young_interval(None)", "MalformedInputError"),
+    ("import cde.permutations as pm", "pm.enumerate_hecke_words((2, 1), 2.5)", "MalformedInputError"),
+    (
+        "from fractions import Fraction; import cde.permutations as pm",
+        "pm.fk_polynomials((2, 1), (3, Fraction(7, 2)))",
+        "MalformedInputError",
+    ),
+    ("", "ps.multichain_counts(ps.chain(3), 1.0)", "MalformedInputError"),
+    ("", "ps._multichain_expectations(ps.chain(3), 2.0)", "MalformedInputError"),
+    ("", "ps.is_mCDE_upto(ps.chain(3), 1.5)", "MalformedInputError"),
 ]
 
 

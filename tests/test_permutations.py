@@ -52,7 +52,7 @@ from cde.permutations import (
     vexillary_permutations,
     word_to_hecke,
 )
-from cde import cli, permutations
+from cde import cli, permutations, poset
 from cde.poset import (
     FinitePoset,
     dual,
@@ -530,6 +530,16 @@ def test_the_ideal_route_adds_over_direct_sum_blocks():
     assert expectation_X_complementary((3, 2, 1, 5, 4, 6)) == Fraction(3, 2)
     assert expectation_X_complementary((4, 2, 3, 1, 6, 5)) == Fraction(7, 4)
     assert expectation_X_complementary(identity(9)) == 0
+
+
+def test_the_ideal_route_validates_no_poset(monkeypatch):
+    # N(w) goes to the ideal walk as order masks, not as a poset
+    validated = []
+    real = poset.validate
+    monkeypatch.setattr(poset, "validate", lambda p: validated.append(p.n) or real(p))
+    assert expectation_X_complementary(dominant_of_shape((4, 3, 2, 1))) == 2
+    assert expectation_X_complementary(dominant_of_shape(rect_staircase(3, 2, 1))) == Fraction(4, 3)
+    assert validated == []
 
 
 def test_the_ideal_route_reaches_far_past_the_walks_bound(monkeypatch):

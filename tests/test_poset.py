@@ -566,7 +566,7 @@ def test_order_ideal_lattice_of_grid():
 
 def test_ideals_of_a_grid():
     # the partitions in a 3 x 4 box, C(7, 3) of them
-    masks, covers = poset._ideals(product(chain(3), chain(4)))
+    masks, covers = poset._ideals(product(chain(3), chain(4)).order_relation())
     assert (len(masks), len(covers)) == (35, 60)
 
 
@@ -616,6 +616,21 @@ def _check_ideal_views(p):
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_ideal_views_match_bruteforce(p):
     _check_ideal_views(p)
+
+
+@given(_posets())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_the_order_masks_give_back_the_covers(p):
+    assert poset._from_order(p.order_relation()) == p
+
+
+@given(_posets())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_the_ideal_walk_reads_any_reflexive_masks_that_generate_the_order(p):
+    # each element with its lower covers generates the order as the full
+    # order relation does, so both give the same ideals and covers
+    near = [1 << x | sum(1 << z for z in zs) for x, zs in enumerate(p.lower_covers)]
+    assert poset._ideals(near) == poset._ideals(p.order_relation())
 
 
 def test_ideal_views_on_every_small_poset():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cde import tableaux
+from cde import poset, tableaux
 from cde.core import IntPolynomial
 from cde.errors import (
     CapacityError,
@@ -145,11 +145,20 @@ def test_intervals_match_the_bruteforce_oracle():
 def test_intervals_make_one_ideal_walk(monkeypatch):
     walks = []
     real = tableaux._ideals
-    monkeypatch.setattr(tableaux, "_ideals", lambda p: walks.append(p.n) or real(p))
+    monkeypatch.setattr(tableaux, "_ideals", lambda down: walks.append(len(down)) or real(down))
     assert young_interval((4, 3, 2, 1)).n == 42
     assert walks == [10]
     assert shifted_interval((5, 3, 1)).n == 20
     assert walks == [10, 9]
+
+
+def test_an_interval_validates_only_the_poset_it_returns(monkeypatch):
+    # the diagram goes to the ideal walk as order masks, not as a poset
+    validated = []
+    real = poset.validate
+    monkeypatch.setattr(poset, "validate", lambda p: validated.append(p.n) or real(p))
+    assert young_interval((4, 3, 2, 1)).n == 42
+    assert validated == [42]
 
 
 def test_intervals_stop_at_the_capacity_bound(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from cde.cli import main
 from cde.errors import MalformedInputError, SizeError, UnknownSuiteError
 from cde import permutations, tableaux, verify
+from cde import poset as ps
 from cde.permutations import parse_perm, perm_label
 from cde.poset import expectation_Xm, is_forest, is_mCDE_upto, product
 from cde.verify import (
@@ -43,15 +44,21 @@ def test_every_registry_entry_has_manifest_rows_and_back():
 
 def test_verify_output_matches_the_pinned_campaign_digests(monkeypatch):
     # the benchmark's campaign gate, replayed in-process: every report but
-    # its elapsed time matches the digests pinned in perfbench/campaign.sha256
+    # its elapsed time matches the digests pinned in perfbench/campaign.sha256;
+    # the posets it validates are counted too, a work count that no machine
+    # changes, so a route that builds a poset only to walk it shows here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
     import run as bench
 
+    validated = []
+    real = ps.validate
+    monkeypatch.setattr(ps, "validate", lambda p: validated.append(p.n) or real(p))
     lines = [r.to_json() for r in verify.run_all()]
     attempted, failed, _, gates = bench.check_campaign({"exit_code": 0}, lines)
     assert (attempted, failed) == (2511, 0)
     assert gates["digest_matches"], gates
+    assert len(validated) == 1802
 
 
 def test_unknown_suite():
