@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import index
 
-from .errors import DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError, ReconciliationError
 
 __all__ = [
     "stirling2",
@@ -102,6 +102,18 @@ def _integers(values, what: str) -> tuple[int, ...]:
     except TypeError:
         bad = next(v for v in values if not hasattr(v, "__index__"))
         raise MalformedInputError(f"{what} {bad!r} is not an integer") from None
+
+
+def _hook_quotient(n: int, hooks) -> int:
+    """n! divided by the product of the hook lengths `hooks`: the count of
+    standard tableaux of a shape of n cells, or of linear extensions of a
+    forest of n elements.  A product that does not divide n! raises
+    ReconciliationError."""
+    den = prod(hooks)
+    count, rest = divmod(factorial(n), den)
+    if rest:
+        raise ReconciliationError(f"hook product {den} does not divide {n}!")
+    return count
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,11 +17,11 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, zip_longest
-from math import comb, factorial
+from math import comb, factorial, prod
 from numbers import Rational
 from operator import mul
 
-from .core import _integers
+from .core import _hook_quotient, _integers
 from .errors import (
     CapacityError,
     CycleError,
@@ -29,7 +29,6 @@ from .errors import (
     MalformedInputError,
     NotCoverError,
     NotReducedError,
-    ReconciliationError,
     SizeError,
 )
 
@@ -224,18 +223,19 @@ def validate(p: FinitePoset) -> None:
                 raise CycleError(f"self-cover at {a}")
         raise CycleError("cover digraph contains a directed cycle")
     # Only a cover that skips a level can be implied by a longer path, and a
-    # graded poset has none.  For each b with one, mark the elements strictly
-    # below the lower covers of b, down to the lowest level such a cover
-    # starts from; a marked lower cover of b lies under another one.  The
-    # marks are one list of n stamps, so the check keeps no n-by-n order
-    # relation.
-    lower = p.lower_covers
-    level = p.level
+    # graded poset has none.  A longer path from a to b leaves a through an
+    # upper cover other than b, so a cover (a, b) can be implied only when a
+    # has two upper covers or more, and a forest has none either.  For each
+    # b with such a cover, mark the elements strictly below the lower covers
+    # of b, down to the lowest level such a cover starts from; a marked lower
+    # cover of b lies under another one.  The marks are one list of n stamps,
+    # so the check keeps no n-by-n order relation.
+    lower, upper, level = p.lower_covers, p.upper_covers, p.level
     implied = []
     seen = [-1] * p.n  # seen[x] == b: x is marked in the search for b
-    for b in {b for a, b in p.covers if level[b] > level[a] + 1}:
+    for b in {b for a, b in p.covers if level[b] > level[a] + 1 and len(upper[a]) > 1}:
         near = lower[b]
-        lo = min(level[a] for a in near if level[a] + 1 < level[b])
+        lo = min(level[a] for a in near if level[a] + 1 < level[b] and len(upper[a]) > 1)
         stack = list(near)
         while stack:
             for z in lower[stack.pop()]:
@@ -803,7 +803,7 @@ def canonical_key(p: FinitePoset) -> tuple:
     """Canonical form for small posets: the lexicographically least sorted
     cover list over all n! relabelings, tried exhaustively once n! fits the
     capacity bound."""
-    _check_capacity(factorial(p.n), "canonical_key relabelings")
+    _check_count(p.n, f"{p.n}!", lambda: factorial(p.n), "canonical_key relabelings")
     best = None
     for perm in permutations(range(p.n)):
         relabeled = tuple(sorted((perm[a], perm[b]) for a, b in p.covers))
@@ -835,27 +835,25 @@ def is_forest(p: FinitePoset) -> bool:
 
 
 def _down_set_sizes(p: FinitePoset) -> list[int]:
-    masks = p.order_relation()
-    return [bin(m).count("1") for m in masks]
+    """The size of each element's down-set, for a forest only.  In a forest
+    no element lies below two lower covers of x, so the down-set of x is x
+    and the disjoint down-sets of its lower covers, all sized before x."""
+    sizes = [1] * p.n
+    for x in p.order:
+        for z in p.lower_covers[x]:
+            sizes[x] += sizes[z]
+    return sizes
 
 
 def linear_extension_count(p: FinitePoset) -> int:
     """Number of linear extensions.
 
-    Forest posets use the hook-length product formula; everything else falls
-    back to a DP over order ideals (counting maximal chains of J(P)).
+    Forest posets use the hook-length product formula, with the down-set
+    sizes as hook lengths; everything else falls back to a DP over order
+    ideals (counting maximal chains of J(P)).
     """
-    if p.n == 0:
-        return 1
     if is_forest(p):
-        sizes = _down_set_sizes(p)
-        num = factorial(p.n)
-        den = 1
-        for s in sizes:
-            den *= s
-        if num % den:
-            raise ReconciliationError(f"hook product {den} does not divide {p.n}!")
-        return num // den
+        return _hook_quotient(p.n, _down_set_sizes(p))
     return _linear_extensions_by_ideals(p)
 
 
@@ -875,25 +873,17 @@ def forest_merge_ratio(p: FinitePoset, i: int, j: int) -> Fraction:
         raise MalformedInputError("forest_merge_ratio needs a forest poset")
     if (i, j) not in p.covers:
         raise NotCoverError(f"{(i, j)} is not a cover")
-    masks = p.order_relation()
-    sizes = [bin(m).count("1") for m in masks]
-    above = [x for x in range(p.n) if x != i and (masks[x] >> i) & 1]
-    alpha = [
-        k
-        for k in above
-        if (k in p.upper_covers[i]) or len(p.lower_covers[k]) > 1
-    ]
-    beta = [
-        k
-        for k in above
-        if not p.upper_covers[k] or any(x in alpha for x in p.upper_covers[k])
-    ]
-    out = Fraction(sizes[i], p.n)
-    for k in beta:
-        out *= sizes[k]
-    for k in alpha:
-        out /= sizes[k] - 1
-    return out
+    sizes = _down_set_sizes(p)
+    up = p.upper_covers
+    above = [j]  # the elements above i: the one path up from j
+    while up[above[-1]]:
+        above.append(up[above[-1]][0])
+    alpha = {k for k in above if k == j or len(p.lower_covers[k]) > 1}
+    beta = [k for k in above if not up[k] or up[k][0] in alpha]
+    return Fraction(
+        sizes[i] * prod(sizes[k] for k in beta),
+        p.n * prod(sizes[k] - 1 for k in alpha),
+    )
 
 
 def quotient_cover(p: FinitePoset, i: int, j: int) -> FinitePoset:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import accumulate, combinations
 
-from .core import IntPolynomial, _integers
+from .core import IntPolynomial, _hook_quotient, _integers
 from .errors import (
     MalformedInputError,
     NotBarelySetValuedError,
@@ -178,8 +177,9 @@ def _diagram_ideals(shape, shifted: bool):
 
     They are the order ideals of the diagram of `shape`, in which cell
     (i, j) lies below (i, j+1) and (i+1, j) and row i of a shifted diagram
-    starts in column i.  poset._ideals walks them; an ideal's row lengths
-    are those of an ideal one cover below it plus the cell the cover adds.
+    starts in column i.  poset._ideals walks them.  Row i's cells are a run
+    of bits of each ideal's mask, and an ideal holds a prefix of each row,
+    so the ideal's part in row i is the popcount of that run.
     """
     check = check_strict_partition if shifted else check_partition
     shape = check(shape)
@@ -196,11 +196,9 @@ def _diagram_ideals(shape, shifted: bool):
                 mask |= down[index[c]]
         down.append(mask)
     masks, walk = _ideals(down)
-    parts = [()] + [None] * (len(masks) - 1)
-    for a, b, e in walk:  # sorted by a < b, so parts[a] is known
-        if parts[b] is None:
-            r, old = cells[e][0], parts[a]
-            parts[b] = old[:r] + (old[r] + 1 if r < len(old) else 1,) + old[r + 1 :]
+    runs = [((1 << part) - 1) << start for start, part in zip(accumulate(shape, initial=0), shape)]
+    # the rows an ideal reaches come first, so dropping the empty ones leaves its parts
+    parts = [tuple(k for run in runs if (k := (m & run).bit_count())) for m in masks]
     order = sorted(range(len(masks)), key=lambda a: (sum(parts[a]), parts[a]))
     position = {a: k for k, a in enumerate(order)}
     return [parts[a] for a in order], {(position[a], position[b]) for a, b, _ in walk}
@@ -290,14 +288,7 @@ def hook_lengths(shape) -> list[list[int]]:
 def hook_f(shape) -> int:
     """Number of standard Young tableaux, by the hook-length product."""
     shape = tuple(shape)
-    n = sum(shape)
-    den = 1
-    for row in hook_lengths(shape):
-        for h in row:
-            den *= h
-    if factorial(n) % den:
-        raise ReconciliationError(f"hook product {den} does not divide {n}!")
-    return factorial(n) // den
+    return _hook_quotient(sum(shape), (h for row in hook_lengths(shape) for h in row))
 
 
 def f_plus_one(shape) -> int:

@@ -116,6 +116,16 @@ def test_parse_word_rejects_malformed_text():
 def test_lehmer_code_examples():
     assert lehmer_code((4, 2, 3, 1)) == (3, 1, 1, 0)
     assert lehmer_code((2, 5, 3, 1, 4)) == (1, 3, 1, 0, 0)
+    # the definition c_i = #{j > i : w(j) < w(i)}, on seeded random permutations
+    rng = random.Random(130)
+    for n in (0, 1, 2, 5, 9, 40):
+        for _ in range(25):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            assert lehmer_code(w) == tuple(sum(v < w[i] for v in w[i + 1 :]) for i in range(n))
+    # the evens, then the odds, of 1..100,000: 2k has k odds after it, all below
+    half = 50_000
+    shuffle = tuple(range(2, 2 * half + 1, 2)) + tuple(range(1, 2 * half, 2))
+    assert lehmer_code(shuffle) == tuple(range(1, half + 1)) + (0,) * half
     assert descents(identity(5)) == ()
     assert length((3, 2, 1)) == 3
 

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -53,6 +55,12 @@ from cde.verify import _enumerate_multichain_expectation, all_posets_upto_iso
 
 import bruteforce
 from bruteforce import linear_extensions, multichains_through
+
+
+@lru_cache(maxsize=None)
+def small_forests():
+    """Every forest on 1..6 elements, one per isomorphism class."""
+    return tuple(p for n in range(1, 7) for p in all_posets_upto_iso(n) if is_forest(p))
 
 
 def M3():
@@ -704,20 +712,48 @@ def test_forest_formula_vs_bruteforce():
         f = FinitePoset(n, frozenset(covers))
         assert is_forest(f)
         assert linear_extension_count(f) == linear_extensions(covers, n)
+    # the hook lengths, read off the cover lists, are the down-set sizes
+    for f in small_forests():
+        assert poset._down_set_sizes(f) == [m.bit_count() for m in f.order_relation()]
+        assert linear_extension_count(f) == linear_extensions(f.covers, f.n)
 
 
 def test_forest_merge_ratio():
-    f = FinitePoset(6, frozenset({(0, 1), (1, 2), (3, 2), (4, 5)}))
-    assert is_forest(f)
-    for (i, j) in f.covers:
-        got = forest_merge_ratio(f, i, j)
-        want = Fraction(
-            linear_extension_count(quotient_cover(f, i, j)),
-            linear_extension_count(f),
-        )
-        assert got == want
+    fixture = FinitePoset(6, frozenset({(0, 1), (1, 2), (3, 2), (4, 5)}))
+    for f in (fixture, *small_forests()):
+        assert is_forest(f)
+        for (i, j) in f.covers:
+            got = forest_merge_ratio(f, i, j)
+            want = Fraction(
+                linear_extension_count(quotient_cover(f, i, j)),
+                linear_extension_count(f),
+            )
+            assert got == want
     with pytest.raises(NotCoverError):
-        forest_merge_ratio(f, 0, 2)
+        forest_merge_ratio(fixture, 0, 2)
+
+
+def test_forest_routes_keep_no_order_relation():
+    # the order relation of a forest of n elements is n masks of up to n
+    # bits: ~225 MB for the antichain of 60,000, ~36 MB for the broom below
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    wide = antichain(60_000)
+    peak = peak_of(lambda: linear_extension_count(wide))
+    assert peak < 8 * 2**20, peak
+    # a chain of 12,000 (even elements) with one leaf under each (odd ones);
+    # the leaf under the bottom of the chain has every chain element above it
+    m = 12_000
+    spine = {(2 * k, 2 * k + 2) for k in range(m - 1)}
+    broom = FinitePoset(2 * m, spine | {(2 * k + 1, 2 * k) for k in range(m)})
+    peak = peak_of(lambda: forest_merge_ratio(broom, 1, 0))
+    assert peak < 8 * 2**20, peak
 
 
 def test_quotient_cover():
@@ -877,3 +913,6 @@ def test_canonical_key_is_bounded_by_the_capacity(monkeypatch):
     assert canonical_key(pabcd(1, 2, 3, 1)) == canonical_key(pabcd(1, 3, 2, 1))
     monkeypatch.delenv("CDE_CAPACITY")
     assert canonical_key(chain(8)) == (8, tuple((i, i + 1) for i in range(7)))
+    # past the exact-count width, n! is refused by its width before it is computed
+    with pytest.raises(CapacityError, match="^canonical_key relabelings needs 40000! > capacity 2000000$"):
+        canonical_key(antichain(40_000))
