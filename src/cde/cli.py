@@ -44,7 +44,7 @@ def _perm_from_args(args):
     """Accept a permutation in one-line notation (--w) or as the 0-Hecke
     product of a comma-separated generator word (--word)."""
     if getattr(args, "word", None):
-        return perm.word_to_hecke(perm.parse_word(args.word), args.n or None)
+        return perm.word_to_hecke(perm.parse_word(args.word), args.n)
     if args.w:
         return perm.parse_perm(args.w)
     raise CdeError("need --w or --word")
@@ -146,8 +146,7 @@ def _cmd_shifted(args) -> int:
 
 def _cmd_perm(args) -> int:
     w = _perm_from_args(args)
-    cls = perm.classify(w)
-    code = perm.lehmer_code(w)
+    cls, code = perm._classify(w)
     data = {
         "w": perm.perm_label(w),
         "n": len(w),
@@ -239,18 +238,17 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--shape", required=True)
     s.set_defaults(func=_cmd_shifted)
 
-    w = sub.add_parser("perm", help="classification, interval and word statistics")
+    given = argparse.ArgumentParser(add_help=False)  # w, read by _perm_from_args
+    given.add_argument("--w", help="one-line notation, e.g. 4231 or 4,2,3,1")
+    given.add_argument("--word", help="comma-separated generator indices; w is their 0-Hecke product")
+    given.add_argument("--n", type=int, help="ambient size when using --word")
+
+    w = sub.add_parser("perm", parents=[given], help="classification, interval and word statistics")
     w.add_argument("action", choices=("stats",))
-    w.add_argument("--w", help="one-line notation, e.g. 4231 or 4,2,3,1")
-    w.add_argument("--word", help="comma-separated generator indices; w is their 0-Hecke product")
-    w.add_argument("--n", type=int, help="ambient size when using --word")
     w.add_argument("--xm", type=int, default=0)
     w.set_defaults(func=_cmd_perm)
 
-    f = sub.add_parser("fk", help="weighted 0-Hecke word polynomial")
-    f.add_argument("--w", help="one-line notation")
-    f.add_argument("--word", help="comma-separated generator indices; w is their 0-Hecke product")
-    f.add_argument("--n", type=int, help="ambient size when using --word")
+    f = sub.add_parser("fk", parents=[given], help="weighted 0-Hecke word polynomial")
     f.add_argument("--L", required=True, type=int)
     f.add_argument("--via", choices=("words", "tableaux", "both"), default="words")
     f.set_defaults(func=_cmd_fk)

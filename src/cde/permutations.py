@@ -16,13 +16,8 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .core import IntPolynomial, _integers, interpolate_integer_polynomial, poly_divides, stirling2_row
-from .errors import (
-    CapacityError,
-    MalformedInputError,
-    NotVexillaryError,
-    RangeError,
-)
-from .poset import FinitePoset, _check_capacity, _check_count, _dd_through, _from_order, _ideals, capacity
+from .errors import MalformedInputError, NotVexillaryError, RangeError
+from .poset import FinitePoset, _chain_counts, _check_capacity, _check_count, _from_order, _ideals, capacity
 from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase, transpose
 
 __all__ = [
@@ -176,6 +171,11 @@ def classify(w) -> PermClass:
     Notes on Schubert Polynomials, ch. I): w avoids 2143 (is vexillary)
     exactly when the shape of w^-1 is the transpose of the shape of w, and
     avoids 132 (is dominant) exactly when its code is a partition."""
+    return _classify(w)[0]
+
+
+def _classify(w) -> tuple[PermClass, tuple[int, ...]]:
+    """classify(w), and the Lehmer code of w that it reads."""
     w = check_permutation(w)
     w_inv = inverse(w)
     code = lehmer_code(w)
@@ -184,7 +184,7 @@ def classify(w) -> PermClass:
     dom = all(a >= b for a, b in zip(code, code[1:]))
     grass = len(descents(w)) <= 1
     inv_grass = len(descents(w_inv)) <= 1
-    return PermClass(vex, dom, grass, inv_grass, shape if vex else None)
+    return PermClass(vex, dom, grass, inv_grass, shape if vex else None), code
 
 
 def vexillary_permutations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -289,6 +289,8 @@ def word_to_hecke(word, n: int | None = None) -> tuple[int, ...]:
     word = tuple(word)
     if n is None:
         n = max(word) + 1 if word else 1
+    if n < 0:
+        raise RangeError(f"n must be nonnegative, got {n}")
     _check_capacity(n, "permutation entries")  # before the identity is built
     u = identity(n)
     for s in word:
@@ -314,11 +316,10 @@ def _weak_walk(w):
     """Walk down from w by descents, breadth first: the one walk over a weak
     interval in the package, and the one source of its ranks.
 
-    Returns (elements, below, down, starts), all tuples, so that the memoised
+    Returns (elements, below, starts), all tuples, so that the memoised
     `interval_summary` that keeps them cannot be changed by a caller.
-    elements starts with w and ends with the identity; below[i] holds the
-    indices of the lower covers of elements[i]; down[i] is the number of
-    paths from w down to elements[i].  Breadth first, the elements of length
+    elements starts with w and ends with the identity; below[i] indexes the
+    lower covers of elements[i].  Breadth first, the elements of length
     length(w) - d are elements[starts[d]:starts[d + 1]]: the walk has found
     all of them, and none shorter, when it reaches the first, so the next
     rank starts at the current end.  length(w) = len(starts) - 2.
@@ -335,7 +336,6 @@ def _weak_walk(w):
     elements = [w]
     index = {w: 0}
     below = []
-    down = [1]
     starts = [0]
     for i, u in enumerate(elements):
         if i == starts[-1]:
@@ -351,13 +351,11 @@ def _weak_walk(w):
                 if j is None:
                     j = index[v] = len(elements)
                     elements.append(v)
-                    down.append(0)
                     if j >= cap:
                         _check_capacity(j + 1, "weak order interval")
-                down[j] += down[i]
                 lower.append(j)
         below.append(tuple(lower))
-    return tuple(elements), tuple(below), tuple(down), tuple(starts)
+    return tuple(elements), tuple(below), tuple(starts)
 
 
 def weak_interval_elements(w) -> set[tuple[int, ...]]:
@@ -521,16 +519,22 @@ def _extension_counts(w) -> tuple[int, int]:
     one smaller, so the covers of [e, w] number the descents summed over all
     the paths (Stanley, EC1 §3.15).  With paths[i] counting the paths up to
     ideal i and des[i] their descents, a step from i to j placing b extends
-    each path to i by one descent when the value it placed last exceeds b."""
-    masks, covers = _ideals(_noninversion_order(w))
-    paths = [1] + [0] * (len(masks) - 1)
-    des = [0] * len(masks)
-    last = [[] for _ in masks]  # last[i]: (value placed last, paths through the ideal before)
-    for i, j, b in covers:  # sorted by i, so row i is complete
-        f = paths[i]
-        paths[j] += f
-        des[j] += des[i] + sum(g for a, g in last[i] if a > b)
-        last[j].append((b, f))
+    each path to i by one descent when the value it placed last exceeds b,
+    the one bit of masks[j] ^ masks[i]."""
+    masks, lower = _ideals(_noninversion_order(w))
+    paths, des, tops = [1], [0], [0]  # tops[i]: the values placed last on a path to i
+    for m, lows in zip(masks[1:], lower[1:]):
+        f = d = top = 0
+        for i in lows:
+            placed = m ^ masks[i]
+            top |= placed
+            f += paths[i]
+            # lower[i] runs down the value placed last: the paths into i that placed one above b lead
+            above = (tops[i] & -(placed << 1)).bit_count()
+            d += des[i] + sum(map(paths.__getitem__, lower[i][:above]))
+        paths.append(f)
+        des.append(d)
+        tops.append(top)
     return paths[-1], des[-1]
 
 
@@ -569,16 +573,17 @@ def _summary_at(w, bound) -> IntervalSummary:
 
     A nearly reduced word repeats one descent of a prefix of a reduced word,
     so it is a path from w down to some u, a descent of u, and a path from u
-    down to the identity.  One upward pass of `poset._dd_through` over the
-    walk's own cover lists and down counts gives up[i], the paths from
-    elements[i] down to the identity, so up[0] counts the reduced words, and
-    the sum of des(u) * up * down over the interval, the nearly reduced ones.
+    down to the identity.  `poset._chain_counts` on the walk's own cover
+    lists, which list each element after every element above it, gives
+    up[i], the paths from elements[i] down to the identity, so up[0] counts
+    the reduced words, and the sum of des(u) * up * down over the interval,
+    the nearly reduced ones.
 
     E(X) is read off the walk as covers / elements, the edge density itself;
     expectation_X_complementary is the independent route, by path sums over
     the order ideals of the noninversion poset, and Tier-1 compares the two."""
-    elements, below, down, starts = _weak_walk(w)
-    up, nearly = _dd_through(below, range(len(elements)), down)
+    elements, below, starts = _weak_walk(w)
+    up, _, nearly = _chain_counts(below, range(len(elements) - 1, -1, -1))
     edges = sum(map(len, below))
     ex = Fraction(edges, len(elements))
     ell = len(starts) - 2  # length(w)
@@ -673,10 +678,10 @@ def rothe(w) -> RotheData:
 
 def _shape_and_flag(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The shape and row flag of a checked vexillary w, off its code."""
-    cls = classify(w)
+    cls, code = _classify(w)
     if not cls.vexillary:
         raise NotVexillaryError(f"{w} contains the pattern 2143")
-    return cls.shape, _vexillary_flag(lehmer_code(w), cls.shape)
+    return cls.shape, _vexillary_flag(code, cls.shape)
 
 
 def _vexillary_flag(code, shape) -> tuple[int, ...]:

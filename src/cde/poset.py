@@ -14,6 +14,7 @@ that build at once only repeat work.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, zip_longest
@@ -279,40 +280,32 @@ def expectation_X(p: FinitePoset) -> Fraction:
     return Fraction(len(p.covers), p.n)
 
 
-def _dd_through(lower, order, down) -> tuple[list[int], int]:
-    """Σ dd·up·down over a cover list: (up, Σ_x dd(x)·up[x]·down[x]).
+def _chain_counts(lower, order) -> tuple[list[int], list[int], int]:
+    """(up, down, weighted) on the lower covers `lower` in `order`, each
+    element after every element below it: up[x] counts the paths from x down
+    to the minimal elements, down[x] those from the maximal elements down to
+    x, and weighted is Σ_x dd(x)·up[x]·down[x].
 
-    lower[x] lists the lower covers of x, `order` lists each element after
-    every element above it, and down[x] counts the paths from the maximal
-    elements down to x.  One pass from the bottom gives up[x], the paths from
-    x down to the minimal elements; up[x]·down[x] is then the number of
-    maximal chains through x.  The sum counts the pairs (maximal chain, one
-    lower cover of one of its elements): on a weak interval these are the
-    nearly reduced words, on a Young interval the standard barely set-valued
-    tableaux.  This is the one such sum in the package.
+    The down counts are pushed down the lists, so a maximal element, which
+    none reaches, counts 1; one pass from the bottom then gives up.
+    up[x]·down[x] is the number of maximal chains through x, and the sum
+    counts the pairs (maximal chain, one lower cover of one of its elements):
+    on a weak interval these are the nearly reduced words, on a Young
+    interval the standard barely set-valued tableaux.  This is the one such
+    count in the package.
     """
-    up = [1] * len(lower)
-    total = 0
+    down = [0] * len(lower)
     for x in reversed(order):
+        paths = down[x] = down[x] or 1
+        for z in lower[x]:
+            down[z] += paths
+    up = [1] * len(lower)
+    weighted = 0
+    for x in order:
         lows = lower[x]
         if lows:
             up[x] = paths = sum(map(up.__getitem__, lows))
-            total += len(lows) * paths * down[x]
-    return up, total
-
-
-def _chain_counts(p: FinitePoset):
-    """(up, down, weighted): saturated chain counts from the minimal elements
-    up to x and from x down from the maximal elements, and the sum of
-    dd(x)·up[x]·down[x]."""
-    order = p.order
-    upper = p.upper_covers
-    down = [1] * p.n
-    for x in reversed(order):
-        highs = upper[x]
-        if highs:
-            down[x] = sum(map(down.__getitem__, highs))
-    up, weighted = _dd_through(p.lower_covers, order[::-1], down)
+            weighted += len(lows) * paths * down[x]
     return up, down, weighted
 
 
@@ -346,25 +339,31 @@ def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
     kept table whose pairs are over the current bound is built again, and
     refused as a fresh equal poset would be.
     """
-    n = p.n
     longest = max(p.level) + 1  # at most n
-    size = min(size, longest)
-    bound = capacity()
-    words = n * -(-size * _pack_width(n, size) // 64)
-    if words > bound:
-        _check_capacity(words, "multichain table words")
+    size = _table_size(p.n, longest, size)
     built, rows, pairs = p._chains
-    if size > built or pairs > bound:
+    if size > built or pairs > capacity():
         built = min(max(size, 2 * built), longest)
-        rows, pairs = _build_chain_table(p, built)
+        rows, pairs = _build_chain_table(p.lower_covers, p.order, built)
         if built > p._chains[0]:  # another thread may have kept a larger one
             object.__setattr__(p, "_chains", (built, rows, pairs))
     return [list(row[:size]) for row in rows]
 
 
-def _build_chain_table(p: FinitePoset, size: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The chain table of `_chain_table`, built at `size`, rows as tuples,
-    and the number of pairs in the strict order it was built from.
+def _table_size(n: int, longest: int, size: int) -> int:
+    """`size` clamped to the longest chain, `longest` elements, after the
+    chain table of that size on n elements is charged in 64-bit words."""
+    size = min(size, longest)
+    words = n * -(-size * _pack_width(n, size) // 64)
+    if words > capacity():
+        _check_capacity(words, "multichain table words")
+    return size
+
+
+def _build_chain_table(lower, order, size: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The chain table of `_chain_table`, built at `size` on the lower covers
+    `lower` in `order`, each element after every element below it, rows as
+    tuples, and the number of pairs in the strict order it was built from.
 
     A chain through e is a chain with top e joined at e to a chain with
     bottom e, so row e is the convolution of the two, truncated at `size`.
@@ -382,11 +381,9 @@ def _build_chain_table(p: FinitePoset, size: int) -> tuple[tuple[tuple[int, ...]
     row is pushed to the elements below it.  Its pairs are counted as the
     down-sets are built and refused once they pass the capacity bound.
     """
-    n = p.n
+    n = len(lower)
     W = _pack_width(n, size)
     keep = (1 << W * size) - 1
-    order = p.order
-    lower = p.lower_covers
     bound = capacity()
     # strict[x]: the elements below x; tops[x], bottoms[x], entry k: the
     # k-element chains with top x, with bottom x
@@ -427,14 +424,19 @@ def multichain_counts(p: FinitePoset, m: int) -> list[int]:
     their set (the zeta-polynomial expansion, Stanley, EC1 3.12).
     """
     _require_nonempty(p)
+    return _multichain_counts(p.n, m, lambda size: _chain_table(p, size))
+
+
+def _multichain_counts(n: int, m, table) -> list[int]:
+    """multichain_counts on n elements, whose chain tables `table(size)` reads."""
     (m,) = _integers((m,), "multichain size")
     if m < 1:
         raise SizeError("m must be a positive integer")
     if m == 1:  # the one 1-element multichain through e is {e}
-        return [1] * p.n
-    table = _chain_table(p, m)
-    weights = [comb(m - 1, k) for k in range(max(map(len, table)))]
-    return [sum(map(mul, row, weights)) for row in table]
+        return [1] * n
+    rows = table(m)
+    weights = [comb(m - 1, k) for k in range(max(map(len, rows)))]
+    return [sum(map(mul, row, weights)) for row in rows]
 
 
 def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
@@ -637,50 +639,49 @@ def tamari(n: int) -> FinitePoset:
     return FinitePoset(len(tris), covers, labels)
 
 
-def _ideals(down: list[int]) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Every order ideal of the order `down` as a bitmask, and the covers of
-    J(P).
+def _ideals(down: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Every order ideal of the order `down` as a bitmask, and the lower
+    covers of each in J(P), as indices into the masks.
 
     `down` is in order_relation()'s format, bit z of down[y] set iff z <= y.
     Element e can join ideal m exactly when down[e] & ~m is e alone, so any
     reflexive masks that generate the order by transitivity, such as each
     element with its lower covers, give the same walk.  Ideals come by size,
-    then lexicographically on their sorted elements; a cover (i, j, e) says
-    ideal j is ideal i plus element e, and covers come sorted by i.  This is
-    the one walk over ideals in the package.  Both are charged as they grow,
-    an ideal as one unit and a cover as half of one, so a lattice of up to
-    two covers per ideal fits the bound its ideals fit.
+    then lexicographically on their sorted elements, so the indices are in
+    order; lower[j] is ascending, and the element that ideal j adds to its
+    lower cover i is the one bit of masks[j] ^ masks[i].  This is the one
+    walk over ideals in the package.  Both are charged as they grow, an
+    ideal as one unit and a cover as half of one, so a lattice of up to two
+    covers per ideal fits the bound its ideals fit.
     """
     n = len(down)
-    items = [(e, d, 1 << e) for e, d in enumerate(down)]
+    items = [(d, 1 << e) for e, d in enumerate(down)]
     cap = capacity()
     masks = [0]
-    covers = []
+    lower = [[]]
+    covers = 0
     start = 0
     while start < len(masks):
         end = len(masks)
-        room = 2 * cap - len(covers)  # the covers this layer may add
-        grown = []
-        fresh = set()
+        fresh = defaultdict(list)  # each ideal of the next layer: its lower covers
         for i in range(start, end):
             m = masks[i]
             outside = ~m
-            for e, d, bit in items:
+            for d, bit in items:
                 if d & outside == bit:
-                    g = m | bit
-                    grown.append((i, g, e))
-                    fresh.add(g)
+                    fresh[m | bit].append(i)
+                    covers += 1
                     if end + len(fresh) > cap:
                         _check_capacity(end + len(fresh), "order ideal enumeration")
-            if len(grown) > room:
-                _check_capacity((len(covers) + len(grown) + 1) // 2, "order ideal cover pairs")
+            if covers > 2 * cap:
+                _check_capacity((covers + 1) // 2, "order ideal cover pairs")
         # descending on the bits read from element 0 up: a smaller first
         # differing element comes first
-        masks += sorted(fresh, key=lambda g: format(g, f"0{n}b")[::-1], reverse=True)
-        index = {g: j for j, g in enumerate(masks[end:], end)}
-        covers += [(i, index[g], e) for i, g, e in grown]
+        grown = sorted(fresh, key=lambda g: format(g, f"0{n}b")[::-1], reverse=True)
+        masks += grown
+        lower += map(fresh.__getitem__, grown)
         start = end
-    return masks, covers
+    return masks, lower
 
 
 def _members(mask: int, n: int) -> list[int]:
@@ -694,9 +695,14 @@ def order_ideals(p: FinitePoset) -> list[frozenset[int]]:
 
 def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     """Distributive lattice of order ideals, ordered by containment."""
-    masks, covers = _ideals(p.order_relation())
+    masks, lower = _ideals(p.order_relation())
     labels = ["{" + ",".join(p.label(e) for e in _members(m, p.n)) + "}" for m in masks]
-    return FinitePoset(len(masks), {(i, j) for i, j, _ in covers}, labels)
+    return FinitePoset(len(masks), _cover_pairs(lower), labels)
+
+
+def _cover_pairs(lower) -> set[tuple[int, int]]:
+    """The covers (a, b) of a cover list: a in lower[b]."""
+    return {(a, b) for b, lows in enumerate(lower) for a in lows}
 
 
 def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
@@ -704,15 +710,20 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     distribution each base element is as likely to be maximal in the ideal as
     minimal in its complement.
 
-    A cover (i, j, e) of J says e is maximal in ideal j and minimal in the
-    complement of ideal i, and every such incidence is one cover.
+    A cover of ideal i by ideal j = i + e says e is maximal in j and minimal
+    in the complement of i, and every such incidence is one cover.  The chain
+    table is built on the walk's lists; J has rank |base|.
     """
     _require_nonempty(base)
-    masks, covers = _ideals(base.order_relation())
-    counts = multichain_counts(FinitePoset(len(masks), {(i, j) for i, j, _ in covers}), m)
+    masks, lower = _ideals(base.order_relation())
+    n = len(masks)
+    counts = _multichain_counts(
+        n, m, lambda size: _build_chain_table(lower, range(n), _table_size(n, base.n + 1, size))[0]
+    )
     balance = [0] * base.n
-    for i, j, e in covers:
-        balance[e] += counts[j] - counts[i]
+    for j, lows in enumerate(lower):
+        for i in lows:
+            balance[(masks[j] ^ masks[i]).bit_length() - 1] += counts[j] - counts[i]
     return not any(balance)
 
 
@@ -803,13 +814,18 @@ def canonical_key(p: FinitePoset) -> tuple:
     """Canonical form for small posets: the lexicographically least sorted
     cover list over all n! relabelings, tried exhaustively once n! fits the
     capacity bound."""
-    _check_count(p.n, f"{p.n}!", lambda: factorial(p.n), "canonical_key relabelings")
+    return _canonical_key(p.n, p.covers)
+
+
+def _canonical_key(n: int, covers) -> tuple:
+    """canonical_key of the poset on n elements with these covers, unbuilt."""
+    _check_count(n, f"{n}!", lambda: factorial(n), "canonical_key relabelings")
     best = None
-    for perm in permutations(range(p.n)):
-        relabeled = tuple(sorted((perm[a], perm[b]) for a, b in p.covers))
+    for perm in permutations(range(n)):
+        relabeled = tuple(sorted((perm[a], perm[b]) for a, b in covers))
         if best is None or relabeled < best:
             best = relabeled
-    return (p.n, best)
+    return (n, best)
 
 
 def self_dual_regular_check(p: FinitePoset) -> Fraction | None:
@@ -859,10 +875,9 @@ def linear_extension_count(p: FinitePoset) -> int:
 
 def _linear_extensions_by_ideals(p: FinitePoset) -> int:
     """Maximal chains of J(P): paths from the empty ideal to the full one."""
-    masks, covers = _ideals(p.order_relation())
-    paths = [1] + [0] * (len(masks) - 1)
-    for i, j, _ in covers:
-        paths[j] += paths[i]
+    paths = [1]
+    for lows in _ideals(p.order_relation())[1][1:]:
+        paths.append(sum(map(paths.__getitem__, lows)))
     return paths[-1]
 
 
@@ -928,7 +943,7 @@ class PosetStats:
 
 def stats(p: FinitePoset) -> PosetStats:
     _require_nonempty(p)
-    up, down, weighted = _chain_counts(p)
+    up, down, weighted = _chain_counts(p.lower_covers, p.order)
     chains = sum(u for u, highs in zip(up, p.upper_covers) if not highs)
     # Σ up·down counts each maximal chain once per element on it, so it
     # reaches (longest length)·chains exactly when every maximal chain is longest

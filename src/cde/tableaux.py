@@ -19,7 +19,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _chain_counts, _check_capacity, _ideals, capacity
+from .poset import FinitePoset, _chain_counts, _check_capacity, _cover_pairs, _ideals, capacity
 
 __all__ = [
     "check_partition",
@@ -173,7 +173,7 @@ def rect_staircase(d: int, a: int, b: int) -> tuple[int, ...]:
 
 def _diagram_ideals(shape, shifted: bool):
     """The partitions inside `shape`, strict ones when `shifted`, sorted by
-    (size, parts), and the covers between them as index pairs.
+    (size, parts), and the lower covers of each, as ascending indices.
 
     They are the order ideals of the diagram of `shape`, in which cell
     (i, j) lies below (i, j+1) and (i+1, j) and row i of a shifted diagram
@@ -195,13 +195,13 @@ def _diagram_ideals(shape, shifted: bool):
             if c in index:
                 mask |= down[index[c]]
         down.append(mask)
-    masks, walk = _ideals(down)
+    masks, lower = _ideals(down)
     runs = [((1 << part) - 1) << start for start, part in zip(accumulate(shape, initial=0), shape)]
     # the rows an ideal reaches come first, so dropping the empty ones leaves its parts
     parts = [tuple(k for run in runs if (k := (m & run).bit_count())) for m in masks]
     order = sorted(range(len(masks)), key=lambda a: (sum(parts[a]), parts[a]))
     position = {a: k for k, a in enumerate(order)}
-    return [parts[a] for a in order], {(position[a], position[b]) for a, b, _ in walk}
+    return [parts[a] for a in order], [sorted(map(position.__getitem__, lower[a])) for a in order]
 
 
 def subpartitions(shape) -> list[tuple[int, ...]]:
@@ -211,8 +211,8 @@ def subpartitions(shape) -> list[tuple[int, ...]]:
 
 def young_interval(shape) -> FinitePoset:
     """The interval below `shape` in the containment order on partitions."""
-    elements, covers = _diagram_ideals(shape, shifted=False)
-    return FinitePoset(len(elements), covers, [shape_label(m) for m in elements])
+    elements, lower = _diagram_ideals(shape, shifted=False)
+    return FinitePoset(len(elements), _cover_pairs(lower), [shape_label(m) for m in elements])
 
 
 def strict_subpartitions(shape) -> list[tuple[int, ...]]:
@@ -222,8 +222,8 @@ def strict_subpartitions(shape) -> list[tuple[int, ...]]:
 def shifted_interval(shape) -> FinitePoset:
     """The interval below a strict partition in the order induced on strict
     partitions by diagram containment."""
-    elements, covers = _diagram_ideals(shape, shifted=True)
-    return FinitePoset(len(elements), covers, [shape_label(m) for m in elements])
+    elements, lower = _diagram_ideals(shape, shifted=True)
+    return FinitePoset(len(elements), _cover_pairs(lower), [shape_label(m) for m in elements])
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,10 @@ def _f_plus_by_chains(shape) -> int:
     The triple map pairs them with (maximal chain of the interval below
     `shape`, element mu on it, lower cover of mu), so the count is
     sum_mu dd(mu) f^mu f^(shape/mu), the weighted sum of poset._chain_counts
-    on the interval.
+    on the interval's cover lists, read in their (size, parts) order.
     """
-    return _chain_counts(young_interval(shape))[2]
+    lower = _diagram_ideals(shape, shifted=False)[1]
+    return _chain_counts(lower, range(len(lower)))[2]
 
 
 def kerov_mean_zero_check(shape) -> bool:

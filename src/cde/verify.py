@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from inspect import signature
@@ -69,29 +69,12 @@ class CheckReport:
             )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check_id": self.check_id,
-                "instance": self.instance,
-                "expected": self.expected,
-                "computed": self.computed,
-                "status": self.status,
-                "elapsed": round(self.elapsed, 6),
-            },
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "elapsed": round(self.elapsed, 6)}, sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "CheckReport":
         data = json.loads(line)
-        return CheckReport(
-            data["check_id"],
-            data["instance"],
-            data["expected"],
-            data["computed"],
-            data["status"],
-            data["elapsed"],
-        )
+        return CheckReport(*(data[f.name] for f in fields(CheckReport)))
 
 
 @dataclass
@@ -188,16 +171,13 @@ def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
     for size in range(2, n + 1):
         seen = {}
         for p in layer:
-            upper = [sum(1 << u for u in us) for us in p.upper_covers]
-            for ideal in ps._ideals(p.order_relation())[0]:
-                maxima = [
-                    e for e in range(p.n) if (ideal >> e) & 1 and not ideal & upper[e]
-                ]
-                covers = set(p.covers) | {(m, size - 1) for m in maxima}
-                q = ps.FinitePoset(size, frozenset(covers))
-                key = ps.canonical_key(q)
-                if key not in seen:
-                    seen[key] = q
+            masks, lower = ps._ideals(p.order_relation())
+            for m, lows in zip(masks, lower):
+                # the new element covers the maxima of ideal m, one per lower cover
+                covers = p.covers | {((m ^ masks[i]).bit_length() - 1, size - 1) for i in lows}
+                key = ps._canonical_key(size, covers)
+                if key not in seen:  # only a new class's representative is built
+                    seen[key] = ps.FinitePoset(size, covers)
         layer = [seen[k] for k in sorted(seen)]
     return layer
 

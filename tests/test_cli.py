@@ -326,6 +326,31 @@ def test_perm_from_word(capsys):
     assert data["coefficients"] == [36, 102, 106, 48, 8]
 
 
+@pytest.mark.parametrize("command", [("perm", "stats"), ("fk", "--L", "2")], ids=["perm-stats", "fk"])
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        # --n 0 is an ambient size like any other, not an absent one
+        ("0", "error: generator 1 out of range for n=0\n"),
+        ("1", "error: generator 1 out of range for n=1\n"),
+        ("-2", "error: n must be nonnegative, got -2\n"),
+    ],
+)
+def test_word_with_a_small_or_negative_n_exits_2(capsys, command, n, message):
+    code, out, err = run_cli(capsys, *command, "--word", "1", "--n", n)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_perm_stats_reads_the_lehmer_code_of_w_and_its_inverse_once(capsys, monkeypatch):
+    calls = []
+    real = permutations.lehmer_code
+    monkeypatch.setattr(permutations, "lehmer_code", lambda w: calls.append(w) or real(w))
+    for argv in (("--w", "25314"), ("--w", "53124", "--xm", "3"), ("--word", "1,2,1,1")):
+        calls.clear()
+        run_json(capsys, "perm", "stats", *argv)
+        assert len(calls) == 2, argv
+
+
 def test_poset_builder(capsys):
     data = run_json(capsys, "poset", "stats", "--builder", "tamari", "--n", "6")
     assert data["EX"] == "3/2" and data["EY"] == "3/2"

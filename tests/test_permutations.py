@@ -396,14 +396,14 @@ def test_one_walk_serves_every_entry_point_per_w_and_bound(monkeypatch):
 
 
 def test_one_summary_pass_serves_the_api_the_fk_words_route_and_the_cli(monkeypatch, capsys):
-    # the walk and the summary's one pass of _dd_through are made once for
-    # w, whichever of these asks first
+    # the walk and the summary's one _chain_counts are made once for w,
+    # whichever of these asks first
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
     permutations._summary_at.cache_clear()
     walks, passes = [], []
-    real_walk, real_pass = permutations._weak_walk, permutations._dd_through
+    real_walk, real_pass = permutations._weak_walk, permutations._chain_counts
     monkeypatch.setattr(permutations, "_weak_walk", lambda w: walks.append(w) or real_walk(w))
-    monkeypatch.setattr(permutations, "_dd_through", lambda *a: passes.append(a) or real_pass(*a))
+    monkeypatch.setattr(permutations, "_chain_counts", lambda *a: passes.append(a) or real_pass(*a))
     w = (5, 3, 1, 2, 4)
     classify(w)
     weak_interval_elements(w)
@@ -493,8 +493,10 @@ def _weak_interval_cases():
 
 def test_weak_walk_matches_the_slicing_walk():
     for w in _weak_interval_cases():
-        elements, below, down, starts = permutations._weak_walk(w)
+        elements, below, starts = permutations._weak_walk(w)
         oracle = bruteforce.slicing_weak_walk(w)
+        # the paths from w down to each element, which the summary counts on the walk's lists
+        down = tuple(poset._chain_counts(below, range(len(elements) - 1, -1, -1))[1])
         assert (elements, below, down) == oracle, w
         # the ranks by another route: the length of each element the oracle found
         ranks = [d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1])]

@@ -58,7 +58,24 @@ def test_verify_output_matches_the_pinned_campaign_digests(monkeypatch):
     attempted, failed, _, gates = bench.check_campaign({"exit_code": 0}, lines)
     assert (attempted, failed) == (2511, 0)
     assert gates["digest_matches"], gates
-    assert len(validated) == 1802
+    assert len(validated) == 1477
+
+
+def test_counting_routes_build_no_poset_they_do_not_return(monkeypatch):
+    # J(P), the Young interval and the census candidates are counted or keyed
+    # on their cover lists; the census builds one poset per class it keeps
+    validated = []
+    real = ps.validate
+    monkeypatch.setattr(ps, "validate", lambda p: validated.append(p.n) or real(p))
+    grid = ps.product(ps.chain(3), ps.chain(3))
+    validated.clear()
+    assert ps.toggle_symmetry_check(grid, 3)
+    assert tableaux._f_plus_by_chains((4, 3, 2, 1)) == tableaux.f_plus_one((4, 3, 2, 1))
+    assert validated == []
+    kept = [q.n for n in range(1, 6) for q in all_posets_upto_iso(n)]
+    validated.clear()
+    assert len(all_posets_upto_iso(5)) == 63
+    assert sorted(validated) == kept  # 1 + 2 + 5 + 16 + 63 classes
 
 
 def test_unknown_suite():
