@@ -392,7 +392,7 @@ def _build_chain_table(lower, order, size: int) -> tuple[tuple[tuple[int, ...], 
     pairs = 0
     for x in order:
         near = lower[x]
-        below = strict[x] = set(near).union(*map(strict.__getitem__, near))
+        below = strict[x] = tuple(set(near).union(*map(strict.__getitem__, near)))
         pairs += len(below)
         if pairs > bound:
             _check_capacity(pairs, "multichain strict order pairs")
@@ -429,14 +429,17 @@ def multichain_counts(p: FinitePoset, m: int) -> list[int]:
 
 def _multichain_counts(n: int, m, table) -> list[int]:
     """multichain_counts on n elements, whose chain tables `table(size)` reads."""
-    (m,) = _integers((m,), "multichain size")
-    if m < 1:
-        raise SizeError("m must be a positive integer")
-    if m == 1:  # the one 1-element multichain through e is {e}
-        return [1] * n
-    rows = table(m)
+    (m,) = _multichain_sizes((m,))
+    rows = table(m) if m > 1 else [[1]] * n  # the one 1-element chain through e is {e}
     weights = [comb(m - 1, k) for k in range(max(map(len, rows)))]
     return [sum(map(mul, row, weights)) for row in rows]
+
+
+def _multichain_sizes(ms) -> tuple[int, ...]:
+    ms = _integers(ms, "multichain size")
+    if min(ms) < 1:
+        raise SizeError("m must be a positive integer")
+    return ms
 
 
 def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
@@ -447,23 +450,29 @@ def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
         raise MalformedInputError(f"{len(values)} values for {p.n} elements")
     if not all(isinstance(v, Rational) for v in values):
         raise MalformedInputError("multichain expectation values must be int or Fraction")
-    return _multichain_mean(p, m, values)
-
-
-def _multichain_mean(p: FinitePoset, m: int, values) -> Fraction:
-    """expectation_under_multichain on values already known to be n exact
-    rationals."""
-    counts = multichain_counts(p, m)
-    return Fraction(sum(map(mul, values, counts)), sum(counts))
+    return _multichain_means(p, values, (m,))[0]
 
 
 def expectation_Xm(p: FinitePoset, m: int) -> Fraction:
     """Expected down-degree under the m-element multichain distribution."""
-    return _multichain_mean(p, m, p.down_degrees())
+    return _multichain_means(p, p.down_degrees(), (m,))[0]
 
 
 def is_CDE(p: FinitePoset) -> bool:
     return expectation_X(p) == expectation_Y(p)
+
+
+def _multichain_means(p: FinitePoset, values, ms) -> list[Fraction]:
+    """For each m in `ms`, the mean of `values` (n exact rationals) under the
+    m-element multichain distribution: sum_k V_k C(m-1, k-1) / sum_k T_k C(m-1, k-1)."""
+    _require_nonempty(p)
+    ms = _multichain_sizes(ms)
+    rows = _chain_table(p, max(ms)) if max(ms) > 1 else [[1]] * p.n  # as in _multichain_counts
+    # T_k, V_k: the k-element chains through the elements, counted plainly and by value
+    total = [sum(col) for col in zip_longest(*rows, fillvalue=0)]
+    weighted = [sum(map(mul, values, col)) for col in zip_longest(*rows, fillvalue=0)]
+    weights = [[comb(m - 1, k) for k in range(len(total))] for m in ms]
+    return [Fraction(sum(map(mul, weighted, w)), sum(map(mul, total, w))) for w in weights]
 
 
 def _multichain_expectations(p: FinitePoset, M: int) -> list[Fraction]:
@@ -473,16 +482,7 @@ def _multichain_expectations(p: FinitePoset, M: int) -> list[Fraction]:
         return []
     _require_nonempty(p)
     _check_capacity(M, "multichain expectations")
-    table = _chain_table(p, M)
-    dd = p.down_degrees()
-    # k-chains through the elements, by k: counted plainly and by down-degree
-    total = [sum(col) for col in zip_longest(*table, fillvalue=0)]
-    weighted = [sum(map(mul, dd, col)) for col in zip_longest(*table, fillvalue=0)]
-    out = []
-    for m in range(1, M + 1):
-        weights = [comb(m - 1, k) for k in range(len(total))]
-        out.append(Fraction(sum(map(mul, weighted, weights)), sum(map(mul, total, weights))))
-    return out
+    return _multichain_means(p, p.down_degrees(), range(1, M + 1))
 
 
 def is_mCDE_upto(p: FinitePoset, M: int) -> bool:

@@ -71,9 +71,9 @@ __all__ = [
 
 def check_partition(shape) -> tuple[int, ...]:
     shape = _integers(shape, "partition part")
-    if any(p <= 0 for p in shape):
+    if shape and min(shape) <= 0:
         raise MalformedInputError(f"partition {shape} has a nonpositive part")
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
+    if list(shape) != sorted(shape, reverse=True):
         raise MalformedInputError(f"partition {shape} is not weakly decreasing")
     return shape
 
@@ -233,7 +233,7 @@ def shifted_interval(shape) -> FinitePoset:
 def rank_generating_function(shape) -> IntPolynomial:
     """Generating function sum_{mu inside shape} q^|mu|, via the outside
     corner recurrence, filled smallest first by `_rank_table`."""
-    shape = tuple(shape)
+    shape = check_partition(shape)
     return _rank_table(shape)[shape]
 
 
@@ -276,7 +276,7 @@ def _rank_table(shape) -> dict[tuple[int, ...], IntPolynomial]:
 
 
 def hook_lengths(shape) -> list[list[int]]:
-    shape = tuple(shape)
+    shape = check_partition(shape)
     _check_capacity(sum(shape), "hook lengths")  # one per cell, before they are listed
     conj = transpose(shape)
     return [
@@ -287,14 +287,14 @@ def hook_lengths(shape) -> list[list[int]]:
 
 def hook_f(shape) -> int:
     """Number of standard Young tableaux, by the hook-length product."""
-    shape = tuple(shape)
-    return _hook_quotient(sum(shape), (h for row in hook_lengths(shape) for h in row))
+    hooks = hook_lengths(shape)  # checks the shape
+    return _hook_quotient(sum(map(len, hooks)), (h for row in hooks for h in row))
 
 
 def f_plus_one(shape) -> int:
     """Number of standard barely set-valued tableaux, via the corner
     recurrence sum_x (i-1) f(shape + x)."""
-    shape = tuple(shape)
+    shape = check_partition(shape)
     return sum((i - 1) * hook_f(add_corner(shape, (i, j))) for i, j in outside_corners(shape))
 
 
@@ -313,7 +313,7 @@ def _f_plus_by_chains(shape) -> int:
 def kerov_mean_zero_check(shape) -> bool:
     """Check that corner contents j-i average to zero against the growth
     weights f(shape + x)."""
-    shape = tuple(shape)
+    shape = check_partition(shape)
     total = sum((j - i) * hook_f(add_corner(shape, (i, j))) for i, j in outside_corners(shape))
     return total == 0
 

@@ -32,6 +32,36 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} asserts on lines {lines}"
 
 
+def test_library_reads_every_name_it_imports():
+    # a module-level import that nothing reads, nor __all__ exports, is dead
+    for path in sorted((SRC / "cde").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        unused = sorted(name for name in bound if name not in read | exported)
+        assert not unused, f"{path.name} imports {unused} and never reads them"
+
+
+def test_sources_parse_under_the_oldest_supported_grammar():
+    # pyproject.toml admits Python 3.10, so no 3.11+ syntax (except*, def
+    # f[T], ...); this reads the grammar only, not which library calls exist
+    for path in sorted((SRC / "cde").rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_library_imports_only_at_module_level():
     # an import inside a function runs on every call and hides a dependency
     for path in sorted((SRC / "cde").rglob("*.py")):

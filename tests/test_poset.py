@@ -278,6 +278,52 @@ def test_is_mCDE_upto_compares_each_multichain_expectation():
             assert is_mCDE_upto(p, M) == want
 
 
+def test_multichain_means_match_the_per_element_counts_and_the_enumeration():
+    # the column sums of the chain table against multichain_counts and the
+    # listed multichains, for every m up to two past the longest chain
+    rng = random.Random(33)
+    for n in range(1, 6):
+        for p in all_posets_upto_iso(n):
+            dd = p.down_degrees()
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            for m in range(1, max(p.level) + 4):
+                counts = multichain_counts(p, m)
+                means = [
+                    (expectation_Xm(p, m), dd),
+                    (expectation_under_multichain(p, m, values), values),
+                ]
+                for got, vals in means:
+                    assert got == Fraction(sum(v * c for v, c in zip(vals, counts)), sum(counts))
+                    assert got == _enumerate_multichain_expectation(p, m, vals)
+
+
+def test_multichain_means_check_values_then_the_poset_then_m():
+    empty, p = FinitePoset(0, frozenset()), chain(3)
+    nonempty = "statistic undefined on the empty poset"
+    not_integer = "multichain size 1.5 is not an integer"
+    not_positive = "m must be a positive integer"
+    count = "1 values for 0 elements"
+    calls = [
+        (lambda: expectation_under_multichain(empty, 0, [1]), MalformedInputError, count),
+        (
+            lambda: expectation_under_multichain(p, 1.5, [1, 2.0, 3]),
+            MalformedInputError,
+            "multichain expectation values must be int or Fraction",
+        ),
+        (lambda: expectation_under_multichain(empty, 0, []), EmptyPosetError, nonempty),
+        (lambda: expectation_Xm(empty, 0), EmptyPosetError, nonempty),
+        (lambda: expectation_Xm(empty, 1.5), EmptyPosetError, nonempty),
+        (lambda: expectation_Xm(p, 1.5), MalformedInputError, not_integer),
+        (lambda: expectation_under_multichain(p, 1.5, [0, 1, 1]), MalformedInputError, not_integer),
+        (lambda: expectation_Xm(p, 0), SizeError, not_positive),
+        (lambda: expectation_under_multichain(p, -2, [1, 2, 3]), SizeError, not_positive),
+    ]
+    for call, error, message in calls:
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
     built = []
     real = poset._chain_table
@@ -345,6 +391,22 @@ def test_a_kept_chain_table_is_refused_under_a_lower_bound_as_a_fresh_poset_is(m
         assert str(kept.value) == str(fresh.value)
     monkeypatch.setenv("CDE_CAPACITY", "1779")
     assert expectation_Xm(p, 8) == expectation_Xm(weak_order_full(5), 8) == xm
+
+
+def test_chain_table_strict_order_costs_under_40_bytes_a_pair(monkeypatch):
+    # the down-sets are held as tuples: the weak order of S_6 holds 30,991
+    # strict pairs, and they peaked at ~81 B a pair when held as sets
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    p = weak_order_full(6)
+    lower, order = p.lower_covers, p.order
+    tracemalloc.start()
+    try:
+        _, pairs = poset._build_chain_table(lower, order, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 30_991
+    assert peak < 40 * pairs, peak / pairs
 
 
 def test_a_chain_table_read_is_the_callers_own():

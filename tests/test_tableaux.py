@@ -92,6 +92,18 @@ def test_parse_shape_rejects_malformed_text(text):
         parse_shape(text)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [rank_generating_function, tableaux.hook_lengths, hook_f, f_plus_one, kerov_mean_zero_check],
+)
+@pytest.mark.parametrize("shape", [(1, 2), (2, 0, 1), (0,), (-1,), (2.5,)])
+def test_counting_functions_reject_a_non_partition(count, shape):
+    # read as a bare tuple, (1, 2) gave 1 + 2q + q^2 + q^3 or an IndexError,
+    # and (0,) gave hook_f 1
+    with pytest.raises(MalformedInputError):
+        count(shape)
+
+
 def test_rect_staircase():
     assert rect_staircase(4, 2, 4) == (12, 12, 8, 8, 4, 4)
     assert rect_staircase(2, 3, 5) == (5, 5, 5)
