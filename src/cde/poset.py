@@ -72,6 +72,7 @@ __all__ = [
 DEFAULT_CAPACITY = 2_000_000
 _EXACT_BITS = 1 << 15  # counts up to this width are computed to name them
 _SHOWN_CHARS = 40  # a longer CDE_CAPACITY is named by its length, not echoed
+_FULL_ROW_BITS = 1024  # chain tables with rows this wide are built at full height
 
 
 def capacity() -> int:
@@ -129,11 +130,12 @@ class FinitePoset:
     lower_covers: list[list[int]] = field(init=False, compare=False, repr=False)
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     level: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    # (size, rows, pairs): the largest chain table built so far and the pair
-    # count of the strict order behind it, written by _chain_table alone and
-    # on first use; a class default, not a field, so construction never
-    # touches it and equality never reads it
-    _chains = (0, (), 0)
+    # (size, rows, T, V, pairs): the largest chain table built so far, its
+    # packed rows and column sums, and the pair count of the strict order
+    # behind it, written by _chain_table alone and on first use; a class
+    # default, not a field, so construction never touches it and equality
+    # never reads it
+    _chains = (0, (), (), (), 0)
 
     def __post_init__(self):
         object.__setattr__(self, "covers", frozenset(self.covers))
@@ -322,32 +324,46 @@ def _pack_width(n: int, size: int) -> int:
     return comb(n - 1, min(size - 1, (n - 1) // 2)).bit_length() + 1
 
 
-def _chain_table(p: FinitePoset, size: int) -> list[list[int]]:
+def _chain_table(p: FinitePoset, size: int, sums: bool = False) -> list[list[int]]:
     """Row e: a(e, k), the number of k-element chains through e, for
     k = 1..size (shorter when no longer chain passes through e), as fresh
-    lists.
+    lists; with `sums`, the column sums [T_k] and [V_k] for k = 1..size
+    instead, T_k = Σ_e a(e, k) and V_k = Σ_e dd(e)·a(e, k).
 
     The table is a derived value of p, filled in on first use: p keeps the
-    largest table built so far, and a request no larger is read from its
-    prefix.  A larger request builds at least twice the kept size, so the
-    sizes 2..8 asked one by one cost three builds.  No chain has more
-    elements than the longest one, so `size` is clamped there, and a table
-    of that size answers every later request.  The request itself, not the
-    build, is charged against the capacity bound, in 64-bit words of packed
-    rows, so that no verdict depends on earlier calls.  The build charges the
-    pairs of the strict order it holds; they do not depend on the size, so a
-    kept table whose pairs are over the current bound is built again, and
-    refused as a fresh equal poset would be.
+    largest table built so far, as one packed row per element (see
+    `_build_chain_table`) and its two column sums, taken in one pass at
+    build time, and a request no larger is read from them.  No chain has
+    more elements than the longest one, so `size` is clamped there, and a
+    table of that size answers every later request.  A build is made at
+    that full height when its rows are at most _FULL_ROW_BITS wide and its
+    words fit the capacity bound, since a build costs about the same at
+    any height up to there; otherwise it is made at least twice the kept
+    size, so the sizes 2..8 asked one by one cost three builds.  The
+    request itself, not the build, is charged against the capacity bound,
+    in 64-bit words of packed rows, so that no verdict depends on earlier
+    calls.  The build charges the pairs of the strict order it holds; they
+    do not depend on the size, so a kept table whose pairs are over the
+    current bound is built again, and refused as a fresh equal poset would
+    be.
     """
-    longest = max(p.level) + 1  # at most n
-    size = _table_size(p.n, longest, size)
-    built, rows, pairs = p._chains
+    n, longest = p.n, max(p.level) + 1  # at most n
+    size = _table_size(n, longest, size)
+    kept = p._chains
+    built, rows, total, weighted, pairs = kept
     if size > built or pairs > capacity():
-        built = min(max(size, 2 * built), longest)
+        full = longest * _pack_width(n, longest)
+        if full <= _FULL_ROW_BITS and n * -(-full // 64) <= capacity():
+            built = longest
+        else:
+            built = min(max(size, 2 * built), longest)
         rows, pairs = _build_chain_table(p.lower_covers, p.order, built)
-        if built > p._chains[0]:  # another thread may have kept a larger one
-            object.__setattr__(p, "_chains", (built, rows, pairs))
-    return [list(row[:size]) for row in rows]
+        total, weighted = _column_sums(rows, _pack_width(n, built), built, p.down_degrees())
+        if built > kept[0]:  # another thread may have kept a larger one
+            object.__setattr__(p, "_chains", (built, rows, total, weighted, pairs))
+    if sums:
+        return [list(total[:size]), list(weighted[:size])]
+    return _unpack_rows(rows, _pack_width(n, built), size)
 
 
 def _table_size(n: int, longest: int, size: int) -> int:
@@ -360,26 +376,29 @@ def _table_size(n: int, longest: int, size: int) -> int:
     return size
 
 
-def _build_chain_table(lower, order, size: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _build_chain_table(lower, order, size: int) -> tuple[tuple[int, ...], int]:
     """The chain table of `_chain_table`, built at `size` on the lower covers
-    `lower` in `order`, each element after every element below it, rows as
-    tuples, and the number of pairs in the strict order it was built from.
+    `lower` in `order`, each element after every element below it, as one
+    packed row per element, and the number of pairs in the strict order it
+    was built from.
 
     A chain through e is a chain with top e joined at e to a chain with
     bottom e, so row e is the convolution of the two, truncated at `size`.
 
     Each row is packed into one int (Kronecker substitution): the entry for
-    k sits in bits (k-1)·W .. k·W-1, so adding rows is one integer add and
-    the convolution one integer product.  No entry carries into the next:
-    a k-element chain through e (or with top or bottom e) is e plus k-1 of
-    the other n-1 elements, so each entry below `size` is at most
-    C(n-1, k-1) < 2^W.  Sums and products overflow only at or above bit
-    size·W, and carries only go up, so the mask `keep` drops them.
+    k sits in bits (k-1)·W .. k·W-1, W = _pack_width(n, size), so adding
+    rows is one integer add and the convolution one integer product.  No
+    entry carries into the next: a k-element chain through e (or with top
+    or bottom e) is e plus k-1 of the other n-1 elements, so each entry
+    below `size` is at most C(n-1, k-1) < 2^W.  Sums and products overflow
+    only at or above bit size·W, and carries only go up, so the mask `keep`
+    drops them.  `_unpack_rows` reads the rows back.
 
     The strict order is built once, as down-sets on the way up: top rows
     pull from the elements below, and on the way down each finished bottom
     row is pushed to the elements below it.  Its pairs are counted as the
-    down-sets are built and refused once they pass the capacity bound.
+    down-sets are built and refused once they pass the capacity bound, and
+    the down-sets are released before the rows are formed.
     """
     n = len(lower)
     W = _pack_width(n, size)
@@ -404,16 +423,33 @@ def _build_chain_table(lower, order, size: int) -> tuple[tuple[tuple[int, ...], 
         pushed = bottoms[x] << W
         for z in strict[x]:
             above[z] += pushed
+    del strict, above
+    for x in range(n):
+        tops[x] = (tops[x] * bottoms[x]) & keep
+    return tuple(tops), pairs
+
+
+def _unpack_rows(rows, W: int, size: int) -> list[list[int]]:
+    """The packed rows `rows`, W bits per entry, as lists of their first
+    `size` entries, each ending at its last nonzero entry."""
     entry = (1 << W) - 1
-    table = []
-    for top, bottom in zip(tops, bottoms):
-        packed = (top * bottom) & keep
-        row = []
-        while packed:
-            row.append(packed & entry)
-            packed >>= W
-        table.append(tuple(row))
-    return tuple(table), pairs
+    keep = (1 << W * size) - 1
+    return [
+        [(packed >> k) & entry for k in range(0, packed.bit_length(), W)]
+        for packed in map(keep.__and__, rows)
+    ]
+
+
+def _column_sums(rows, W: int, size: int, values) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """[T_k] and [V_k] for k = 1..size of the packed rows `rows`, W bits per
+    entry: the plain sums of column k and its sums weighted by `values`."""
+    entry = (1 << W) - 1
+    total, weighted = [], []
+    for k in range(0, W * size, W):
+        col = [(packed >> k) & entry for packed in rows]
+        total.append(sum(col))
+        weighted.append(sum(map(mul, values, col)))
+    return tuple(total), tuple(weighted)
 
 
 def multichain_counts(p: FinitePoset, m: int) -> list[int]:
@@ -455,7 +491,7 @@ def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
 
 def expectation_Xm(p: FinitePoset, m: int) -> Fraction:
     """Expected down-degree under the m-element multichain distribution."""
-    return _multichain_means(p, p.down_degrees(), (m,))[0]
+    return _multichain_means(p, None, (m,))[0]
 
 
 def is_CDE(p: FinitePoset) -> bool:
@@ -463,14 +499,21 @@ def is_CDE(p: FinitePoset) -> bool:
 
 
 def _multichain_means(p: FinitePoset, values, ms) -> list[Fraction]:
-    """For each m in `ms`, the mean of `values` (n exact rationals) under the
-    m-element multichain distribution: sum_k V_k C(m-1, k-1) / sum_k T_k C(m-1, k-1)."""
+    """For each m in `ms`, the mean of `values` (n exact rationals, or None
+    for the down-degrees) under the m-element multichain distribution:
+    sum_k V_k C(m-1, k-1) / sum_k T_k C(m-1, k-1), with T_k, V_k the
+    k-element chains through the elements, counted plainly and by value.
+    The down-degree sums are kept with the chain table, so they read no row."""
     _require_nonempty(p)
     ms = _multichain_sizes(ms)
-    rows = _chain_table(p, max(ms)) if max(ms) > 1 else [[1]] * p.n  # as in _multichain_counts
-    # T_k, V_k: the k-element chains through the elements, counted plainly and by value
-    total = [sum(col) for col in zip_longest(*rows, fillvalue=0)]
-    weighted = [sum(map(mul, values, col)) for col in zip_longest(*rows, fillvalue=0)]
+    size = max(ms)
+    if values is None:
+        # the one 1-element chain through e is {e}, as in _multichain_counts
+        total, weighted = _chain_table(p, size, sums=True) if size > 1 else ([p.n], [len(p.covers)])
+    else:
+        rows = _chain_table(p, size) if size > 1 else [[1]] * p.n
+        total = [sum(col) for col in zip_longest(*rows, fillvalue=0)]
+        weighted = [sum(map(mul, values, col)) for col in zip_longest(*rows, fillvalue=0)]
     weights = [[comb(m - 1, k) for k in range(len(total))] for m in ms]
     return [Fraction(sum(map(mul, weighted, w)), sum(map(mul, total, w))) for w in weights]
 
@@ -482,7 +525,7 @@ def _multichain_expectations(p: FinitePoset, M: int) -> list[Fraction]:
         return []
     _require_nonempty(p)
     _check_capacity(M, "multichain expectations")
-    return _multichain_means(p, p.down_degrees(), range(1, M + 1))
+    return _multichain_means(p, None, range(1, M + 1))
 
 
 def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
@@ -717,9 +760,12 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     _require_nonempty(base)
     masks, lower = _ideals(base.order_relation())
     n = len(masks)
-    counts = _multichain_counts(
-        n, m, lambda size: _build_chain_table(lower, range(n), _table_size(n, base.n + 1, size))[0]
-    )
+
+    def table(size):
+        size = _table_size(n, base.n + 1, size)
+        return _unpack_rows(_build_chain_table(lower, range(n), size)[0], _pack_width(n, size), size)
+
+    counts = _multichain_counts(n, m, table)
     balance = [0] * base.n
     for j, lows in enumerate(lower):
         for i in lows:

@@ -276,7 +276,11 @@ def _rank_table(shape) -> dict[tuple[int, ...], IntPolynomial]:
 
 
 def hook_lengths(shape) -> list[list[int]]:
-    shape = check_partition(shape)
+    return _hook_lengths(check_partition(shape))
+
+
+def _hook_lengths(shape) -> list[list[int]]:
+    """hook_lengths of a shape already checked by check_partition."""
     _check_capacity(sum(shape), "hook lengths")  # one per cell, before they are listed
     conj = transpose(shape)
     return [
@@ -287,15 +291,21 @@ def hook_lengths(shape) -> list[list[int]]:
 
 def hook_f(shape) -> int:
     """Number of standard Young tableaux, by the hook-length product."""
-    hooks = hook_lengths(shape)  # checks the shape
-    return _hook_quotient(sum(map(len, hooks)), (h for row in hooks for h in row))
+    return _hook_f(check_partition(shape))
+
+
+def _hook_f(shape) -> int:
+    """hook_f of a shape already checked by check_partition, such as one
+    that add_corner returns for a checked shape."""
+    hooks = _hook_lengths(shape)
+    return _hook_quotient(sum(shape), (h for row in hooks for h in row))
 
 
 def f_plus_one(shape) -> int:
     """Number of standard barely set-valued tableaux, via the corner
     recurrence sum_x (i-1) f(shape + x)."""
     shape = check_partition(shape)
-    return sum((i - 1) * hook_f(add_corner(shape, (i, j))) for i, j in outside_corners(shape))
+    return sum((i - 1) * _hook_f(add_corner(shape, (i, j))) for i, j in outside_corners(shape))
 
 
 def _f_plus_by_chains(shape) -> int:
@@ -314,7 +324,7 @@ def kerov_mean_zero_check(shape) -> bool:
     """Check that corner contents j-i average to zero against the growth
     weights f(shape + x)."""
     shape = check_partition(shape)
-    total = sum((j - i) * hook_f(add_corner(shape, (i, j))) for i, j in outside_corners(shape))
+    total = sum((j - i) * _hook_f(add_corner(shape, (i, j))) for i, j in outside_corners(shape))
     return total == 0
 
 
@@ -876,7 +886,7 @@ def hook_content_count(shape, t: int) -> int:
     hook-content product."""
     shape = check_partition(shape)
     out = Fraction(1)
-    hooks = hook_lengths(shape)
+    hooks = _hook_lengths(shape)
     for i in range(len(shape)):
         for j in range(shape[i]):
             out *= Fraction(t + (j - i), hooks[i][j])

@@ -142,9 +142,9 @@ _CHECKS = [
     ("", "tb.add_corner((2, 1), (1, 2))", "NotCornerError"),
     ("", "tb.add_corner((2, 2), (2, 3))", "NotCornerError"),
     ("", "tb.remove_corner((2, 2), (1, 2))", "NotCornerError"),
-    ("tb.hook_lengths = lambda shape: [[7]]", "tb.hook_f((2, 1))", "ReconciliationError"),
+    ("tb._hook_lengths = lambda shape: [[7]]", "tb.hook_f((2, 1))", "ReconciliationError"),
     (
-        "tb.hook_lengths = lambda shape: [[7, 1], [1]]",
+        "tb._hook_lengths = lambda shape: [[7, 1], [1]]",
         "tb.hook_content_count((2, 1), 2)",
         "ReconciliationError",
     ),

@@ -328,8 +328,8 @@ def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
     built = []
     real = poset._chain_table
 
-    def counted(p, size):
-        table = real(p, size)
+    def counted(p, size, sums=False):
+        table = real(p, size, sums)  # rows, or the two column sums
         built.append((size, max(map(len, table))))
         return table
 
@@ -353,26 +353,94 @@ def test_chain_table_matches_the_list_convolution_oracle():
                 assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
 
 
-def test_chain_table_is_built_once_per_poset_and_grown_by_doubling(monkeypatch):
+def _counting_builds(monkeypatch) -> list[int]:
+    """The sizes of the chain tables built from here on, in order."""
     built = []
     real = poset._build_chain_table
     monkeypatch.setattr(
         poset, "_build_chain_table", lambda lower, order, size: built.append(size) or real(lower, order, size)
     )
-    p = product(chain(5), chain(5))  # its longest chain has 9 elements
+    return built
+
+
+def test_a_narrow_chain_table_is_built_once_at_full_height(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    p = product(chain(5), chain(5))  # its longest chain has 9 elements, in 189-bit rows
+    xm = [expectation_Xm(p, m) for m in range(1, 9)]
+    assert is_mCDE_upto(p, 8)
+    assert built == [9]  # m = 1 needs no table; m = 2 builds the whole table
+    # every later request reads its prefix, rows and column sums alike
+    assert [expectation_Xm(p, m) for m in range(1, 9)] == xm and is_mCDE_upto(p, 8)
+    assert [poset._chain_table(p, size) for size in range(1, 10)] == [
+        bruteforce.chain_table(p, size) for size in range(1, 10)
+    ]
+    zeta = [sum(a * comb(99, k) for k, a in enumerate(row)) for row in bruteforce.chain_table(p, 100)]
+    assert multichain_counts(p, 100) == zeta
+    assert is_mCDE_upto(p, 50) and built == [9]
+    # an equal poset built apart has no table yet
+    q = product(chain(5), chain(5))
+    assert q == p and expectation_Xm(q, 8) == xm[-1]
+    assert built == [9, 9]
+
+
+def test_chain_table_is_built_once_per_poset_and_grown_by_doubling(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    p = chain(70)  # its full-height rows take 70 entries of 67 bits: 4,690 bits
     xm = [expectation_Xm(p, m) for m in range(1, 9)]
     assert is_mCDE_upto(p, 8)
     assert built == [2, 4, 8]  # m = 1 needs no table; 3 and 5 miss
     assert [expectation_Xm(p, m) for m in range(1, 9)] == xm and is_mCDE_upto(p, 8)
     assert built == [2, 4, 8]
     # a larger request builds at most the longest chain, which answers all
-    zeta = [sum(a * comb(99, k) for k, a in enumerate(row)) for row in bruteforce.chain_table(p, 100)]
-    assert multichain_counts(p, 100) == zeta
-    assert is_mCDE_upto(p, 50) and built == [2, 4, 8, 9]
+    assert multichain_counts(p, 100) == [comb(168, 69)] * 70
+    assert is_mCDE_upto(p, 50) and built == [2, 4, 8, 70]
     # an equal poset built apart has no table yet
-    q = product(chain(5), chain(5))
+    q = chain(70)
     assert q == p and expectation_Xm(q, 8) == xm[-1]
-    assert built == [2, 4, 8, 9, 8]
+    assert built == [2, 4, 8, 70, 8]
+
+
+def test_a_full_height_table_is_built_only_when_its_words_fit_the_bound(monkeypatch):
+    # 108 elements, longest chain 8: the full-height table would hold 540
+    # words, over the bound; the request for m = 2 needs 108 words and the
+    # strict order 28 pairs, so it is built at size 2 alone
+    monkeypatch.setenv("CDE_CAPACITY", "200")
+    built = _counting_builds(monkeypatch)
+    assert expectation_Xm(disjoint_union(chain(8), antichain(100)), 2) == Fraction(14, 41)
+    assert built == [2]
+
+
+def test_every_multichain_expectation_of_a_small_J_reads_one_build(monkeypatch):
+    # a work gate: J(P) for every P of at most 5 elements has rows of at
+    # most 6 entries, so m = 1..8 are read from one full-height build,
+    # whether they are asked at once or one by one from m = 1 up
+    built = _counting_builds(monkeypatch)
+    for n in range(1, 6):
+        for p in all_posets_upto_iso(n):
+            J = order_ideal_lattice(p)
+            del built[:]
+            xm = poset._multichain_expectations(J, 8)
+            assert len(built) == 1
+            assert [expectation_Xm(J, m) for m in range(1, 9)] == xm
+            assert len(built) == 1
+            J = order_ideal_lattice(p)
+            assert [expectation_Xm(J, m) for m in range(1, 9)] == xm
+            assert len(built) == 2
+
+
+def test_a_kept_chain_table_holds_under_250_bytes_an_element(monkeypatch):
+    # a memory gate: the weak order of S_6 keeps its 720 packed rows of 8
+    # entries and two column sums in ~200 B an element; as tuples of
+    # Python ints the rows held ~400 B
+    monkeypatch.delenv("CDE_CAPACITY", raising=False)
+    p = weak_order_full(6)
+    tracemalloc.start()
+    try:
+        expectation_Xm(p, 8)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 250 * p.n, kept / p.n
 
 
 def test_a_kept_chain_table_is_refused_under_a_lower_bound_as_a_fresh_poset_is(monkeypatch):
