@@ -17,7 +17,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, zip_longest
+from itertools import permutations
 from math import comb, factorial, prod
 from numbers import Rational
 from operator import mul
@@ -324,16 +324,16 @@ def _pack_width(n: int, size: int) -> int:
     return comb(n - 1, min(size - 1, (n - 1) // 2)).bit_length() + 1
 
 
-def _chain_table(p: FinitePoset, size: int, sums: bool = False) -> list[list[int]]:
-    """Row e: a(e, k), the number of k-element chains through e, for
-    k = 1..size (shorter when no longer chain passes through e), as fresh
-    lists; with `sums`, the column sums [T_k] and [V_k] for k = 1..size
-    instead, T_k = Σ_e a(e, k) and V_k = Σ_e dd(e)·a(e, k).
+def _chain_table(p: FinitePoset, size: int) -> tuple:
+    """(size, rows, W, T, V): `size` clamped to the longest chain; p's kept
+    chain table, at least that size, as one packed row per element, W bits
+    per entry (see `_build_chain_table`), row e holding a(e, k), the number
+    of k-element chains through e; and its column sums T_k = Σ_e a(e, k) and
+    V_k = Σ_e dd(e)·a(e, k) for k = 1..size.  `_columns` reads the rows.
 
     The table is a derived value of p, filled in on first use: p keeps the
-    largest table built so far, as one packed row per element (see
-    `_build_chain_table`) and its two column sums, taken in one pass at
-    build time, and a request no larger is read from them.  No chain has
+    largest table built so far, with its two column sums, taken in one pass
+    at build time, and a request no larger is read from them.  No chain has
     more elements than the longest one, so `size` is clamped there, and a
     table of that size answers every later request.  A build is made at
     that full height when its rows are at most _FULL_ROW_BITS wide and its
@@ -348,32 +348,39 @@ def _chain_table(p: FinitePoset, size: int, sums: bool = False) -> list[list[int
     be.
     """
     n, longest = p.n, max(p.level) + 1  # at most n
-    size = _table_size(n, longest, size)
+    size, ones = _table_size(n, longest, size)
     kept = p._chains
     built, rows, total, weighted, pairs = kept
     if size > built or pairs > capacity():
-        full = longest * _pack_width(n, longest)
-        if full <= _FULL_ROW_BITS and n * -(-full // 64) <= capacity():
-            built = longest
+        if ones:
+            built, rows, pairs = 1, ones, 0
         else:
-            built = min(max(size, 2 * built), longest)
-        rows, pairs = _build_chain_table(p.lower_covers, p.order, built)
-        total, weighted = _column_sums(rows, _pack_width(n, built), built, p.down_degrees())
+            full = longest * _pack_width(n, longest)
+            if full <= _FULL_ROW_BITS and n * -(-full // 64) <= capacity():
+                built = longest
+            else:
+                built = min(max(size, 2 * built), longest)
+            rows, pairs = _build_chain_table(p.lower_covers, p.order, built)
+        dd = p.down_degrees()
+        columns = _columns(rows, _pack_width(n, built), built)
+        total, weighted = zip(*((sum(col), sum(map(mul, dd, col))) for col in columns))
         if built > kept[0]:  # another thread may have kept a larger one
             object.__setattr__(p, "_chains", (built, rows, total, weighted, pairs))
-    if sums:
-        return [list(total[:size]), list(weighted[:size])]
-    return _unpack_rows(rows, _pack_width(n, built), size)
+    return size, rows, _pack_width(n, built), total[:size], weighted[:size]
 
 
-def _table_size(n: int, longest: int, size: int) -> int:
+def _table_size(n: int, longest: int, size: int) -> tuple[int, tuple[int, ...] | None]:
     """`size` clamped to the longest chain, `longest` elements, after the
-    chain table of that size on n elements is charged in 64-bit words."""
+    chain table of that size on n elements is charged in 64-bit words; and
+    the packed rows of the table of size 1, which needs neither a charge nor
+    a build: the one 1-element chain through e is {e}, so each row is 1."""
+    if size == 1:
+        return 1, (1,) * n
     size = min(size, longest)
     words = n * -(-size * _pack_width(n, size) // 64)
     if words > capacity():
         _check_capacity(words, "multichain table words")
-    return size
+    return size, None
 
 
 def _build_chain_table(lower, order, size: int) -> tuple[tuple[int, ...], int]:
@@ -392,7 +399,7 @@ def _build_chain_table(lower, order, size: int) -> tuple[tuple[int, ...], int]:
     or bottom e) is e plus k-1 of the other n-1 elements, so each entry
     below `size` is at most C(n-1, k-1) < 2^W.  Sums and products overflow
     only at or above bit size·W, and carries only go up, so the mask `keep`
-    drops them.  `_unpack_rows` reads the rows back.
+    drops them.  `_columns` is the one reader of the rows.
 
     The strict order is built once, as down-sets on the way up: top rows
     pull from the elements below, and on the way down each finished bottom
@@ -429,46 +436,31 @@ def _build_chain_table(lower, order, size: int) -> tuple[tuple[int, ...], int]:
     return tuple(tops), pairs
 
 
-def _unpack_rows(rows, W: int, size: int) -> list[list[int]]:
-    """The packed rows `rows`, W bits per entry, as lists of their first
-    `size` entries, each ending at its last nonzero entry."""
+def _columns(rows, W: int, size: int):
+    """Columns k = 1..size of the packed rows `rows`, W bits per entry, one
+    at a time: column k lists entry k of every row.  The one reader of
+    packed rows."""
     entry = (1 << W) - 1
-    keep = (1 << W * size) - 1
-    return [
-        [(packed >> k) & entry for k in range(0, packed.bit_length(), W)]
-        for packed in map(keep.__and__, rows)
-    ]
+    return ([(packed >> k) & entry for packed in rows] for k in range(0, W * size, W))
 
 
-def _column_sums(rows, W: int, size: int, values) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """[T_k] and [V_k] for k = 1..size of the packed rows `rows`, W bits per
-    entry: the plain sums of column k and its sums weighted by `values`."""
-    entry = (1 << W) - 1
-    total, weighted = [], []
-    for k in range(0, W * size, W):
-        col = [(packed >> k) & entry for packed in rows]
-        total.append(sum(col))
-        weighted.append(sum(map(mul, values, col)))
-    return tuple(total), tuple(weighted)
+def _zeta_sums(rows, W: int, size: int, m: int) -> list[int]:
+    """Σ_k C(m-1, k-1)·a(e, k) over k = 1..size for each packed row e of a
+    chain table: the m-element multichains through e.  A multichain has a
+    chain as its set of elements, and C(m-1, k-1) multichains of m elements
+    have a given k-element chain as their set (the zeta-polynomial
+    expansion, Stanley, EC1 3.12)."""
+    weights = [comb(m - 1, k) for k in range(size)]
+    return [sum(map(mul, weights, row)) for row in zip(*_columns(rows, W, size))]
 
 
 def multichain_counts(p: FinitePoset, m: int) -> list[int]:
-    """For each element, the number of m-element multichains containing it.
-
-    A multichain through e has a chain through e as its set of elements, and
-    C(m-1, k-1) multichains of m elements have a given k-element chain as
-    their set (the zeta-polynomial expansion, Stanley, EC1 3.12).
-    """
+    """For each element, the number of m-element multichains containing it,
+    read from p's chain table (see `_zeta_sums`)."""
     _require_nonempty(p)
-    return _multichain_counts(p.n, m, lambda size: _chain_table(p, size))
-
-
-def _multichain_counts(n: int, m, table) -> list[int]:
-    """multichain_counts on n elements, whose chain tables `table(size)` reads."""
     (m,) = _multichain_sizes((m,))
-    rows = table(m) if m > 1 else [[1]] * n  # the one 1-element chain through e is {e}
-    weights = [comb(m - 1, k) for k in range(max(map(len, rows)))]
-    return [sum(map(mul, row, weights)) for row in rows]
+    size, rows, W, _, _ = _chain_table(p, m)
+    return _zeta_sums(rows, W, size, m)
 
 
 def _multichain_sizes(ms) -> tuple[int, ...]:
@@ -506,15 +498,10 @@ def _multichain_means(p: FinitePoset, values, ms) -> list[Fraction]:
     The down-degree sums are kept with the chain table, so they read no row."""
     _require_nonempty(p)
     ms = _multichain_sizes(ms)
-    size = max(ms)
-    if values is None:
-        # the one 1-element chain through e is {e}, as in _multichain_counts
-        total, weighted = _chain_table(p, size, sums=True) if size > 1 else ([p.n], [len(p.covers)])
-    else:
-        rows = _chain_table(p, size) if size > 1 else [[1]] * p.n
-        total = [sum(col) for col in zip_longest(*rows, fillvalue=0)]
-        weighted = [sum(map(mul, values, col)) for col in zip_longest(*rows, fillvalue=0)]
-    weights = [[comb(m - 1, k) for k in range(len(total))] for m in ms]
+    size, rows, W, total, weighted = _chain_table(p, max(ms))
+    if values is not None:
+        weighted = [sum(map(mul, values, col)) for col in _columns(rows, W, size)]
+    weights = [[comb(m - 1, k) for k in range(size)] for m in ms]
     return [Fraction(sum(map(mul, weighted, w)), sum(map(mul, total, w))) for w in weights]
 
 
@@ -739,7 +726,8 @@ def order_ideals(p: FinitePoset) -> list[frozenset[int]]:
 def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     """Distributive lattice of order ideals, ordered by containment."""
     masks, lower = _ideals(p.order_relation())
-    labels = ["{" + ",".join(p.label(e) for e in _members(m, p.n)) + "}" for m in masks]
+    names = [p.label(e) for e in range(p.n)]
+    labels = ["{" + ",".join(map(names.__getitem__, _members(m, p.n))) + "}" for m in masks]
     return FinitePoset(len(masks), _cover_pairs(lower), labels)
 
 
@@ -754,18 +742,17 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     minimal in its complement.
 
     A cover of ideal i by ideal j = i + e says e is maximal in j and minimal
-    in the complement of i, and every such incidence is one cover.  The chain
-    table is built on the walk's lists; J has rank |base|.
+    in the complement of i, and every such incidence is one cover.  m is
+    checked before the walk.  The chain table is built on the walk's lists;
+    J has rank |base|.
     """
     _require_nonempty(base)
+    (m,) = _multichain_sizes((m,))
     masks, lower = _ideals(base.order_relation())
     n = len(masks)
-
-    def table(size):
-        size = _table_size(n, base.n + 1, size)
-        return _unpack_rows(_build_chain_table(lower, range(n), size)[0], _pack_width(n, size), size)
-
-    counts = _multichain_counts(n, m, table)
+    size, ones = _table_size(n, base.n + 1, m)
+    rows = ones or _build_chain_table(lower, range(n), size)[0]
+    counts = _zeta_sums(rows, _pack_width(n, size), size, m)
     balance = [0] * base.n
     for j, lows in enumerate(lower):
         for i in lows:

@@ -112,7 +112,7 @@ def test_perm_stats_walks_the_interval_once(capsys, monkeypatch, argv, line):
 def test_poset_stats_xm_builds_one_chain_table(capsys, monkeypatch):
     sizes = []
     real = poset._chain_table
-    monkeypatch.setattr(poset, "_chain_table", lambda p, size, sums=False: sizes.append(size) or real(p, size, sums))
+    monkeypatch.setattr(poset, "_chain_table", lambda p, size: sizes.append(size) or real(p, size))
     data = run_json(capsys, "poset", "stats", "--builder", "boolean", "--n", "3", "--xm", "8")
     assert [data[f"EX^({m})"] for m in range(1, 9)] == ["3/2"] * 8
     assert data["is_mCDE_upto_8"] is True

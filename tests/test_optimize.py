@@ -96,6 +96,22 @@ def test_only_construction_and_the_chain_table_write_to_a_poset():
     assert not lines, f"poset.py writes to an object after construction on lines {lines}"
 
 
+def test_only_the_chain_table_and_toggle_build_chain_tables():
+    # the kept table and toggle symmetry's table of J(P) are the two builds;
+    # every packed row is read through `_columns`, and no other reader is left
+    tree = ast.parse((SRC / "cde" / "poset.py").read_text())
+    builders = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_build_chain_table"
+    }
+    assert builders == {"_chain_table", "toggle_symmetry_check"}
+    for path in sorted((SRC / "cde").rglob("*.py")):
+        assert "_unpack_rows" not in path.read_text(), path.name
+
+
 def test_library_reads_the_stored_topological_order():
     # a poset derives its order once, on construction; the library reads
     # `p.order`, and `topological_order()` is a copy for callers outside it
@@ -187,6 +203,7 @@ _CHECKS = [
     ("", "ps.multichain_counts(ps.chain(3), 1.0)", "MalformedInputError"),
     ("", "ps._multichain_expectations(ps.chain(3), 2.0)", "MalformedInputError"),
     ("", "ps.is_mCDE_upto(ps.chain(3), 1.5)", "MalformedInputError"),
+    ("", "ps.toggle_symmetry_check(ps.antichain(30), 0)", "SizeError"),
 ]
 
 

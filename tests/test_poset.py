@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,9 +329,9 @@ def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
     built = []
     real = poset._chain_table
 
-    def counted(p, size, sums=False):
-        table = real(p, size, sums)  # rows, or the two column sums
-        built.append((size, max(map(len, table))))
+    def counted(p, size):
+        table = real(p, size)  # (clamped size, rows, W, T, V)
+        built.append((size, table[0]))
         return table
 
     monkeypatch.setattr(poset, "_chain_table", counted)
@@ -343,6 +344,20 @@ def test_multichain_statistics_build_one_table_of_the_needed_size(monkeypatch):
     assert built == [(2, 2)]
 
 
+def _table_rows(p, size) -> list[list[int]]:
+    """p's chain table at `size`, read through `poset._columns`, as rows
+    that end at their last nonzero entry, the shape of bruteforce.chain_table;
+    its kept column sums T and V are checked against those rows on the way."""
+    size, rows, W, total, weighted = poset._chain_table(p, size)
+    table = [list(row) for row in zip(*poset._columns(rows, W, size))]
+    assert list(total) == [sum(col) for col in zip(*table)]
+    assert list(weighted) == [sum(map(mul, p.down_degrees(), col)) for col in zip(*table)]
+    for row in table:
+        while row[-1] == 0:
+            row.pop()
+    return table
+
+
 def test_chain_table_matches_the_list_convolution_oracle():
     # ascending sizes grow each poset's kept table; descending sizes, on
     # fresh posets, read every size below the first from its prefix
@@ -350,7 +365,7 @@ def test_chain_table_matches_the_list_convolution_oracle():
         # tamari(6) is not graded: its chains skip ranks
         for p in _small_posets() + [boolean(5), product(chain(3), chain(4)), tamari(6)]:
             for size in sizes:
-                assert poset._chain_table(p, size) == bruteforce.chain_table(p, size)
+                assert _table_rows(p, size) == bruteforce.chain_table(p, size)
 
 
 def _counting_builds(monkeypatch) -> list[int]:
@@ -371,7 +386,7 @@ def test_a_narrow_chain_table_is_built_once_at_full_height(monkeypatch):
     assert built == [9]  # m = 1 needs no table; m = 2 builds the whole table
     # every later request reads its prefix, rows and column sums alike
     assert [expectation_Xm(p, m) for m in range(1, 9)] == xm and is_mCDE_upto(p, 8)
-    assert [poset._chain_table(p, size) for size in range(1, 10)] == [
+    assert [_table_rows(p, size) for size in range(1, 10)] == [
         bruteforce.chain_table(p, size) for size in range(1, 10)
     ]
     zeta = [sum(a * comb(99, k) for k, a in enumerate(row)) for row in bruteforce.chain_table(p, 100)]
@@ -398,6 +413,19 @@ def test_chain_table_is_built_once_per_poset_and_grown_by_doubling(monkeypatch):
     q = chain(70)
     assert q == p and expectation_Xm(q, 8) == xm[-1]
     assert built == [2, 4, 8, 70, 8]
+
+
+def test_a_table_grown_by_doubling_serves_caller_values_and_counts(monkeypatch):
+    # every k-set of a chain is a chain, so each element is in as many
+    # m-element multichains as any other, C(68 + m, 69) on 70 elements, and
+    # the mean of any values is their plain mean
+    built = _counting_builds(monkeypatch)
+    p = chain(70)
+    values = [Fraction(e * e - 40, e + 1) for e in range(70)]
+    for m in range(2, 10):
+        assert expectation_under_multichain(p, m, values) == Fraction(sum(values), 70)
+        assert multichain_counts(p, m) == [comb(68 + m, 69)] * 70
+    assert built == [2, 4, 8, 16]  # read at sizes 3, 5..7 and 9 from a larger table
 
 
 def test_a_full_height_table_is_built_only_when_its_words_fit_the_bound(monkeypatch):
@@ -478,18 +506,21 @@ def test_chain_table_strict_order_costs_under_40_bytes_a_pair(monkeypatch):
 
 
 def test_a_chain_table_read_is_the_callers_own():
+    # the kept rows and sums are immutable, and the columns are fresh lists
     p = boolean(3)
-    table = poset._chain_table(p, 4)
-    table[0][0] = 99
-    table[1].append(7)
-    table.pop()
-    assert poset._chain_table(p, 4) == bruteforce.chain_table(p, 4)
+    size, rows, W, total, weighted = poset._chain_table(p, 4)
+    assert all(type(kept) is tuple for kept in (rows, total, weighted))
+    columns = list(poset._columns(rows, W, size))
+    columns[0][0] = 99
+    columns[1].append(7)
+    columns.pop()
+    assert _table_rows(p, 4) == bruteforce.chain_table(p, 4)
 
 
 def test_chain_table_packs_entries_wider_than_a_machine_word():
     # on a chain every set of elements is a chain, so a(e, k) = C(n-1, k-1):
     # the width bound is tight, and C(69, 34) takes 66 bits
-    table = poset._chain_table(chain(70), 70)
+    table = _table_rows(chain(70), 70)
     assert all(row == [comb(69, k) for k in range(70)] for row in table)
 
 
@@ -500,7 +531,7 @@ def test_multichain_counts_clamp_the_table_at_n():
 
 def test_chain_table_rows_of_boolean_4():
     # a work pin: row e of B_4 by the subset e, from the list-convolution table
-    assert poset._chain_table(boolean(4), 8) == [
+    assert _table_rows(boolean(4), 8) == [
         [1, 15, 50, 60, 24],  # 0000
         [1, 8, 19, 18, 6],  # 0001
         [1, 8, 19, 18, 6],  # 0010
@@ -522,13 +553,14 @@ def test_chain_table_rows_of_boolean_4():
 
 def test_multichain_counts_m1_skips_the_chain_table(monkeypatch):
     posets = [p for n in range(1, 5) for p in all_posets_upto_iso(n)]
-    # the chain-table route: the zeta sum over 1-element chains
-    by_table = [[sum(row) for row in poset._chain_table(p, 1)] for p in posets]
-    built = []
-    real = poset._chain_table
-    monkeypatch.setattr(poset, "_chain_table", lambda p, size: built.append(size) or real(p, size))
+    # the list-convolution route: the zeta sum over 1-element chains
+    by_table = [[sum(row) for row in bruteforce.chain_table(p, 1)] for p in posets]
+    built = _counting_builds(monkeypatch)
     assert [multichain_counts(p, 1) for p in posets] == by_table
     assert all(counts == [1] * p.n for p, counts in zip(posets, by_table))
+    # m = 1 reads the table of 1-element chains, which no path builds
+    assert all(expectation_Xm(p, 1) == expectation_X(p) for p in posets)
+    assert all(toggle_symmetry_check(p, 1) for p in posets)
     assert built == []
 
 
@@ -702,6 +734,10 @@ def test_order_ideal_lattice_of_grid():
     assert J.n == 10  # subdiagrams of the 2x3 rectangle
     assert stats(J).rank == 6
     assert is_isomorphic(J, young_interval((3, 3)))
+    # each ideal is labelled by its members' labels, ascending
+    names = [grid.label(e) for e in range(grid.n)]
+    assert J.labels == tuple("{" + ",".join(names[e] for e in sorted(s)) + "}" for s in order_ideals(grid))
+    assert J.labels[:3] == ("{}", "{(0,0)}", "{(0,0),(0,1)}")
 
 
 def test_ideals_of_a_grid():
@@ -784,8 +820,22 @@ def test_ideal_views_on_every_small_poset():
 
 def test_toggle_symmetry_check_detects_imbalance(monkeypatch):
     # weights that grow along J(P) make every element likelier maximal
-    monkeypatch.setattr(poset, "_multichain_counts", lambda n, m, table: list(range(n)))
+    monkeypatch.setattr(poset, "_zeta_sums", lambda rows, W, size, m: list(range(len(rows))))
     assert not toggle_symmetry_check(chain(2), 2)
+
+
+def test_toggle_symmetry_check_checks_m_before_the_walk(monkeypatch):
+    walks = []
+    monkeypatch.setattr(poset, "_ideals", lambda down: walks.append(down))
+    calls = [
+        (0, SizeError, "m must be a positive integer"),
+        (1.5, MalformedInputError, "multichain size 1.5 is not an integer"),
+    ]
+    for m, error, message in calls:
+        with pytest.raises(error) as raised:
+            toggle_symmetry_check(antichain(30), m)
+        assert type(raised.value) is error and str(raised.value) == message
+    assert walks == []
 
 
 def test_toggle_symmetry():
