@@ -181,20 +181,16 @@ def _cmd_fk(args) -> int:
         "L": args.L,
         "via": args.via,
     }
-    if args.via == "both":
-        words = perm.fk_polynomial(w, args.L, via="words")
-        tab = perm.fk_polynomial(w, args.L, via="tableaux")
-        data["coefficients"] = list(words.coeffs)
-        data["polynomial"] = str(words)
-        data["tableaux_coefficients"] = list(tab.coeffs)
-        data["agreement"] = words == tab
-        _emit(data, args)
-        return 0 if words == tab else 1
-    pol = perm.fk_polynomial(w, args.L, via=args.via)
+    pol = perm.fk_polynomial(w, args.L, via="words" if args.via == "both" else args.via)
     data["coefficients"] = list(pol.coeffs)
     data["polynomial"] = str(pol)
+    agree = True
+    if args.via == "both":
+        tab = perm.fk_polynomial(w, args.L, via="tableaux")
+        data["tableaux_coefficients"] = list(tab.coeffs)
+        data["agreement"] = agree = pol == tab
     _emit(data, args)
-    return 0
+    return 0 if agree else 1
 
 
 def _cmd_verify(args) -> int:

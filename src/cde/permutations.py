@@ -732,9 +732,7 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
     top = max(Ls, default=-1)
     extra = max(top - ell, 0)
     _check_capacity((extra + 1) ** 2, "FK words coefficient terms")
-    terms = len(elements) * extra**2
-    if terms > capacity():
-        _check_capacity(terms, "FK words coefficient terms")
+    _check_capacity(len(elements) * extra**2, "FK words coefficient terms")
     # below[i] follows the descents of elements[i] in increasing order
     steps = []
     for u, lower in zip(elements, below):

@@ -17,6 +17,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import comb, factorial, prod
 from numbers import Rational
@@ -377,9 +378,7 @@ def _table_size(n: int, longest: int, size: int) -> tuple[int, tuple[int, ...] |
     if size == 1:
         return 1, (1,) * n
     size = min(size, longest)
-    words = n * -(-size * _pack_width(n, size) // 64)
-    if words > capacity():
-        _check_capacity(words, "multichain table words")
+    _check_capacity(n * -(-size * _pack_width(n, size) // 64), "multichain table words")
     return size, None
 
 
@@ -764,36 +763,42 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
 # isomorphism machinery
 
 
-def _refine_colors(p: FinitePoset):
-    """Colour refinement from one colour: the first round splits the
+def _refine_colors(p: FinitePoset, q: FinitePoset):
+    """Colour refinement of p and q from one colour, with one palette, so a
+    colour names the same class in both: the first round splits the
     elements by their down- and up-degrees, and each later round by the
     colours of their lower and upper covers, until no class splits."""
-    colors = [0] * p.n
+    colors = [[0] * p.n, [0] * q.n]
     while True:
-        sig = [
-            (
-                colors[x],
-                tuple(sorted(colors[z] for z in p.lower_covers[x])),
-                tuple(sorted(colors[z] for z in p.upper_covers[x])),
-            )
-            for x in range(p.n)
+        sigs = [
+            [
+                (
+                    c[x],
+                    tuple(sorted(c[z] for z in r.lower_covers[x])),
+                    tuple(sorted(c[z] for z in r.upper_covers[x])),
+                )
+                for x in range(r.n)
+            ]
+            for r, c in zip((p, q), colors)
         ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
+        palette = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
+        new = [[palette[s] for s in sig] for sig in sigs]
         if new == colors:
             return colors
         colors = new
 
 
 def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
-    """Backtracking isomorphism test after iterative color refinement.
+    """Backtracking isomorphism test after colour refinement of both posets
+    with one palette, so posets whose colour multisets differ are told
+    apart before any search.
 
     Raises CapacityError when the search visits more nodes than the
     capacity bound.
     """
     if p.n != q.n or len(p.covers) != len(q.covers):
         return False
-    cp, cq = _refine_colors(p), _refine_colors(q)
+    cp, cq = _refine_colors(p, q)
     if sorted(cp) != sorted(cq):
         return False
     by_color_q = {}
@@ -813,34 +818,24 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
 
     cap = capacity()
     nodes = 0
-    # stack[k]: the position in order[k]'s candidates to try next
+    # stack[k]: the untried candidates for order[k], each tested against
+    # the images of order[:k] as it is drawn
     stack = []
-    deeper = True
-    while True:
-        if deeper:
-            if len(stack) == p.n:
-                return True
-            nodes += 1  # one node per level entered
-            if nodes > cap:
-                _check_capacity(nodes, "isomorphism search")
-            stack.append(0)
-        elif not stack:
-            return False
-        k = len(stack) - 1
-        x = order[k]
-        if x in mapping:  # back at level k: undo its last choice
-            used.remove(mapping.pop(x))
-        candidates = by_color_q[cp[x]]
-        i = stack[k]
-        while i < len(candidates) and not fits(x, candidates[i]):
-            i += 1
-        deeper = i < len(candidates)
-        if deeper:
-            stack[k] = i + 1
-            mapping[x] = candidates[i]
-            used.add(candidates[i])
-        else:
+    while len(stack) < p.n:
+        nodes += 1  # one node per level entered
+        if nodes > cap:
+            _check_capacity(nodes, "isomorphism search")
+        x = order[len(stack)]
+        stack.append(filter(partial(fits, x), by_color_q[cp[x]]))
+        while (y := next(stack[-1], None)) is None:
             stack.pop()
+            if not stack:
+                return False
+            x = order[len(stack) - 1]  # back one level: undo its image
+            used.remove(mapping.pop(x))
+        mapping[x] = y
+        used.add(y)
+    return True
 
 
 def canonical_key(p: FinitePoset) -> tuple:

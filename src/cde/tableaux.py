@@ -481,7 +481,7 @@ def enumerate_ssyt(shape, flag, total: int) -> list["SetValuedTableau"]:
 def R_and_Rplus(shape) -> tuple[int, int]:
     """Element and cover counts of the interval below `shape`, by the
     outside-corner recurrence.  The verify `recurrences` suite checks them
-    against the flagged tableau count and the interval itself."""
+    against the flagged tableau count and the interval's ideal walk."""
     shape = check_partition(shape)
     table = _rank_table(shape)
     splits = _corner_splits(shape)

@@ -9,6 +9,7 @@ import pytest
 
 from cde import permutations, poset
 from cde.cli import main
+from cde.core import IntPolynomial
 from cde.poset import dump_poset, pabcd
 
 import cli_fuzz
@@ -126,6 +127,47 @@ def test_fk_command(capsys):
     assert data["agreement"] is True
     # 2(x+1)(x+2)(2x+3)^2, constant term first
     assert data["coefficients"] == [36, 102, 106, 48, 8]
+
+
+_FK_BOTH = {
+    ("321", "4"): ([36, 102, 106, 48, 8], "8x^4+48x^3+106x^2+102x+36"),
+    ("2413", "6"): ([2640, 8656, 11508, 8000, 3080, 624, 52], "52x^6+624x^5+3080x^4+8000x^3+11508x^2+8656x+2640"),
+}
+
+
+@pytest.mark.parametrize("w, L", sorted(_FK_BOTH))
+def test_fk_via_both_prints_the_pinned_table_and_json(capsys, w, L):
+    # --via both prints the single-route payload, then the tableaux
+    # coefficients and the agreement, in this key order
+    coefficients, polynomial = _FK_BOTH[w, L]
+    code, out, _ = run_cli(capsys, "fk", "--w", w, "--L", L, "--via", "both")
+    assert code == 0
+    assert out == (
+        f"w: {w}\nL: {L}\nvia: both\ncoefficients: {coefficients}\npolynomial: {polynomial}\n"
+        f"tableaux_coefficients: {coefficients}\nagreement: True\n"
+    )
+    code, out, _ = run_cli(capsys, "--emit", "json", "fk", "--w", w, "--L", L, "--via", "both")
+    assert code == 0
+    assert out == (
+        f'{{"L": {L}, "agreement": true, "coefficients": {coefficients}, "polynomial": "{polynomial}", '
+        f'"tableaux_coefficients": {coefficients}, "via": "both", "w": "{w}"}}\n'
+    )
+
+
+def test_fk_via_both_exits_1_when_the_routes_disagree(capsys, monkeypatch):
+    real = permutations.fk_polynomial
+
+    def off_by_one(w, L, via="words"):
+        pol = real(w, L, via=via)
+        return pol + IntPolynomial((1,)) if via == "tableaux" else pol
+
+    monkeypatch.setattr(permutations, "fk_polynomial", off_by_one)
+    code, out, _ = run_cli(capsys, "--emit", "json", "fk", "--w", "321", "--L", "4", "--via", "both")
+    assert code == 1
+    data = json.loads(out)
+    assert data["agreement"] is False
+    assert data["coefficients"] == [36, 102, 106, 48, 8]
+    assert data["tableaux_coefficients"] == [37, 102, 106, 48, 8]
 
 
 def test_fk_with_a_long_word_length_runs_without_recursion():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as iperm
 from pathlib import Path
 
@@ -491,10 +492,16 @@ def _weak_interval_cases():
         yield tuple(rng.sample(range(1, 10), 9))
 
 
+@lru_cache(maxsize=None)
+def _weak_interval_walks():
+    """(w, bruteforce.slicing_weak_walk(w)) for each w of _weak_interval_cases,
+    walked once for the three tests that read them."""
+    return tuple((w, bruteforce.slicing_weak_walk(w)) for w in _weak_interval_cases())
+
+
 def test_weak_walk_matches_the_slicing_walk():
-    for w in _weak_interval_cases():
+    for w, oracle in _weak_interval_walks():
         elements, below, starts = permutations._weak_walk(w)
-        oracle = bruteforce.slicing_weak_walk(w)
         # the paths from w down to each element, which the summary counts on the walk's lists
         down = tuple(poset._chain_counts(below, range(len(elements) - 1, -1, -1))[1])
         assert (elements, below, down) == oracle, w
@@ -518,17 +525,19 @@ def test_complementary_EX_matches_the_member_set_count():
     # the ideal route against the walk's covers / elements and the brute-force
     # count of up-steps that leave the member set: every w in S1..S6, 30
     # seeded w in S9, and all 5,040 w in S7
+    walks = dict(_weak_interval_walks())
     cases = list(_weak_interval_cases()) + list(iperm(range(1, 8)))
     assert len(cases) == 5943
     for w in cases:
-        expected = bruteforce.member_set_expectation_X(bruteforce.slicing_weak_walk(w)[0])
+        walk = walks[w] if w in walks else bruteforce.slicing_weak_walk(w)
+        expected = bruteforce.member_set_expectation_X(walk[0])
         assert expectation_X_complementary(w) == interval_summary(w).EX == expected, w
 
 
 def test_weak_interval_matches_the_globally_sorted_poset():
-    for w in _weak_interval_cases():
+    for w, walk in _weak_interval_walks():
         p = weak_interval(w)
-        n, covers, labels = bruteforce.sorted_walk_poset(bruteforce.slicing_weak_walk(w))
+        n, covers, labels = bruteforce.sorted_walk_poset(walk)
         q = FinitePoset(n, covers, labels)
         assert p == q and p.labels == q.labels == tuple(labels), w
         assert p.order == q.order and p.level == q.level, w

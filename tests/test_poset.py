@@ -59,9 +59,16 @@ from bruteforce import linear_extensions, multichains_through
 
 
 @lru_cache(maxsize=None)
+def small_posets():
+    """Every poset on 1..6 elements, one per isomorphism class: the 405 of
+    the census, built once for the tests that read them and count no builds."""
+    return tuple(p for n in range(1, 7) for p in all_posets_upto_iso(n))
+
+
+@lru_cache(maxsize=None)
 def small_forests():
     """Every forest on 1..6 elements, one per isomorphism class."""
-    return tuple(p for n in range(1, 7) for p in all_posets_upto_iso(n) if is_forest(p))
+    return tuple(p for p in small_posets() if is_forest(p))
 
 
 def M3():
@@ -142,8 +149,7 @@ def test_validate_checks_a_large_ungraded_poset_without_the_order_relation(monke
 
 
 def test_stored_order_and_levels_match_the_oracle():
-    posets = [p for n in range(1, 7) for p in all_posets_upto_iso(n)]
-    posets += [tamari(n) for n in range(3, 8)] + [pabcd(1, 2, 3, 1)]
+    posets = [*small_posets(), *(tamari(n) for n in range(3, 8)), pabcd(1, 2, 3, 1)]
     for p in posets:
         assert sorted(p.order) == list(range(p.n))
         place = {x: i for i, x in enumerate(p.order)}
@@ -678,6 +684,30 @@ def test_isomorphism_search_counts_nodes_against_capacity(monkeypatch):
         is_isomorphic(antichain(5), antichain(5))
 
 
+def _two_3_chains():
+    return FinitePoset(6, {(0, 2), (2, 3), (1, 4), (4, 5)})
+
+
+def test_one_palette_tells_apart_posets_of_different_degree_profiles(monkeypatch):
+    # K_{2,2} plus two points against two 3-chains: refined each with its own
+    # palette, their colour multisets agree, and a search enters 13 nodes
+    k22, chains = FinitePoset(6, {(0, 2), (0, 3), (1, 2), (1, 3)}), _two_3_chains()
+    monkeypatch.setenv("CDE_CAPACITY", "1")
+    assert not is_isomorphic(k22, chains)
+    assert not is_isomorphic(chains, k22)
+
+
+def test_isomorphism_search_backtracks_within_its_node_count(monkeypatch):
+    # the first candidates of the relabelled pair fail below level 1, so the
+    # search backs up before it finds the map: 8 nodes for 6 levels
+    chains, relabelled = _two_3_chains(), FinitePoset(6, {(2, 1), (1, 3), (0, 4), (4, 5)})
+    monkeypatch.setenv("CDE_CAPACITY", "8")
+    assert is_isomorphic(chains, relabelled)
+    monkeypatch.setenv("CDE_CAPACITY", "7")
+    with pytest.raises(CapacityError, match="^isomorphism search needs 8 > capacity 7$"):
+        is_isomorphic(chains, relabelled)
+
+
 def test_capacity_env(monkeypatch):
     monkeypatch.setenv("CDE_CAPACITY", "12")
     assert poset.capacity() == 12
@@ -981,8 +1011,7 @@ def test_stats_rank_absent_when_ungraded():
 
 
 def test_stats_rank_matches_the_maximal_chain_lengths():
-    posets = [p for n in range(1, 7) for p in all_posets_upto_iso(n)]
-    posets += [tamari(n) for n in range(3, 8)] + [pabcd(1, 2, 3, 1)]
+    posets = [*small_posets(), *(tamari(n) for n in range(3, 8)), pabcd(1, 2, 3, 1)]
     ranks = []
     for p in posets:
         lengths = bruteforce.maximal_chain_lengths(p)
