@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poset", help="statistics of a poset from a file or builder")
     p.add_argument("action", choices=("stats",))
     p.add_argument("--file", help="poset file (n/cover/label lines)")
-    p.add_argument("--builder", help="chain antichain boolean tamari pabcd grid weak-order strong-bruhat ...")
+    p.add_argument("--builder", help=" ".join(verify._BUILDERS))
     for key in _BUILDER_KEYS:
         p.add_argument(f"--{key}", type=int)
     p.add_argument("--dual", action="store_true")

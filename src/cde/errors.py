@@ -37,10 +37,6 @@ class NotCoverError(CdeError):
     """The given pair is not a covering relation."""
 
 
-class NotBarelySetValuedError(CdeError):
-    """Expected a tableau with exactly one two-element cell."""
-
-
 class RangeError(CdeError):
     """An index argument is out of its allowed range."""
 
@@ -51,6 +47,11 @@ class NotCornerError(CdeError):
 
 class MalformedInputError(CdeError):
     """Structurally invalid input (tableau, flag, file, ...)."""
+
+
+class NotBarelySetValuedError(MalformedInputError):
+    """Expected a tableau with exactly one two-element cell and one entry in
+    every other cell."""
 
 
 class NotVexillaryError(CdeError):

@@ -204,6 +204,7 @@ def vexillary_permutations(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...
     another route: it compares the shapes read off the Lehmer codes of w and
     w^-1, with no pattern search.
     """
+    (n,) = _integers((n,), "symmetric group size")
     if n < 0:
         raise RangeError(f"n must be nonnegative, got {n}")
     cap = capacity()
@@ -383,36 +384,39 @@ def weak_interval(w) -> FinitePoset:
     return FinitePoset(len(labels), covers, labels)
 
 
-def _check_group_order(n: int, what: str):
-    """Charge the n! elements of the symmetric group on 1..n; n! is at least
-    2^(n-1), so a large n is refused from its width before n! is computed."""
+def _check_group_order(n: int, what: str) -> int:
+    """Charge the n! elements of the symmetric group on 1..n and return n, an
+    int; n! is at least 2^(n-1), so a large n is refused from its width
+    before n! is computed."""
+    (n,) = _integers((n,), "symmetric group size")
     if n < 0:
         raise RangeError(f"n must be nonnegative, got {n}")
     _check_count(n, f"{n}!", lambda: factorial(n), what)
+    return n
 
 
 def weak_order_full(n: int) -> FinitePoset:
-    _check_group_order(n, "weak order interval")  # before w0 is built
+    n = _check_group_order(n, "weak order interval")  # before w0 is built
     w0 = tuple(range(n, 0, -1))
     return weak_interval(w0)
 
 
 def strong_bruhat(n: int) -> FinitePoset:
-    """Strong Bruhat order on the whole symmetric group."""
-    _check_group_order(n, "strong Bruhat order")
+    """Strong Bruhat order on the whole symmetric group, ordered by (length,
+    one-line notation).  u·t_ij, u with entries i < j swapped, covers u iff
+    u(i) < u(j) and no i < k < j has u(i) < u(k) < u(j)."""
+    n = _check_group_order(n, "strong Bruhat order")
     elements = sorted(iperm(range(1, n + 1)), key=lambda u: (length(u), u))
     index = {u: i for i, u in enumerate(elements)}
     covers = set()
     for u in elements:
-        lu = length(u)
         for i in range(n):
+            high = n + 1  # the least entry above u(i) passed so far
             for j in range(i + 1, n):
-                if u[i] < u[j]:
-                    v = list(u)
-                    v[i], v[j] = v[j], v[i]
-                    v = tuple(v)
-                    if length(v) == lu + 1:
-                        covers.add((index[u], index[v]))
+                if u[i] < u[j] < high:
+                    high = u[j]
+                    v = u[:i] + (u[j],) + u[i + 1 : j] + (u[i],) + u[j + 1 :]
+                    covers.add((index[u], index[v]))
     return FinitePoset(len(elements), covers, [perm_label(u) for u in elements])
 
 

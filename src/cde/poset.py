@@ -142,19 +142,23 @@ class FinitePoset:
         object.__setattr__(self, "covers", frozenset(self.covers))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-        n = self.n
+        (n,) = _integers((self.n,), "element count")
         if n < 0:
             raise SizeError("element count must be nonnegative")
         _check_capacity(n, "poset elements")  # before the n cover lists are built
         covers = self.covers
         up = [[] for _ in range(n)]
         down = [[] for _ in range(n)]
-        for a, b in covers:
-            if not (0 <= a < n and 0 <= b < n):
-                bad = min((a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n))
-                raise MalformedInputError(f"cover {bad} out of range")
-            up[a].append(b)
-            down[b].append(a)
+        try:
+            for a, b in covers:
+                if not (0 <= a < n and 0 <= b < n):
+                    bad = min((a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n))
+                    raise MalformedInputError(f"cover {bad} out of range")
+                up[a].append(b)
+                down[b].append(a)
+        except (TypeError, ValueError):
+            bad = min((c for c in covers if not _is_int_pair(c)), key=repr)
+            raise MalformedInputError(f"cover {bad!r} is not a pair of integers") from None
         for lst in up:
             lst.sort()
         for lst in down:
@@ -207,6 +211,10 @@ class FinitePoset:
                 mask |= below[z]
             below[x] = mask
         return below
+
+
+def _is_int_pair(c) -> bool:
+    return isinstance(c, tuple) and len(c) == 2 and all(hasattr(v, "__index__") for v in c)
 
 
 def validate(p: FinitePoset) -> None:
@@ -530,6 +538,7 @@ def is_mCDE_upto(p: FinitePoset, M: int) -> bool:
 
 
 def chain(a: int) -> FinitePoset:
+    (a,) = _integers((a,), "chain size")
     if a < 1:
         raise SizeError("chain needs a >= 1 element")
     _check_capacity(a, "poset elements")  # before the covers are listed
@@ -537,6 +546,7 @@ def chain(a: int) -> FinitePoset:
 
 
 def antichain(a: int) -> FinitePoset:
+    (a,) = _integers((a,), "antichain size")
     if a < 1:
         raise SizeError("antichain needs a >= 1 element")
     return FinitePoset(a, set())
@@ -544,6 +554,7 @@ def antichain(a: int) -> FinitePoset:
 
 def boolean(n: int) -> FinitePoset:
     """Lattice of subsets of an n-set ordered by inclusion."""
+    (n,) = _integers((n,), "boolean lattice rank")
     if n < 0:
         raise SizeError("boolean needs n >= 0")
     _check_count(n + 1, f"2^{n}", lambda: 1 << n, "boolean lattice")
@@ -591,26 +602,17 @@ def dual(p: FinitePoset) -> FinitePoset:
 
 
 def pabcd(a: int, b: int, c: int, d: int) -> FinitePoset:
-    """Chain of length a, two parallel chains of lengths b and c, then a
-    chain of length d on top."""
+    """Chains w, x, y, z of lengths a, b, c, d laid end to end as one run of
+    covers, with the x-to-y step cut and two cross covers, w's top below y's
+    bottom and x's top below z's: x and y are parallel between w and z."""
+    a, b, c, d = _integers((a, b, c, d), "pabcd size")
     if min(a, b, c, d) < 1:
         raise SizeError("pabcd needs four positive integers")
     n = a + b + c + d
-    _check_capacity(n, "poset elements")  # before the chains are listed
-    covers = set()
-    w = list(range(a))
-    x = list(range(a, a + b))
-    y = list(range(a + b, a + b + c))
-    z = list(range(a + b + c, n))
-    for seq in (w, x, y, z):
-        covers |= {(seq[i], seq[i + 1]) for i in range(len(seq) - 1)}
-    covers |= {(w[-1], x[0]), (w[-1], y[0]), (x[-1], z[0]), (y[-1], z[0])}
-    labels = (
-        [f"w{i+1}" for i in range(a)]
-        + [f"x{i+1}" for i in range(b)]
-        + [f"y{i+1}" for i in range(c)]
-        + [f"z{i+1}" for i in range(d)]
-    )
+    _check_capacity(n, "poset elements")  # before the covers are listed
+    covers = {(i, i + 1) for i in range(n - 1) if i != a + b - 1}
+    covers |= {(a - 1, a + b), (a + b - 1, a + b + c)}
+    labels = [f"{s}{i + 1}" for s, k in zip("wxyz", (a, b, c, d)) for i in range(k)]
     return FinitePoset(n, covers, labels)
 
 
@@ -648,6 +650,7 @@ def tamari(n: int) -> FinitePoset:
     two common neighbours of a and c: one b between a and c, and one d
     outside.  The flip {a,c} -> {b,d} is a cover exactly when d > c.
     """
+    (n,) = _integers((n,), "polygon size")
     if n < 3:
         raise SizeError("tamari needs a polygon with n >= 3 vertices")
     tris = _triangulations(n)

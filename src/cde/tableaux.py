@@ -519,8 +519,9 @@ class SetValuedTableau:
         ]
 
     def is_barely(self) -> bool:
-        sizes = sorted(len(c) for r in self.rows for c in r)
-        return sizes.count(2) == 1 and sizes[-1] == 2
+        """Exactly one cell holds two entries and every other cell one."""
+        sizes = [len(c) for r in self.rows for c in r]
+        return sizes.count(2) == 1 and set(sizes) <= {1, 2}
 
     def is_standard(self) -> bool:
         values = [v for r in self.rows for c in r for v in c]
@@ -580,10 +581,9 @@ def uncrowd(t: SetValuedTableau):
     Returns (ordinary tableau, new corner cell (i, j), row index of the
     doubleton), with cells 1-indexed.
     """
-    doubles = t.doubleton_cells()
-    if not t.is_barely() or len(doubles) != 1:
+    if not t.is_barely():
         raise NotBarelySetValuedError("expected exactly one two-entry cell")
-    (i0, j0) = doubles[0]
+    ((i0, j0),) = t.doubleton_cells()
     rows = [list(v[0] for v in row) for row in t.rows]
     carried = t.cell(i0, j0)[1]
     rows[i0 - 1][j0 - 1] = t.cell(i0, j0)[0]
@@ -611,7 +611,7 @@ def crowd(t_plus, corner, i0: int) -> SetValuedTableau:
     row i0 where the carried value joins a cell instead of bumping."""
     svt([[(v,) for v in row] for row in t_plus])  # input must be column-strict
     rows = [list(row) for row in t_plus]
-    i, j = corner
+    i, j = _integers(corner, "corner coordinate")
     if not (1 <= i <= len(rows)) or j != len(rows[i - 1]):
         raise NotCornerError(f"{corner} is not the end of row {i}")
     if i < len(rows) and len(rows[i]) >= j:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from inspect import signature
-from itertools import combinations_with_replacement, permutations as iperm
+from itertools import combinations_with_replacement, count, islice, permutations as iperm
 from pathlib import Path
 
 from . import permutations as perm
@@ -159,16 +159,13 @@ def _partitions_upto(n: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda m: (sum(m), m))
 
 
-def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
-    """All posets with exactly n elements, one per isomorphism class.
-
-    Built by repeatedly attaching a new maximal element on top of an order
-    ideal, then deduplicating by canonical form (n <= 7 only).
-    """
-    if n < 0:
-        raise SizeError(f"n must be nonnegative, got {n}")
-    layer = [ps.FinitePoset(min(n, 1), frozenset())]
-    for size in range(2, n + 1):
+def _census():
+    """Yield the posets of 1, 2, 3, ... elements, one list per size and one
+    poset per isomorphism class, each list grown from the one before by a new
+    maximal element on top of an order ideal, deduplicated by canonical form."""
+    layer = [ps.FinitePoset(1, frozenset())]
+    for size in count(2):
+        yield layer
         seen = {}
         for p in layer:
             masks, lower = ps._ideals(p.order_relation())
@@ -179,6 +176,17 @@ def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
                 if key not in seen:  # only a new class's representative is built
                     seen[key] = ps.FinitePoset(size, covers)
         layer = [seen[k] for k in sorted(seen)]
+
+
+def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
+    """All posets with exactly n elements, one per isomorphism class: the
+    census layer of size n (n <= 7 only)."""
+    if n < 0:
+        raise SizeError(f"n must be nonnegative, got {n}")
+    layers = _census()
+    layer = next(layers) if n else [ps.FinitePoset(0, frozenset())]
+    for _ in range(2, n + 1):
+        layer = next(layers)
     return layer
 
 
@@ -186,8 +194,8 @@ def search_mcde_product_counterexample(max_elems: int, m_max: int = 6):
     """Look for two posets, multichain-constant up to m_max, whose product is
     not.  Returns (p, q, m) for the first violation found, else None."""
     candidates = []
-    for n in range(1, max_elems + 1):
-        for p in all_posets_upto_iso(n):
+    for _, layer in zip(range(max_elems), _census()):  # max_elems < 1 reads no layer
+        for p in layer:
             if ps.is_mCDE_upto(p, m_max):
                 candidates.append(p)
     for i, p in enumerate(candidates):
@@ -622,8 +630,8 @@ def _suite_forest(params):
                 if not ps.is_forest(f) or formula != dp:
                     return ("hook formula equals ideal DP", f"fails on {parents}", False)
                 tested += 1
-            for n in range(1, 6):
-                for p in all_posets_upto_iso(n):
+            for layer in islice(_census(), 5):
+                for p in layer:
                     if not ps.is_forest(p):
                         continue
                     if ps.linear_extension_count(p) != ps._linear_extensions_by_ideals(p):

@@ -8,7 +8,7 @@ flagged tableaux too many to list.
 """
 
 from fractions import Fraction
-from itertools import combinations, islice, product, zip_longest
+from itertools import combinations, islice, permutations, product, zip_longest
 from math import comb
 from operator import mul
 
@@ -383,8 +383,6 @@ def noninversion_covers(w) -> set[tuple[int, int]]:
 def linear_extensions(covers, n) -> int:
     """Count linear extensions by brute-force permutation filtering for tiny
     posets (n <= 8)."""
-    from itertools import permutations
-
     rel = {(a, b) for a, b in covers}
     # transitive closure
     changed = True
@@ -710,3 +708,19 @@ def rothe_flag(w) -> tuple[int, ...]:
             raise ValueError(f"no flag for row {i} of {w}")
         flag.append(best)
     return tuple(flag)
+
+
+def strong_bruhat_covers(n: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The covers (u, v) of the strong Bruhat order on the permutations of
+    1..n by the length criterion: v is u with two entries u(i) < u(j),
+    i < j, swapped, and has exactly one inversion more than u.  The
+    library's earlier rule, kept as the oracle for its one-line cover rule."""
+    covers = set()
+    for u in permutations(range(1, n + 1)):
+        for i, j in combinations(range(n), 2):
+            if u[i] < u[j]:
+                v = list(u)
+                v[i], v[j] = v[j], v[i]
+                if len(left_inversions(v)) == len(left_inversions(u)) + 1:
+                    covers.add((u, tuple(v)))
+    return covers

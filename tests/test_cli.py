@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cde import permutations, poset
+from cde import permutations, poset, verify
 from cde.cli import main
 from cde.core import IntPolynomial
 from cde.poset import dump_poset, pabcd
@@ -25,6 +25,15 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, "--emit", "json", *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def test_poset_help_names_every_builder(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to this width
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "stats", "--help"])
+    assert exc.value.code == 0
+    named = set(capsys.readouterr().out.split())
+    assert set(verify._BUILDERS) <= named, set(verify._BUILDERS) - named
 
 
 def test_young_stats(capsys):

@@ -258,6 +258,16 @@ def test_group_sizes_are_checked_before_anything_is_built(monkeypatch):
     assert word_to_hecke((3,)) == (1, 2, 4, 3)
 
 
+def test_strong_bruhat_matches_the_length_criterion():
+    # the one-line cover rule against the covers that add one inversion,
+    # the elements in (length, one-line notation) order
+    for n in range(7):
+        p = strong_bruhat(n)
+        elements = [tuple(map(int, label)) for label in p.labels]
+        assert elements == sorted(iperm(range(1, n + 1)), key=lambda u: (len(left_inversions(u)), u))
+        assert {(elements[a], elements[b]) for a, b in p.covers} == bruteforce.strong_bruhat_covers(n)
+
+
 def test_strong_bruhat_negative_example():
     p = strong_bruhat(3)
     assert expectation_X(p) == Fraction(4, 3)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,7 +19,7 @@ from cde.errors import (
     NotReducedError,
     SizeError,
 )
-from cde.permutations import weak_order_full
+from cde.permutations import strong_bruhat, vexillary_permutations, weak_order_full
 from cde.poset import (
     FinitePoset,
     antichain,
@@ -636,6 +637,45 @@ def test_builders_size_errors():
         tamari(2)
     with pytest.raises(SizeError):
         pabcd(1, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chain(2.5),
+        lambda: antichain(2.5),
+        lambda: boolean(2.5),
+        lambda: pabcd(1.5, 1, 1, 1),
+        lambda: tamari(4.5),
+        lambda: weak_order_full(2.5),
+        lambda: strong_bruhat(2.5),
+        lambda: vexillary_permutations(2.5),
+        lambda: FinitePoset(2.5, set()),
+        lambda: FinitePoset(2, {("a", 1)}),
+    ],
+    ids=[
+        "chain", "antichain", "boolean", "pabcd", "tamari", "weak_order_full",
+        "strong_bruhat", "vexillary_permutations", "FinitePoset-size", "FinitePoset-cover",
+    ],
+)
+def test_non_integer_sizes_and_covers_are_malformed(build):
+    with pytest.raises(MalformedInputError, match="is not (an integer|a pair of integers)$"):
+        build()
+
+
+def test_a_bool_size_still_builds():
+    assert chain(True) == FinitePoset(1, set())
+    assert pabcd(True, True, True, True) == pabcd(1, 1, 1, 1)
+
+
+def test_pabcd_is_the_ordinal_sum_of_its_chains():
+    # w below the parallel chains x and y, both below z, labelled by chain
+    for a, b, c, d in itertools.product(range(1, 5), repeat=4):
+        p = pabcd(a, b, c, d)
+        q = ordinal_sum(ordinal_sum(chain(a), disjoint_union(chain(b), chain(c))), chain(d))
+        assert p.covers == q.covers, (a, b, c, d)
+        want = [f"{s}{i}" for s, k in zip("wxyz", (a, b, c, d)) for i in range(1, k + 1)]
+        assert p.labels == tuple(want)
 
 
 def test_capacity_error(monkeypatch):

@@ -530,6 +530,18 @@ def test_crowd_errors():
         uncrowd(svt([[1, 2], [2]]))
 
 
+def test_uncrowd_refuses_a_tableau_with_an_empty_cell():
+    t = SetValuedTableau((((), (1, 2)),))
+    assert not t.is_barely()
+    with pytest.raises(NotBarelySetValuedError):
+        uncrowd(t)
+
+
+def test_crowd_reads_its_corner_as_two_integers():
+    with pytest.raises(MalformedInputError, match="^corner coordinate 'a' is not an integer$"):
+        crowd(((1, 2), (3,)), "ab", 1)
+
+
 def test_uncrowd_crowd_roundtrip():
     for shape in all_partitions(6):
         if not shape:

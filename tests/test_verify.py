@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def test_verify_output_matches_the_pinned_campaign_digests(monkeypatch):
     attempted, failed, _, gates = bench.check_campaign({"exit_code": 0}, lines)
     assert (attempted, failed) == (2511, 0)
     assert gates["digest_matches"], gates
-    assert len(validated) == 1339
+    assert len(validated) == 1291
 
 
 def test_recurrences_builds_no_young_interval(monkeypatch):
@@ -155,6 +156,15 @@ def test_all_posets_upto_iso_of_no_elements_and_of_a_negative_count():
     assert [(p.n, p.covers) for p in all_posets_upto_iso(0)] == [(0, frozenset())]
     with pytest.raises(SizeError):
         all_posets_upto_iso(-3)
+
+
+def test_census_layers_are_the_posets_of_each_size():
+    # the searches read the census layers in one pass; layer k is the list
+    # all_posets_upto_iso(k) returns, representatives and order alike
+    layers = list(islice(verify._census(), 6))
+    for k, layer in enumerate(layers, start=1):
+        want = all_posets_upto_iso(k)
+        assert [(p.n, p.covers, p.labels) for p in layer] == [(q.n, q.covers, q.labels) for q in want]
 
 
 def test_all_posets_upto_iso_representatives_pinned():
