@@ -3,12 +3,13 @@
 Elements are always the dense integers 0..n-1; builders attach human-readable
 labels as metadata only.  A poset is immutable once validated, and every
 statistic below is a pure function of it, so shared posets are safe to use
-from multiple threads.  One value is written after construction: the table
-of chain counts behind the multichain statistics, kept on the poset on
-first use.  It is a derived value, rebuilt the same by any thread; it is an
-immutable tuple, assigned whole in one attribute store, and read once per
-call, so a reader sees either no table or a complete one, and two threads
-that build at once only repeat work.
+from multiple threads.  Two values are written after construction: the
+table of chain counts behind the multichain statistics, kept on the poset on
+first use, and the lattice of order ideals J(P) last returned for it by
+`order_ideal_lattice`.  Each is a derived value, built the same by any
+thread; each is a tuple that is never changed, assigned whole in one
+attribute store and read once per call, so a reader sees either none or a
+complete one, and two threads that build at once only repeat work.
 """
 
 from __future__ import annotations
@@ -137,9 +138,16 @@ class FinitePoset:
     # default, not a field, so construction never touches it and equality
     # never reads it
     _chains = (0, (), (), (), 0)
+    # (J, masks): the J(P) that order_ideal_lattice returned for this poset
+    # and its ideals as bitmasks, written by that function alone; a class
+    # default, not a field, like _chains
+    _lattice = None
 
     def __post_init__(self):
-        object.__setattr__(self, "covers", frozenset(self.covers))
+        try:
+            object.__setattr__(self, "covers", frozenset(self.covers))
+        except TypeError:  # an unhashable cover, such as a list
+            raise _malformed_covers(self.covers) from None
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
         (n,) = _integers((self.n,), "element count")
@@ -157,8 +165,7 @@ class FinitePoset:
                 up[a].append(b)
                 down[b].append(a)
         except (TypeError, ValueError):
-            bad = min((c for c in covers if not _is_int_pair(c)), key=repr)
-            raise MalformedInputError(f"cover {bad!r} is not a pair of integers") from None
+            raise _malformed_covers(covers) from None
         for lst in up:
             lst.sort()
         for lst in down:
@@ -215,6 +222,18 @@ class FinitePoset:
 
 def _is_int_pair(c) -> bool:
     return isinstance(c, tuple) and len(c) == 2 and all(hasattr(v, "__index__") for v in c)
+
+
+def _malformed_covers(covers) -> MalformedInputError:
+    """The error for covers that are not all pairs of integers: it names the
+    least such cover by repr, or the type of covers that cannot be read one
+    by one."""
+    try:
+        bad = min((c for c in covers if not _is_int_pair(c)), key=repr)
+    except (TypeError, ValueError):
+        kind = type(covers).__name__
+        return MalformedInputError(f"covers must be a collection of integer pairs, not {kind}")
+    return MalformedInputError(f"cover {bad!r} is not a pair of integers")
 
 
 def validate(p: FinitePoset) -> None:
@@ -726,11 +745,32 @@ def order_ideals(p: FinitePoset) -> list[frozenset[int]]:
 
 
 def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
-    """Distributive lattice of order ideals, ordered by containment."""
+    """Distributive lattice of order ideals, ordered by containment.
+
+    Ideal i of J is the i-th of `order_ideals(p)`, so J's lower covers are
+    the ideal walk's lists.  p records the J returned, with the ideals as
+    bitmasks, and `toggle_symmetry_check` and linear extension counts on p
+    read them instead of walking the ideals again (see `_recorded_lattice`).
+    """
     masks, lower = _ideals(p.order_relation())
     names = [p.label(e) for e in range(p.n)]
     labels = ["{" + ",".join(map(names.__getitem__, _members(m, p.n))) + "}" for m in masks]
-    return FinitePoset(len(masks), _cover_pairs(lower), labels)
+    lattice = FinitePoset(len(masks), _cover_pairs(lower), labels)
+    object.__setattr__(p, "_lattice", (lattice, masks))
+    return lattice
+
+
+def _recorded_lattice(p: FinitePoset) -> tuple[FinitePoset, list[int]] | None:
+    """(J, masks) as `order_ideal_lattice` recorded them on p, or None when
+    it recorded none, or when J's ideals or half its covers are over the
+    current capacity bound: the ideal walk charges both as it grows, so
+    such a p walks again and is refused as a fresh equal poset would be."""
+    kept = p._lattice
+    if kept is not None:
+        bound = capacity()
+        if kept[0].n <= bound and len(kept[0].covers) <= 2 * bound:
+            return kept
+    return None
 
 
 def _cover_pairs(lower) -> set[tuple[int, int]]:
@@ -745,16 +785,27 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
 
     A cover of ideal i by ideal j = i + e says e is maximal in j and minimal
     in the complement of i, and every such incidence is one cover.  m is
-    checked before the walk.  The chain table is built on the walk's lists;
-    J has rank |base|.
+    checked before the walk.  The covers and masks are those of the J that
+    `order_ideal_lattice(base)` recorded, and the counts are read from J's
+    kept chain table; with no J recorded, the chain table is built on a
+    fresh walk's lists.  Both routes make the same charges, so they refuse
+    the same calls, though a refused table build names the strict order
+    pairs counted so far, in its own order.
     """
     _require_nonempty(base)
     (m,) = _multichain_sizes((m,))
-    masks, lower = _ideals(base.order_relation())
-    n = len(masks)
-    size, ones = _table_size(n, base.n + 1, m)
-    rows = ones or _build_chain_table(lower, range(n), size)[0]
-    counts = _zeta_sums(rows, _pack_width(n, size), size, m)
+    recorded = _recorded_lattice(base)
+    if recorded:
+        lattice, masks = recorded
+        lower = lattice.lower_covers
+        size, rows, W, _, _ = _chain_table(lattice, m)
+    else:
+        masks, lower = _ideals(base.order_relation())
+        n = len(masks)
+        size, ones = _table_size(n, base.n + 1, m)
+        rows = ones or _build_chain_table(lower, range(n), size)[0]
+        W = _pack_width(n, size)
+    counts = _zeta_sums(rows, W, size, m)
     balance = [0] * base.n
     for j, lows in enumerate(lower):
         for i in lows:
@@ -905,9 +956,13 @@ def linear_extension_count(p: FinitePoset) -> int:
 
 
 def _linear_extensions_by_ideals(p: FinitePoset) -> int:
-    """Maximal chains of J(P): paths from the empty ideal to the full one."""
+    """Maximal chains of J(P): paths from the empty ideal to the full one,
+    on the lower covers of the J that `order_ideal_lattice(p)` recorded,
+    else on a fresh ideal walk's."""
+    recorded = _recorded_lattice(p)
+    lower = recorded[0].lower_covers if recorded else _ideals(p.order_relation())[1]
     paths = [1]
-    for lows in _ideals(p.order_relation())[1][1:]:
+    for lows in lower[1:]:
         paths.append(sum(map(paths.__getitem__, lows)))
     return paths[-1]
 

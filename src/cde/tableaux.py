@@ -611,7 +611,11 @@ def crowd(t_plus, corner, i0: int) -> SetValuedTableau:
     row i0 where the carried value joins a cell instead of bumping."""
     svt([[(v,) for v in row] for row in t_plus])  # input must be column-strict
     rows = [list(row) for row in t_plus]
-    i, j = _integers(corner, "corner coordinate")
+    coords = _integers(corner, "corner coordinate")
+    if len(coords) != 2:
+        raise MalformedInputError(f"corner {corner!r} is not two coordinates")
+    i, j = coords
+    (i0,) = _integers((i0,), "target row")
     if not (1 <= i <= len(rows)) or j != len(rows[i - 1]):
         raise NotCornerError(f"{corner} is not the end of row {i}")
     if i < len(rows) and len(rows[i]) >= j:

@@ -181,6 +181,7 @@ def _census():
 def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
     """All posets with exactly n elements, one per isomorphism class: the
     census layer of size n (n <= 7 only)."""
+    (n,) = ps._integers((n,), "poset size")
     if n < 0:
         raise SizeError(f"n must be nonnegative, got {n}")
     layers = _census()
@@ -193,6 +194,7 @@ def all_posets_upto_iso(n: int) -> list[ps.FinitePoset]:
 def search_mcde_product_counterexample(max_elems: int, m_max: int = 6):
     """Look for two posets, multichain-constant up to m_max, whose product is
     not.  Returns (p, q, m) for the first violation found, else None."""
+    (max_elems,) = ps._integers((max_elems,), "poset size")
     candidates = []
     for _, layer in zip(range(max_elems), _census()):  # max_elems < 1 reads no layer
         for p in layer:

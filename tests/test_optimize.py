@@ -76,24 +76,38 @@ def test_library_imports_only_at_module_level():
         assert not lines, f"{path.name} imports inside a function on lines {lines}"
 
 
-def test_only_construction_and_the_chain_table_write_to_a_poset():
-    # a poset is immutable once built; its chain table is the one value
-    # filled in later, on first use, by the reader that keeps it
+def test_only_construction_the_chain_table_and_the_lattice_write_to_a_poset():
+    # a poset is immutable once built; its chain table and the J(P) last
+    # returned for it are the two values filled in later, each by the one
+    # function that keeps it, and each of those sets only its own attribute
     tree = ast.parse((SRC / "cde" / "poset.py").read_text())
     cls = next(node for node in tree.body if getattr(node, "name", None) == "FinitePoset")
     writers = [node for node in cls.body if getattr(node, "name", None) == "__post_init__"]
-    writers += [node for node in tree.body if getattr(node, "name", None) == "_chain_table"]
-    assert len(writers) == 2
-    lines = [
-        node.lineno
+    writers += [
+        node for node in tree.body if getattr(node, "name", None) in ("_chain_table", "order_ideal_lattice")
+    ]
+    assert len(writers) == 3
+    own = {"_chain_table": "_chains", "order_ideal_lattice": "_lattice"}
+
+    def writer(node) -> str | None:
+        return next((f.name for f in writers if f.lineno <= node.lineno <= f.end_lineno), None)
+
+    writes = [
+        node
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and node.attr == "__setattr__"
         and isinstance(node.value, ast.Name)
         and node.value.id == "object"
-        and not any(f.lineno <= node.lineno <= f.end_lineno for f in writers)
     ]
+    lines = [node.lineno for node in writes if writer(node) is None]
     assert not lines, f"poset.py writes to an object after construction on lines {lines}"
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in writes:
+        if writer(node) in own:
+            call = calls.get(id(node))
+            attr = call.args[1] if call is not None and len(call.args) == 3 else None
+            assert getattr(attr, "value", None) == own[writer(node)], (writer(node), node.lineno)
 
 
 def test_only_the_chain_table_and_toggle_build_chain_tables():

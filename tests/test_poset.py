@@ -2,7 +2,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from operator import mul
 
@@ -652,10 +652,12 @@ def test_builders_size_errors():
         lambda: vexillary_permutations(2.5),
         lambda: FinitePoset(2.5, set()),
         lambda: FinitePoset(2, {("a", 1)}),
+        lambda: FinitePoset(2, [[0, 1]]),
     ],
     ids=[
         "chain", "antichain", "boolean", "pabcd", "tamari", "weak_order_full",
         "strong_bruhat", "vexillary_permutations", "FinitePoset-size", "FinitePoset-cover",
+        "FinitePoset-list-cover",
     ],
 )
 def test_non_integer_sizes_and_covers_are_malformed(build):
@@ -892,6 +894,85 @@ def test_toggle_symmetry_check_detects_imbalance(monkeypatch):
     # weights that grow along J(P) make every element likelier maximal
     monkeypatch.setattr(poset, "_zeta_sums", lambda rows, W, size, m: list(range(len(rows))))
     assert not toggle_symmetry_check(chain(2), 2)
+
+
+def test_toggle_symmetry_check_detects_imbalance_on_the_recorded_lattice(monkeypatch):
+    p = chain(2)
+    order_ideal_lattice(p)
+    monkeypatch.setattr(poset, "_zeta_sums", lambda rows, W, size, m: list(range(len(rows))))
+    assert not toggle_symmetry_check(p, 2)
+
+
+def _counting_walks(monkeypatch) -> list[int]:
+    """The sizes of the orders whose ideals are walked from here on."""
+    walks = []
+    real = poset._ideals
+    monkeypatch.setattr(poset, "_ideals", lambda down: walks.append(len(down)) or real(down))
+    return walks
+
+
+def test_toggle_and_linear_extensions_read_the_recorded_lattice(monkeypatch):
+    # after the `poset stats --xm 8` payload on J(P), they walk no ideal and
+    # build no chain table; on a fresh equal poset each walks once more
+    grid, fresh = product(chain(3), chain(3)), product(chain(3), chain(3))
+    J = order_ideal_lattice(grid)
+    expectation_Xm(J, 8)
+    walks, built = _counting_walks(monkeypatch), _counting_builds(monkeypatch)
+    assert all(toggle_symmetry_check(grid, m) for m in range(1, 9))
+    assert not is_forest(grid) and linear_extension_count(grid) == 42
+    assert walks == [] and built == []
+    assert all(toggle_symmetry_check(fresh, m) for m in range(1, 9))
+    assert linear_extension_count(fresh) == 42
+    assert walks == [9] * 9 and built == list(range(2, 9))
+
+
+def test_the_recorded_lattice_gives_the_fresh_walks_counts(monkeypatch):
+    # toggle symmetry weighs the covers of J(P) by the same multichain counts
+    # on both routes, and both count the same linear extensions
+    counts = []
+    real = poset._zeta_sums
+    monkeypatch.setattr(poset, "_zeta_sums", lambda *args: counts.append(real(*args)) or counts[-1])
+    posets = [p for n in range(1, 6) for p in all_posets_upto_iso(n)]
+    assert len(posets) == 87
+    for p in posets:
+        fresh = FinitePoset(p.n, p.covers)
+        order_ideal_lattice(p)
+        assert poset._linear_extensions_by_ideals(p) == poset._linear_extensions_by_ideals(fresh)
+        for m in range(1, 9):
+            assert toggle_symmetry_check(p, m) and toggle_symmetry_check(fresh, m)
+            assert counts[-2] == counts[-1], (p, m)
+
+
+@pytest.mark.parametrize(
+    "build, bound, walk_refusal",
+    [
+        (lambda: product(chain(3), chain(3)), 19, "order ideal enumeration needs 20 > capacity 19"),
+        (lambda: product(chain(3), chain(3)), 20, None),
+        (lambda: product(chain(3), chain(3)), 30, None),
+        (lambda: product(chain(3), chain(3)), 100, None),
+        (lambda: antichain(5), 39, "order ideal cover pairs needs 40 > capacity 39"),
+    ],
+    ids=["grid-19", "grid-20", "grid-30", "grid-100", "antichain-39"],
+)
+def test_the_recorded_lattice_is_refused_as_a_fresh_walk_is(monkeypatch, build, bound, walk_refusal):
+    # J([3]x[3]) has 20 ideals, 30 covers and 155 strict order pairs, and
+    # J(antichain(5)) 32 ideals and 80 covers.  Over the bound both routes
+    # refuse: by the walk's own message when the ideals or half the covers
+    # are over it, else by the same charge, whose count a refused table
+    # build names as far as it got in its own order
+    p, fresh = build(), build()
+    expectation_Xm(order_ideal_lattice(p), 8)
+    monkeypatch.setenv("CDE_CAPACITY", str(bound))
+    for count in (linear_extension_count, *(partial(toggle_symmetry_check, m=m) for m in range(1, 9))):
+        outcomes = []
+        for q in (p, fresh):
+            try:
+                outcomes.append(count(q))
+            except CapacityError as exc:
+                outcomes.append(str(exc) if walk_refusal else str(exc).split(" needs")[0])
+        assert outcomes[0] == outcomes[1], (bound, count)
+    if walk_refusal:
+        assert outcomes[0] == walk_refusal  # toggle at m = 8
 
 
 def test_toggle_symmetry_check_checks_m_before_the_walk(monkeypatch):

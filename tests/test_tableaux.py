@@ -542,6 +542,16 @@ def test_crowd_reads_its_corner_as_two_integers():
         crowd(((1, 2), (3,)), "ab", 1)
 
 
+def test_crowd_reads_its_target_row_as_an_integer():
+    with pytest.raises(MalformedInputError, match="^target row 'a' is not an integer$"):
+        crowd(((1, 2), (3,)), (2, 1), "a")
+
+
+def test_crowd_refuses_a_corner_of_three_coordinates():
+    with pytest.raises(MalformedInputError, match=r"^corner \(2, 1, 1\) is not two coordinates$"):
+        crowd(((1, 2), (3,)), (2, 1, 1), 1)
+
+
 def test_uncrowd_crowd_roundtrip():
     for shape in all_partitions(6):
         if not shape:

@@ -158,6 +158,12 @@ def test_all_posets_upto_iso_of_no_elements_and_of_a_negative_count():
         all_posets_upto_iso(-3)
 
 
+@pytest.mark.parametrize("search", [all_posets_upto_iso, search_mcde_product_counterexample])
+def test_census_sizes_are_read_as_integers(search):
+    with pytest.raises(MalformedInputError, match="^poset size 2.5 is not an integer$"):
+        search(2.5)
+
+
 def test_census_layers_are_the_posets_of_each_size():
     # the searches read the census layers in one pass; layer k is the list
     # all_posets_upto_iso(k) returns, representatives and order alike
