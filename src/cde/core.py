@@ -33,6 +33,7 @@ def stirling2(L: int, j: int) -> int:
     >>> stirling2(4, 3)
     6
     """
+    L, j = _integers((L, j), "Stirling number index")
     if L < 0 or not 0 <= j <= L:
         return 0
     return stirling2_row(L)[j]
@@ -55,6 +56,7 @@ def stirling2_row(L: int) -> list[int]:
 
 def pochhammer(z: Fraction | int, j: int) -> Fraction:
     """Rising factorial z(z+1)...(z+j-1); the empty product is 1."""
+    (j,) = _integers((j,), "rising factorial length")
     if j < 0:
         raise DomainError("pochhammer needs j >= 0")
     out = Fraction(1)
@@ -71,6 +73,7 @@ def chu_vandermonde_check(m: int, B: Fraction | int, C: Fraction | int) -> bool:
     Raises DomainError when some C+k (0 <= k < m) vanishes, which would put a
     zero into a Pochhammer denominator.
     """
+    (m,) = _integers((m,), "Chu-Vandermonde order")
     if m < 0:
         raise DomainError("chu_vandermonde_check needs m >= 0")
     B, C = Fraction(B), Fraction(C)

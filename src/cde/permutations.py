@@ -17,7 +17,8 @@ from operator import itemgetter
 
 from .core import IntPolynomial, _integers, interpolate_integer_polynomial, poly_divides, stirling2_row
 from .errors import MalformedInputError, NotVexillaryError, RangeError
-from .poset import FinitePoset, _chain_counts, _check_capacity, _check_count, _from_order, _ideals, capacity
+from .poset import FinitePoset, _chain_counts, _check_capacity, _check_count, _from_lower, _from_order
+from .poset import _ideals, capacity
 from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase, transpose
 
 __all__ = [
@@ -96,6 +97,7 @@ def identity(n: int) -> tuple[int, ...]:
 
 
 def inverse(w) -> tuple[int, ...]:
+    w = check_permutation(w)
     out = [0] * len(w)
     for i, v in enumerate(w):
         out[v - 1] = i + 1
@@ -104,7 +106,10 @@ def inverse(w) -> tuple[int, ...]:
 
 def compose(u, v) -> tuple[int, ...]:
     """(u v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(v)))
+    u, v = check_permutation(u), check_permutation(v)
+    if len(u) != len(v):
+        raise MalformedInputError("permutations live in different symmetric groups")
+    return tuple(u[i - 1] for i in v)
 
 
 def descents(w) -> tuple[int, ...]:
@@ -287,9 +292,11 @@ def hecke_product(u, s: int) -> tuple[int, ...]:
 def word_to_hecke(word, n: int | None = None) -> tuple[int, ...]:
     """Fold a generator word through the 0-Hecke product, starting at the
     identity."""
-    word = tuple(word)
+    word = _integers(word, "generator")
     if n is None:
         n = max(word) + 1 if word else 1
+    else:
+        (n,) = _integers((n,), "symmetric group size")
     if n < 0:
         raise RangeError(f"n must be nonnegative, got {n}")
     _check_capacity(n, "permutation entries")  # before the identity is built
@@ -369,19 +376,19 @@ def weak_interval(w) -> FinitePoset:
     elements come by length, then lexicographically.
 
     The walk's `starts` cut it into ranks, placed deepest first and each sorted
-    by itself; an element's lower covers lie one rank deeper, so its covers
-    are read as it is placed."""
+    by itself; an element's lower covers lie one rank deeper, so its lower
+    list is read as it is placed."""
     summary = interval_summary(w)
     elements, below, starts = summary.elements, summary._below, summary._starts
     position = [0] * len(elements)
     labels = []
-    covers = []
+    lower = []
     for d in range(len(starts) - 2, -1, -1):
         for i in sorted(range(starts[d], starts[d + 1]), key=elements.__getitem__):
-            k = position[i] = len(labels)
+            position[i] = len(labels)
             labels.append(perm_label(elements[i]))
-            covers += [(position[j], k) for j in below[i]]
-    return FinitePoset(len(labels), covers, labels)
+            lower.append(sorted([position[j] for j in below[i]]))  # sorted copies a list exactly sized
+    return _from_lower(lower, labels)
 
 
 def _check_group_order(n: int, what: str) -> int:
@@ -628,6 +635,7 @@ def dominant_EX_closed_form(d: int, a: int, b: int) -> Fraction:
     """Edge density of the weak interval below the dominant permutation of
     staircase-times-rectangle shape, evaluated through the telescoped
     hook-ratio sums over its noninversion forest."""
+    d, a, b = _integers((d, a, b), "dominant shape parameter")
     if d < 2 or a < 1 or b < 1:
         raise MalformedInputError("need d >= 2 and positive a, b")
     if a > b:

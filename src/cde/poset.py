@@ -125,9 +125,10 @@ class FinitePoset:
     covers: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
     # upper_covers[x] and lower_covers[x] list the elements covering x and
-    # covered by x, ascending; `order` lists each element after every element
-    # below it, and level[x] counts the covers on the longest chain from a
-    # minimal element up to x.  All built once, not part of equality or hash.
+    # covered by x, ascending; level[x] counts the covers on the longest chain
+    # from a minimal element up to x, and `order` lists the elements by level,
+    # then index, so each after every element below it, however the poset was
+    # built.  All built once, by `_settle`, not part of equality or hash.
     upper_covers: list[list[int]] = field(init=False, compare=False, repr=False)
     lower_covers: list[list[int]] = field(init=False, compare=False, repr=False)
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -155,40 +156,55 @@ class FinitePoset:
             raise SizeError("element count must be nonnegative")
         _check_capacity(n, "poset elements")  # before the n cover lists are built
         covers = self.covers
-        up = [[] for _ in range(n)]
         down = [[] for _ in range(n)]
         try:
             for a, b in covers:
                 if not (0 <= a < n and 0 <= b < n):
                     bad = min((a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n))
                     raise MalformedInputError(f"cover {bad} out of range")
-                up[a].append(b)
                 down[b].append(a)
         except (TypeError, ValueError):
             raise _malformed_covers(covers) from None
-        for lst in up:
-            lst.sort()
         for lst in down:
             lst.sort()
+        self._settle(down)
+
+    def _settle(self, down):
+        """The core of both entries, this class and `_from_lower`: keep the
+        ascending lower lists `down` and the upper ones read from them, place
+        the elements and validate; covers that are None are read from `down`."""
+        n = len(down)
+        # each element's int object as down's lists hold it, so the pairs,
+        # the upper lists and `order` hold no second one
+        own = list(range(n))
+        for lows in down:
+            for a in lows:
+                own[a] = a
+        if self.covers is None:
+            object.__setattr__(self, "covers", frozenset((a, b) for b, lows in zip(own, down) for a in lows))
+        up = [[] for _ in range(n)]
+        for b, lows in zip(own, down):
+            for a in lows:
+                up[a].append(b)
         object.__setattr__(self, "upper_covers", up)
         object.__setattr__(self, "lower_covers", down)
-        # Kahn's algorithm; an element on a cycle never enters the order, and
-        # validate reports the cycle.  A popped element has every lower cover
-        # placed, so its level is final.
-        indeg = [len(d) for d in down]
+        # Kahn's algorithm a level at a time, each level ascending; an element
+        # on a cycle never enters the order, and validate reports the cycle
+        indeg = [len(lows) for lows in down]
         level = [0] * n
-        queue = [x for x in range(n) if indeg[x] == 0]
+        layer = [x for x in own if not indeg[x]]
         order = []
-        while queue:
-            x = queue.pop()
-            order.append(x)
-            lows = down[x]
-            if lows:
-                level[x] = 1 + max(map(level.__getitem__, lows))
-            for y in up[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
+        while layer:
+            order += layer
+            above = []
+            for x in layer:
+                for y in up[x]:
+                    indeg[y] -= 1
+                    if not indeg[y]:  # its last lower cover is x
+                        level[y] = level[x] + 1
+                        above.append(y)
+            above.sort()
+            layer = above
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "level", tuple(level))
         validate(self)
@@ -205,7 +221,7 @@ class FinitePoset:
         return str(x)
 
     def topological_order(self) -> list[int]:
-        """A copy of `order`: each element after every element below it."""
+        """A copy of `order`: the elements by level, then index."""
         return list(self.order)
 
     def order_relation(self) -> list[int]:
@@ -276,6 +292,18 @@ def validate(p: FinitePoset) -> None:
         implied.extend((a, b) for a in near if seen[a] == b)
     if implied:
         raise NotReducedError(min(implied))
+
+
+def _from_lower(lower: list[list[int]], labels) -> FinitePoset:
+    """The poset whose element b has the lower covers lower[b], each list
+    ascending, as the walks build them: the lists are kept, no pairs are
+    filed back into them, and the poset is validated as on the pair path."""
+    p = object.__new__(FinitePoset)
+    object.__setattr__(p, "n", len(lower))
+    object.__setattr__(p, "covers", None)
+    object.__setattr__(p, "labels", tuple(labels))
+    p._settle(lower)
+    return p
 
 
 def _from_order(down: list[int], labels=None) -> FinitePoset:
@@ -747,15 +775,17 @@ def order_ideals(p: FinitePoset) -> list[frozenset[int]]:
 def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     """Distributive lattice of order ideals, ordered by containment.
 
-    Ideal i of J is the i-th of `order_ideals(p)`, so J's lower covers are
-    the ideal walk's lists.  p records the J returned, with the ideals as
-    bitmasks, and `toggle_symmetry_check` and linear extension counts on p
-    read them instead of walking the ideals again (see `_recorded_lattice`).
+    Ideal i of J is the i-th of `order_ideals(p)`, so the walk's lower lists
+    are handed to J as they are (`_from_lower`), and J's `order`, by level
+    (the ideal's size), then index, is range(|J|).  p records the J returned,
+    with the ideals as bitmasks, and `toggle_symmetry_check` and linear
+    extension counts on p read them instead of walking the ideals again (see
+    `_recorded_lattice`).
     """
     masks, lower = _ideals(p.order_relation())
     names = [p.label(e) for e in range(p.n)]
     labels = ["{" + ",".join(map(names.__getitem__, _members(m, p.n))) + "}" for m in masks]
-    lattice = FinitePoset(len(masks), _cover_pairs(lower), labels)
+    lattice = _from_lower(lower, labels)
     object.__setattr__(p, "_lattice", (lattice, masks))
     return lattice
 
@@ -773,11 +803,6 @@ def _recorded_lattice(p: FinitePoset) -> tuple[FinitePoset, list[int]] | None:
     return None
 
 
-def _cover_pairs(lower) -> set[tuple[int, int]]:
-    """The covers (a, b) of a cover list: a in lower[b]."""
-    return {(a, b) for b, lows in enumerate(lower) for a in lows}
-
-
 def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     """In the ideal lattice of `base`, check that under the m-multichain
     distribution each base element is as likely to be maximal in the ideal as
@@ -788,9 +813,9 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     checked before the walk.  The covers and masks are those of the J that
     `order_ideal_lattice(base)` recorded, and the counts are read from J's
     kept chain table; with no J recorded, the chain table is built on a
-    fresh walk's lists.  Both routes make the same charges, so they refuse
-    the same calls, though a refused table build names the strict order
-    pairs counted so far, in its own order.
+    fresh walk's lists in index order, which is J's `order`.  Both routes
+    make the same charges in the same order, so they refuse the same calls
+    with the same message.
     """
     _require_nonempty(base)
     (m,) = _multichain_sizes((m,))

@@ -19,7 +19,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _chain_counts, _check_capacity, _cover_pairs, _ideals, capacity
+from .poset import FinitePoset, _chain_counts, _check_capacity, _from_lower, _ideals, capacity
 
 __all__ = [
     "check_partition",
@@ -159,6 +159,7 @@ def remove_corner(shape, corner) -> tuple[int, ...]:
 
 def rect_staircase(d: int, a: int, b: int) -> tuple[int, ...]:
     """Staircase with d-1 steps in which every box becomes an a x b block."""
+    d, a, b = _integers((d, a, b), "rect_staircase parameter")
     if d < 1 or a < 1 or b < 1:
         raise MalformedInputError("rect_staircase needs positive d, a, b")
     rows = []
@@ -212,7 +213,7 @@ def subpartitions(shape) -> list[tuple[int, ...]]:
 def young_interval(shape) -> FinitePoset:
     """The interval below `shape` in the containment order on partitions."""
     elements, lower = _diagram_ideals(shape, shifted=False)
-    return FinitePoset(len(elements), _cover_pairs(lower), [shape_label(m) for m in elements])
+    return _from_lower(lower, [shape_label(m) for m in elements])
 
 
 def strict_subpartitions(shape) -> list[tuple[int, ...]]:
@@ -223,7 +224,7 @@ def shifted_interval(shape) -> FinitePoset:
     """The interval below a strict partition in the order induced on strict
     partitions by diagram containment."""
     elements, lower = _diagram_ideals(shape, shifted=True)
-    return FinitePoset(len(elements), _cover_pairs(lower), [shape_label(m) for m in elements])
+    return _from_lower(lower, [shape_label(m) for m in elements])
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +890,8 @@ def hook_content_count(shape, t: int) -> int:
     """Number of column-strict tableaux with entries at most t, by the
     hook-content product."""
     shape = check_partition(shape)
+    (t,) = _integers((t,), "entry bound")
+    t = max(t, 0)  # a negative bound admits no entry, as 0 does: cell (1, 1) gives the factor 0
     out = Fraction(1)
     hooks = _hook_lengths(shape)
     for i in range(len(shape)):

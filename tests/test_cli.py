@@ -322,7 +322,7 @@ def test_the_chain_tables_strict_order_is_charged(capsys, monkeypatch):
     monkeypatch.setenv("CDE_CAPACITY", "1000")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: multichain strict order pairs needs 1019 > capacity 1000\n"
+    assert err == "error: multichain strict order pairs needs 1007 > capacity 1000\n"
     monkeypatch.setenv("CDE_CAPACITY", "1779")
     assert run_cli(capsys, *argv)[0] == 0
 

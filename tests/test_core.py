@@ -19,9 +19,13 @@ from cde.errors import DomainError, MalformedInputError
 from cde.permutations import (
     check_permutation,
     classify,
+    compose,
+    dominant_EX_closed_form,
     enumerate_hecke_words,
     fk_polynomials,
     interval_summary,
+    inverse,
+    word_to_hecke,
 )
 from cde.poset import _multichain_expectations, chain, is_mCDE_upto, multichain_counts
 from cde.tableaux import (
@@ -32,6 +36,7 @@ from cde.tableaux import (
     enumerate_standard_barely,
     enumerate_standard_tableaux,
     hook_content_count,
+    rect_staircase,
     shifted_interval,
     young_interval,
 )
@@ -53,6 +58,16 @@ from bruteforce import set_partitions_into
         (lambda: multichain_counts(chain(3), 1.0), "1.0"),
         (lambda: _multichain_expectations(chain(3), 2.0), "2.0"),
         (lambda: is_mCDE_upto(chain(3), 1.5), "1.5"),
+        (lambda: hook_content_count((2, 1), 2.5), "2.5"),
+        (lambda: dominant_EX_closed_form(2, Fraction(3, 2), 2), "Fraction(3, 2)"),
+        (lambda: dominant_EX_closed_form(2, 1, 2.5), "2.5"),
+        (lambda: rect_staircase(3, 1, 1.5), "1.5"),
+        (lambda: rect_staircase(2, 1.5, 2), "1.5"),
+        (lambda: stirling2(4, 2.0), "2.0"),
+        (lambda: pochhammer(1, 2.0), "2.0"),
+        (lambda: chu_vandermonde_check(2.0, 1, 3), "2.0"),
+        (lambda: word_to_hecke([1, 2], 3.0), "3.0"),
+        (lambda: word_to_hecke([1.0]), "1.0"),
     ],
     ids=[
         "permutation",
@@ -66,6 +81,16 @@ from bruteforce import set_partitions_into
         "multichain-size",
         "multichain-expectations",
         "mcde-bound",
+        "hook-content-bound",
+        "dominant-fraction",
+        "dominant-float",
+        "staircase-b",
+        "staircase-a",
+        "stirling",
+        "pochhammer",
+        "chu-vandermonde",
+        "hecke-size",
+        "hecke-word",
     ],
 )
 def test_integer_inputs_are_not_truncated(call, value):
@@ -90,6 +115,42 @@ def test_a_missing_shape_is_an_error_not_the_empty_shape(call):
     with pytest.raises(MalformedInputError, match="^partition part values must come as a sequence, not NoneType$"):
         call(None)
     assert call(()) == call([])
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: hook_content_count((2, 1), -5), 0),
+        (lambda: hook_content_count((), -5), 1),
+        (lambda: hook_content_count((2, 1), 0), 0),
+        (lambda: hook_content_count((2, 1), 2), 2),
+        (lambda: inverse((2, 2)), "(2, 2) is not a permutation of 1..2"),
+        (lambda: inverse((0, 1)), "(0, 1) is not a permutation of 1..2"),
+        (lambda: compose((2, 1), (0, 1)), "(0, 1) is not a permutation of 1..2"),
+        (lambda: compose((1, 2), (1, 2, 3)), "permutations live in different symmetric groups"),
+        (lambda: compose((2, 3, 1), (2, 1, 3)), (3, 2, 1)),
+    ],
+    ids=[
+        "hook-content-negative",
+        "hook-content-empty-negative",
+        "hook-content-zero",
+        "hook-content-two",
+        "inverse-repeat",
+        "inverse-zero",
+        "compose-zero",
+        "compose-sizes",
+        "compose",
+    ],
+)
+def test_out_of_domain_arguments_are_counted_or_refused(call, outcome):
+    # a negative entry bound admits no tableau, and a tuple that is not a
+    # permutation is malformed
+    if isinstance(outcome, str):
+        with pytest.raises(MalformedInputError) as raised:
+            call()
+        assert str(raised.value) == outcome
+    else:
+        assert call() == outcome
 
 
 def test_ints_and_bools_still_pass_the_integer_checks():

@@ -19,7 +19,7 @@ from cde.errors import (
     NotReducedError,
     SizeError,
 )
-from cde.permutations import strong_bruhat, vexillary_permutations, weak_order_full
+from cde.permutations import strong_bruhat, vexillary_permutations, weak_interval, weak_order_full
 from cde.poset import (
     FinitePoset,
     antichain,
@@ -53,6 +53,7 @@ from cde.poset import (
     toggle_symmetry_check,
     validate,
 )
+from cde.tableaux import shifted_interval, young_interval
 from cde.verify import _enumerate_multichain_expectation, all_posets_upto_iso
 
 import bruteforce
@@ -150,18 +151,39 @@ def test_validate_checks_a_large_ungraded_poset_without_the_order_relation(monke
 
 
 def test_stored_order_and_levels_match_the_oracle():
+    # the pair path and the walks' lists (J, weak and Young intervals) alike
     posets = [*small_posets(), *(tamari(n) for n in range(3, 8)), pabcd(1, 2, 3, 1)]
+    posets += [order_ideal_lattice(p) for p in small_posets() if p.n <= 4]
+    posets += [weak_order_full(4), weak_interval((2, 4, 1, 5, 3)), young_interval((3, 2, 1))]
+    posets += [shifted_interval((4, 2, 1))]
     for p in posets:
         assert sorted(p.order) == list(range(p.n))
         place = {x: i for i, x in enumerate(p.order)}
         assert all(place[a] < place[b] for a, b in p.covers)
         assert list(p.level) == bruteforce.longest_chain_below(p)
+        assert list(p.order) == sorted(range(p.n), key=lambda x: (p.level[x], x))
         assert p.topological_order() == list(p.order)
         # the cover lists hold exactly the covers, each list ascending
         lists = p.upper_covers + p.lower_covers
         assert all(lst == sorted(lst) for lst in lists)
         assert {(a, b) for a in range(p.n) for b in p.upper_covers[a]} == set(p.covers)
         assert {(a, b) for b in range(p.n) for a in p.lower_covers[b]} == set(p.covers)
+
+
+def test_the_walks_lists_give_the_poset_their_pairs_give():
+    # J(P) and the Young and shifted intervals hand their walk's lower lists
+    # over as they are; the same poset built from its pairs files them into
+    # the same lists and places its elements in the same order
+    posets = [order_ideal_lattice(p) for n in range(1, 6) for p in all_posets_upto_iso(n)]
+    assert len(posets) == 87
+    shapes = [s for s in bruteforce.subpartitions((8,) * 8) if sum(s) <= 8]
+    posets += [young_interval(s) for s in shapes]
+    posets += [shifted_interval(s) for s in shapes if len(set(s)) == len(s)]
+    for p in posets:
+        q = FinitePoset(p.n, p.covers, p.labels)
+        assert p == q and p.labels == q.labels, p
+        assert p.lower_covers == q.lower_covers and p.upper_covers == q.upper_covers, p
+        assert p.order == q.order and p.level == q.level, p
 
 
 def _strict_closure(covers, n):
@@ -479,14 +501,14 @@ def test_a_kept_chain_table_holds_under_250_bytes_an_element(monkeypatch):
 
 
 def test_a_kept_chain_table_is_refused_under_a_lower_bound_as_a_fresh_poset_is(monkeypatch):
-    # weak-order:5 holds 1,779 strict pairs; the build passes 1,000 at 1,019
+    # weak-order:5 holds 1,779 strict pairs; the build passes 1,000 at 1,007
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
     p = weak_order_full(5)
     xm = expectation_Xm(p, 8)
     monkeypatch.setenv("CDE_CAPACITY", "1000")
     with pytest.raises(CapacityError) as fresh:
         expectation_Xm(weak_order_full(5), 8)
-    assert str(fresh.value) == "multichain strict order pairs needs 1019 > capacity 1000"
+    assert str(fresh.value) == "multichain strict order pairs needs 1007 > capacity 1000"
     # the kept table, and a smaller request read from its prefix, are refused alike
     for m in (8, 2):
         with pytest.raises(CapacityError) as kept:
@@ -948,31 +970,44 @@ def test_the_recorded_lattice_gives_the_fresh_walks_counts(monkeypatch):
     [
         (lambda: product(chain(3), chain(3)), 19, "order ideal enumeration needs 20 > capacity 19"),
         (lambda: product(chain(3), chain(3)), 20, None),
+        (lambda: product(chain(3), chain(3)), 25, None),
         (lambda: product(chain(3), chain(3)), 30, None),
+        (lambda: product(chain(3), chain(3)), 50, None),
         (lambda: product(chain(3), chain(3)), 100, None),
         (lambda: antichain(5), 39, "order ideal cover pairs needs 40 > capacity 39"),
     ],
-    ids=["grid-19", "grid-20", "grid-30", "grid-100", "antichain-39"],
+    ids=["grid-19", "grid-20", "grid-25", "grid-30", "grid-50", "grid-100", "antichain-39"],
 )
 def test_the_recorded_lattice_is_refused_as_a_fresh_walk_is(monkeypatch, build, bound, walk_refusal):
     # J([3]x[3]) has 20 ideals, 30 covers and 155 strict order pairs, and
     # J(antichain(5)) 32 ideals and 80 covers.  Over the bound both routes
-    # refuse: by the walk's own message when the ideals or half the covers
-    # are over it, else by the same charge, whose count a refused table
-    # build names as far as it got in its own order
+    # refuse with one message: the walk's own when the ideals or half the
+    # covers are over it, else the same charge, whose count a refused table
+    # build names as far as it got in J's order, the one order of J on every
+    # route, so the multichain expectations of J and of J rebuilt from its
+    # pairs are refused with the same message too
     p, fresh = build(), build()
-    expectation_Xm(order_ideal_lattice(p), 8)
+    J = order_ideal_lattice(p)
+    expectation_Xm(J, 8)
+    rebuilt = FinitePoset(J.n, J.covers, J.labels)
     monkeypatch.setenv("CDE_CAPACITY", str(bound))
-    for count in (linear_extension_count, *(partial(toggle_symmetry_check, m=m) for m in range(1, 9))):
-        outcomes = []
-        for q in (p, fresh):
-            try:
-                outcomes.append(count(q))
-            except CapacityError as exc:
-                outcomes.append(str(exc) if walk_refusal else str(exc).split(" needs")[0])
-        assert outcomes[0] == outcomes[1], (bound, count)
+
+    def outcome(count, q):
+        try:
+            return count(q)
+        except CapacityError as exc:
+            return str(exc)
+
+    assert outcome(linear_extension_count, p) == outcome(linear_extension_count, fresh), bound
+    for m in range(1, 9):
+        toggles = [outcome(partial(toggle_symmetry_check, m=m), q) for q in (p, fresh)]
+        assert toggles[0] == toggles[1], (bound, m)
+        if not walk_refusal:
+            means = [outcome(partial(expectation_Xm, m=m), q) for q in (J, rebuilt)]
+            refusals = [x if isinstance(x, str) else None for x in toggles + means]
+            assert len(set(refusals)) == 1, (bound, m, refusals)
     if walk_refusal:
-        assert outcomes[0] == walk_refusal  # toggle at m = 8
+        assert toggles[0] == walk_refusal  # toggle at m = 8
 
 
 def test_toggle_symmetry_check_checks_m_before_the_walk(monkeypatch):
