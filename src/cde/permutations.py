@@ -13,11 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations as iperm
 from math import comb, factorial
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .core import IntPolynomial, _integers, interpolate_integer_polynomial, poly_divides, stirling2_row
 from .errors import MalformedInputError, NotVexillaryError, RangeError
-from .poset import FinitePoset, _chain_counts, _check_capacity, _check_count, _from_lower, _from_order
+from .poset import FinitePoset, _chain_counts, _check_capacity, _check_count, _from_graded, _from_order
 from .poset import _ideals, capacity
 from .tableaux import _ints, _ssyt_counts_by_shift, check_partition, rect_staircase, transpose
 
@@ -321,48 +321,61 @@ def left_factor_check(u, w) -> bool:
 
 
 def _weak_walk(w):
-    """Walk down from w by descents, breadth first: the one walk over a weak
-    interval in the package, and the one source of its ranks.
+    """Walk up from the identity by the ascents that stay below w, a rank at
+    a time: the one walk over a weak interval in the package, and the one
+    source of its ranks.
 
-    Returns (elements, below, starts), all tuples, so that the memoised
-    `interval_summary` that keeps them cannot be changed by a caller.
-    elements starts with w and ends with the identity; below[i] indexes the
-    lower covers of elements[i].  Breadth first, the elements of length
-    length(w) - d are elements[starts[d]:starts[d + 1]]: the walk has found
-    all of them, and none shorter, when it reaches the first, so the next
-    rank starts at the current end.  length(w) = len(starts) - 2.
+    u * s_a lies in [e, w] exactly when u(a) < u(a+1) and w places u(a+1)
+    before u(a) (Björner–Brenti): the step inverts one more pair of values,
+    and w must invert it too.  Each rank is sorted before it is expanded, so
+    the walk returns the layout of `weak_interval`: (elements, below,
+    starts), all tuples, so that the memoised `interval_summary` that keeps
+    them cannot be changed by a caller.  The elements come by length, then
+    lexicographically, from the identity first to w last, and
+    elements[starts[r]:starts[r + 1]] are those of length r, so length(w) =
+    len(starts) - 2.  below[i] indexes the lower covers of elements[i],
+    ascending, which is the increasing order of the descents of elements[i]
+    that reach them: u * s_a comes before u * s_b for descents a < b.
     """
     cap = capacity()
     n = len(w)
+    place = [0] * (n + 1)  # place[v]: the position of the value v in w
+    for i, v in enumerate(w):
+        place[v] = i
     # swaps[a](u) is u * s_{a+1}, one C call: u with positions a and a+1
-    # exchanged.  Each is built the first time the walk steps by it, and
-    # breadth first each such step reaches a different element, so the swaps
-    # hold no more than the elements found: a long w with a small interval
-    # costs O(n) per element, not O(n^2) up front.
+    # exchanged.  Each is built on the first step by it, and the walk steps
+    # by at most length(w) distinct generators, fewer than the elements it
+    # finds: a long w with a small interval costs O(n) per element, not
+    # O(n^2) up front.
     swaps = [None] * n
     pairs = list(zip(range(n - 1), range(1, n)))
-    elements = [w]
-    index = {w: 0}
-    below = []
+    elements = []
+    below = [()]
     starts = [0]
-    for i, u in enumerate(elements):
-        if i == starts[-1]:
-            starts.append(len(elements))
-        lower = []
-        for a, b in pairs:
-            if u[a] > u[b]:
-                swap = swaps[a]
-                if swap is None:
-                    swap = swaps[a] = itemgetter(*range(a), b, a, *range(b + 1, n))
-                v = swap(u)
-                j = index.get(v)
-                if j is None:
-                    j = index[v] = len(elements)
-                    elements.append(v)
-                    if j >= cap:
-                        _check_capacity(j + 1, "weak order interval")
-                lower.append(j)
-        below.append(tuple(lower))
+    rank = [tuple(range(1, n + 1))]
+    while rank:
+        first = len(elements)
+        elements += rank
+        starts.append(len(elements))
+        room = cap - len(elements)
+        fresh = {}  # each element of the next rank: its lower covers
+        for i, u in enumerate(rank, first):
+            for a, b in pairs:
+                x, y = u[a], u[b]
+                if x < y and place[y] < place[x]:
+                    swap = swaps[a]
+                    if swap is None:
+                        swap = swaps[a] = itemgetter(*range(a), b, a, *range(b + 1, n))
+                    v = swap(u)
+                    lows = fresh.get(v)
+                    if lows is None:
+                        fresh[v] = [i]
+                        if len(fresh) > room:
+                            _check_capacity(len(elements) + len(fresh), "weak order interval")
+                    else:
+                        lows.append(i)
+        rank = sorted(fresh)
+        below += map(tuple, map(fresh.__getitem__, rank))
     return tuple(elements), tuple(below), tuple(starts)
 
 
@@ -372,23 +385,17 @@ def weak_interval_elements(w) -> set[tuple[int, ...]]:
 
 
 def weak_interval(w) -> FinitePoset:
-    """The interval below w in right weak order, as a validated poset whose
-    elements come by length, then lexicographically.
+    """The interval below w in right weak order, as a poset whose elements
+    come by length, then lexicographically.
 
-    The walk's `starts` cut it into ranks, placed deepest first and each sorted
-    by itself; an element's lower covers lie one rank deeper, so its lower
-    list is read as it is placed."""
+    That is the walk's own layout, so its lower lists and ranks go to the
+    poset as they are (`_from_graded`): no sort, re-index or copy."""
     summary = interval_summary(w)
-    elements, below, starts = summary.elements, summary._below, summary._starts
-    position = [0] * len(elements)
-    labels = []
-    lower = []
-    for d in range(len(starts) - 2, -1, -1):
-        for i in sorted(range(starts[d], starts[d + 1]), key=elements.__getitem__):
-            position[i] = len(labels)
-            labels.append(perm_label(elements[i]))
-            lower.append(sorted([position[j] for j in below[i]]))  # sorted copies a list exactly sized
-    return _from_lower(lower, labels)
+    elements, starts = summary.elements, summary._starts
+    n = len(elements[0])
+    label = ("%d" * n).__mod__ if n <= 9 else perm_label
+    ranks = map(sub, starts[1:], starts)
+    return _from_graded(summary._below, ranks, map(label, elements))
 
 
 def _check_group_order(n: int, what: str) -> int:
@@ -552,16 +559,16 @@ def _extension_counts(w) -> tuple[int, int]:
 @dataclass(frozen=True)
 class IntervalSummary:
     """The weak interval [e, w] and the numbers the paper reads off it, all
-    from its one descent walk, which lists the interval rank by rank."""
+    from its one upward walk, which lists the interval rank by rank."""
 
-    elements: tuple[tuple[int, ...], ...]  # w first, each after all above it, e last
+    elements: tuple[tuple[int, ...], ...]  # e first, then by length and lexicographically, w last
     edge_count: int  # covers
     reduced: int  # reduced words: maximal chains
     nearly: int  # nearly reduced words: 0-Hecke words of length length(w) + 1
     EX: Fraction  # edge density: covers / elements
     EY: Fraction  # down-degree expectation over the maximal chains
     # the walk's layout, read only in this module: _below[i] indexes the lower
-    # covers of elements[i]; elements[_starts[d]:_starts[d + 1]] have length(w) - d
+    # covers of elements[i]; elements[_starts[r]:_starts[r + 1]] have length r
     _below: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     _starts: tuple[int, ...] = field(repr=False, compare=False)
 
@@ -585,21 +592,21 @@ def _summary_at(w, bound) -> IntervalSummary:
     A nearly reduced word repeats one descent of a prefix of a reduced word,
     so it is a path from w down to some u, a descent of u, and a path from u
     down to the identity.  `poset._chain_counts` on the walk's own cover
-    lists, which list each element after every element above it, gives
-    up[i], the paths from elements[i] down to the identity, so up[0] counts
-    the reduced words, and the sum of des(u) * up * down over the interval,
-    the nearly reduced ones.
+    lists, in which each element comes after every element below it, gives
+    up[i], the paths from elements[i] down to the identity, so up[-1], at w,
+    counts the reduced words, and the sum of des(u) * up * down over the
+    interval, the nearly reduced ones.
 
     E(X) is read off the walk as covers / elements, the edge density itself;
     expectation_X_complementary is the independent route, by path sums over
     the order ideals of the noninversion poset, and Tier-1 compares the two."""
     elements, below, starts = _weak_walk(w)
-    up, _, nearly = _chain_counts(below, range(len(elements) - 1, -1, -1))
+    up, _, nearly = _chain_counts(below, range(len(elements)))
     edges = sum(map(len, below))
     ex = Fraction(edges, len(elements))
     ell = len(starts) - 2  # length(w)
-    ey = Fraction(nearly, (ell + 1) * up[0])
-    return IntervalSummary(elements, edges, up[0], nearly, ex, ey, below, starts)
+    ey = Fraction(nearly, (ell + 1) * up[-1])
+    return IntervalSummary(elements, edges, up[-1], nearly, ex, ey, below, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -731,13 +738,16 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
         P_k(u) = P_{k-1}(u) (des(u) x + sum of descents of u)
                  + sum over lower covers v = u s of P_{k-1}(v) (x + s).
     Step k updates only the ranks, cut by the walk's `starts`, that k letters
-    reach and that can still reach w in max(Ls) - k.  No polynomial has more coefficients than a
-    chain of [e, w] has elements until step length(w), and each of the
-    e = max(Ls) - length(w) steps past it adds one, so (e + 1)^2 coefficient
-    terms are charged before the first step, and then the |[e, w]| e^2 terms
-    that the steps past length(w) update."""
+    reach and that can still reach w in max(Ls) - k, from the top rank down,
+    so each element reads its lower covers' weights of step k - 1.  No
+    polynomial has more coefficients than a chain of [e, w] has elements
+    until step length(w), and each of the e = max(Ls) - length(w) steps past
+    it adds one, so (e + 1)^2 coefficient terms are charged before the first
+    step, and then the |[e, w]| e^2 terms that the steps past length(w)
+    update."""
     summary = interval_summary(w)
-    # rank d, of length ell - d, fills elements[first[d]:first[d + 1]]
+    # the identity is elements[0], w is elements[-1], and the elements of
+    # length r fill elements[first[r]:first[r + 1]]
     elements, below, first = summary.elements, summary._below, summary._starts
     n = len(w)
     ell = len(first) - 2
@@ -752,10 +762,10 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
         steps.append((len(des), sum(des), list(zip(lower, des))))
     wanted = set(Ls)
     weight: list[list[int] | None] = [None] * len(elements)
-    weight[-1] = [1]
-    found = {0: weight[0]} if ell == 0 else {}
+    weight[0] = [1]
+    found = {0: weight[-1]} if ell == 0 else {}
     for k in range(1, top + 1):
-        for i in range(first[max(ell - k, 0)], first[min(ell, top - k) + 1]):
+        for i in reversed(range(first[max(ell - top + k, 0)], first[min(k, ell) + 1])):
             loops, letters, covers = steps[i]
             cur = weight[i]
             new = _times_linear(cur, loops, letters) if cur is not None and loops else None
@@ -765,7 +775,7 @@ def _fk_words(w, Ls) -> tuple[IntPolynomial, ...]:
                     new = term if new is None else [c + t for c, t in zip(new, term)]
             weight[i] = new
         if k in wanted:
-            found[k] = weight[0]
+            found[k] = weight[-1]
     return tuple(IntPolynomial(tuple(found.get(L) or ())) for L in Ls)
 
 

@@ -1,21 +1,22 @@
 """Finite posets and their down-degree statistics.
 
 Elements are always the dense integers 0..n-1; builders attach human-readable
-labels as metadata only.  A poset is immutable once validated, and every
-statistic below is a pure function of it, so shared posets are safe to use
-from multiple threads.  Two values are written after construction: the
-table of chain counts behind the multichain statistics, kept on the poset on
-first use, and the lattice of order ideals J(P) last returned for it by
-`order_ideal_lattice`.  Each is a derived value, built the same by any
-thread; each is a tuple that is never changed, assigned whole in one
-attribute store and read once per call, so a reader sees either none or a
-complete one, and two threads that build at once only repeat work.
+labels as metadata only.  A poset is immutable once built, down to its cover
+lists, which are tuples of tuples, and every statistic below is a pure
+function of it, so shared posets are safe to use from multiple threads.  Two
+values are written after construction: the table of chain counts behind the
+multichain statistics, kept on the poset on first use, and the lattice of
+order ideals J(P) last returned for it by `order_ideal_lattice`.  Each is a
+derived value, built the same by any thread; each is a tuple that is never
+changed, assigned whole in one attribute store and read once per call, so a
+reader sees either none or a complete one, and two threads that build at
+once only repeat work.
 """
 
 from __future__ import annotations
 
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -118,19 +119,21 @@ class FinitePoset:
     """A finite poset given by its transitively reduced cover relation.
 
     ``covers`` holds ordered pairs (a, b) meaning a is covered by b.  Every
-    instance is validated on construction, so an invalid one cannot be built.
+    instance is checked on construction, by `validate` or by the graded
+    hand-off `_from_graded`, so an invalid one cannot be built.
     """
 
     n: int
     covers: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
     # upper_covers[x] and lower_covers[x] list the elements covering x and
-    # covered by x, ascending; level[x] counts the covers on the longest chain
-    # from a minimal element up to x, and `order` lists the elements by level,
-    # then index, so each after every element below it, however the poset was
-    # built.  All built once, by `_settle`, not part of equality or hash.
-    upper_covers: list[list[int]] = field(init=False, compare=False, repr=False)
-    lower_covers: list[list[int]] = field(init=False, compare=False, repr=False)
+    # covered by x, ascending, as tuples; level[x] counts the covers on the
+    # longest chain from a minimal element up to x, and `order` lists the
+    # elements by level, then index, so each after every element below it,
+    # however the poset was built.  All built once, on construction
+    # (`__post_init__` or `_from_graded`), not part of equality or hash.
+    upper_covers: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    lower_covers: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     level: tuple[int, ...] = field(init=False, compare=False, repr=False)
     # (size, rows, T, V, pairs): the largest chain table built so far, its
@@ -165,29 +168,20 @@ class FinitePoset:
                 down[b].append(a)
         except (TypeError, ValueError):
             raise _malformed_covers(covers) from None
-        for lst in down:
-            lst.sort()
-        self._settle(down)
-
-    def _settle(self, down):
-        """The core of both entries, this class and `_from_lower`: keep the
-        ascending lower lists `down` and the upper ones read from them, place
-        the elements and validate; covers that are None are read from `down`."""
-        n = len(down)
-        # each element's int object as down's lists hold it, so the pairs,
-        # the upper lists and `order` hold no second one
+        # each element's int object as the pairs hold it, so the upper lists
+        # and `order` hold no second one
         own = list(range(n))
-        for lows in down:
+        for b, lows in enumerate(down):
             for a in lows:
                 own[a] = a
-        if self.covers is None:
-            object.__setattr__(self, "covers", frozenset((a, b) for b, lows in zip(own, down) for a in lows))
+            lows.sort()
+            down[b] = tuple(lows)  # each list goes as its tuple is made
         up = [[] for _ in range(n)]
         for b, lows in zip(own, down):
             for a in lows:
                 up[a].append(b)
-        object.__setattr__(self, "upper_covers", up)
-        object.__setattr__(self, "lower_covers", down)
+        for x, highs in enumerate(up):
+            up[x] = tuple(highs)
         # Kahn's algorithm a level at a time, each level ascending; an element
         # on a cycle never enters the order, and validate reports the cycle
         indeg = [len(lows) for lows in down]
@@ -205,6 +199,8 @@ class FinitePoset:
                         above.append(y)
             above.sort()
             layer = above
+        object.__setattr__(self, "upper_covers", tuple(up))
+        object.__setattr__(self, "lower_covers", tuple(down))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "level", tuple(level))
         validate(self)
@@ -294,15 +290,51 @@ def validate(p: FinitePoset) -> None:
         raise NotReducedError(min(implied))
 
 
-def _from_lower(lower: list[list[int]], labels) -> FinitePoset:
-    """The poset whose element b has the lower covers lower[b], each list
-    ascending, as the walks build them: the lists are kept, no pairs are
-    filed back into them, and the poset is validated as on the pair path."""
+def _from_graded(lower, ranks, labels) -> FinitePoset:
+    """The graded poset whose element b has the lower covers lower[b], as the
+    walks build them: `ranks` gives the number of elements on each level,
+    the levels come one after another from level 0 up, and each lower list
+    is an ascending tuple on the level just below.  The tuples become the
+    poset's own, with no copy.
+
+    The one pass that builds the upper lists checks all of this, and that
+    every element above level 0 has a lower cover; a malformed hand-off is
+    refused with MalformedInputError naming the cover or the counts.  Covers
+    that rise exactly one level are acyclic and imply no other cover, so the
+    poset needs no Kahn pass and no `validate` search, and `order`, by level
+    then index, is range(n)."""
+    n = len(lower)
+    sizes = tuple(ranks)
+    level = []
+    for r, size in enumerate(sizes):
+        level += [r] * size
+    labels = tuple(labels)
+    if len(level) != n or len(labels) != n:
+        raise MalformedInputError(f"ranks hold {len(level)} and labels {len(labels)} of {n} elements")
+    order = tuple(range(n))
+    up = [[] for _ in order]
+    start = end = 0  # level r - 1 runs from start to end - 1, and level r from end
+    for r, size in enumerate(sizes):
+        for b in order[end : end + size]:
+            prev = start - 1
+            for a in lower[b]:
+                if not prev < a < end:  # a repeat, a step down, or a cover off the level below
+                    raise MalformedInputError(f"cover {(a, b)} is out of order, or not one level up")
+                up[a].append(b)
+                prev = a
+            if r and prev < start:
+                raise MalformedInputError(f"element {b} on level {r} has no lower cover")
+        start, end = end, end + size
+    for x, highs in enumerate(up):
+        up[x] = tuple(highs)  # each list goes as its tuple is made
     p = object.__new__(FinitePoset)
-    object.__setattr__(p, "n", len(lower))
-    object.__setattr__(p, "covers", None)
-    object.__setattr__(p, "labels", tuple(labels))
-    p._settle(lower)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "covers", frozenset((a, b) for b, lows in zip(order, lower) for a in lows))
+    object.__setattr__(p, "labels", labels)
+    object.__setattr__(p, "upper_covers", tuple(up))
+    object.__setattr__(p, "lower_covers", tuple(lower))
+    object.__setattr__(p, "order", order)
+    object.__setattr__(p, "level", tuple(level))
     return p
 
 
@@ -718,7 +750,7 @@ def tamari(n: int) -> FinitePoset:
     return FinitePoset(len(tris), covers, labels)
 
 
-def _ideals(down: list[int]) -> tuple[list[int], list[list[int]]]:
+def _ideals(down: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Every order ideal of the order `down` as a bitmask, and the lower
     covers of each in J(P), as indices into the masks.
 
@@ -727,9 +759,9 @@ def _ideals(down: list[int]) -> tuple[list[int], list[list[int]]]:
     reflexive masks that generate the order by transitivity, such as each
     element with its lower covers, give the same walk.  Ideals come by size,
     then lexicographically on their sorted elements, so the indices are in
-    order; lower[j] is ascending, and the element that ideal j adds to its
-    lower cover i is the one bit of masks[j] ^ masks[i].  This is the one
-    walk over ideals in the package.  Both are charged as they grow, an
+    order; lower[j] is an ascending tuple, and the element that ideal j adds
+    to its lower cover i is the one bit of masks[j] ^ masks[i].  This is the
+    one walk over ideals in the package.  Both are charged as they grow, an
     ideal as one unit and a cover as half of one, so a lattice of up to two
     covers per ideal fits the bound its ideals fit.
     """
@@ -737,7 +769,7 @@ def _ideals(down: list[int]) -> tuple[list[int], list[list[int]]]:
     items = [(d, 1 << e) for e, d in enumerate(down)]
     cap = capacity()
     masks = [0]
-    lower = [[]]
+    lower = [()]
     covers = 0
     start = 0
     while start < len(masks):
@@ -758,7 +790,7 @@ def _ideals(down: list[int]) -> tuple[list[int], list[list[int]]]:
         # differing element comes first
         grown = sorted(fresh, key=lambda g: format(g, f"0{n}b")[::-1], reverse=True)
         masks += grown
-        lower += map(fresh.__getitem__, grown)
+        lower += map(tuple, map(fresh.pop, grown))  # each list goes as its tuple is made
         start = end
     return masks, lower
 
@@ -776,16 +808,16 @@ def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     """Distributive lattice of order ideals, ordered by containment.
 
     Ideal i of J is the i-th of `order_ideals(p)`, so the walk's lower lists
-    are handed to J as they are (`_from_lower`), and J's `order`, by level
-    (the ideal's size), then index, is range(|J|).  p records the J returned,
-    with the ideals as bitmasks, and `toggle_symmetry_check` and linear
-    extension counts on p read them instead of walking the ideals again (see
-    `_recorded_lattice`).
+    are handed to J as they are (`_from_graded`, whose ranks are the ideal
+    sizes), and J's `order`, by level (the ideal's size), then index, is
+    range(|J|).  p records the J returned, with the ideals as bitmasks, and
+    `toggle_symmetry_check` and linear extension counts on p read them
+    instead of walking the ideals again (see `_recorded_lattice`).
     """
     masks, lower = _ideals(p.order_relation())
     names = [p.label(e) for e in range(p.n)]
     labels = ["{" + ",".join(map(names.__getitem__, _members(m, p.n))) + "}" for m in masks]
-    lattice = _from_lower(lower, labels)
+    lattice = _from_graded(lower, Counter(map(int.bit_count, masks)).values(), labels)
     object.__setattr__(p, "_lattice", (lattice, masks))
     return lattice
 

@@ -7,6 +7,7 @@ an outside corner in row i, column j is written (i, j) exactly as on paper.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -19,7 +20,7 @@ from .errors import (
     RangeError,
     ReconciliationError,
 )
-from .poset import FinitePoset, _chain_counts, _check_capacity, _from_lower, _ideals, capacity
+from .poset import FinitePoset, _chain_counts, _check_capacity, _from_graded, _ideals, capacity
 
 __all__ = [
     "check_partition",
@@ -174,7 +175,8 @@ def rect_staircase(d: int, a: int, b: int) -> tuple[int, ...]:
 
 def _diagram_ideals(shape, shifted: bool):
     """The partitions inside `shape`, strict ones when `shifted`, sorted by
-    (size, parts), and the lower covers of each, as ascending indices.
+    (size, parts), and the lower covers of each, as ascending tuples of
+    indices.
 
     They are the order ideals of the diagram of `shape`, in which cell
     (i, j) lies below (i, j+1) and (i+1, j) and row i of a shifted diagram
@@ -202,7 +204,7 @@ def _diagram_ideals(shape, shifted: bool):
     parts = [tuple(k for run in runs if (k := (m & run).bit_count())) for m in masks]
     order = sorted(range(len(masks)), key=lambda a: (sum(parts[a]), parts[a]))
     position = {a: k for k, a in enumerate(order)}
-    return [parts[a] for a in order], [sorted(map(position.__getitem__, lower[a])) for a in order]
+    return [parts[a] for a in order], [tuple(sorted(map(position.__getitem__, lower[a]))) for a in order]
 
 
 def subpartitions(shape) -> list[tuple[int, ...]]:
@@ -210,10 +212,15 @@ def subpartitions(shape) -> list[tuple[int, ...]]:
     return _diagram_ideals(shape, shifted=False)[0]
 
 
+def _diagram_interval(shape, shifted: bool) -> FinitePoset:
+    """The poset of `_diagram_ideals`, whose ranks are the partition sizes."""
+    elements, lower = _diagram_ideals(shape, shifted)
+    return _from_graded(lower, Counter(map(sum, elements)).values(), map(shape_label, elements))
+
+
 def young_interval(shape) -> FinitePoset:
     """The interval below `shape` in the containment order on partitions."""
-    elements, lower = _diagram_ideals(shape, shifted=False)
-    return _from_lower(lower, [shape_label(m) for m in elements])
+    return _diagram_interval(shape, shifted=False)
 
 
 def strict_subpartitions(shape) -> list[tuple[int, ...]]:
@@ -223,8 +230,7 @@ def strict_subpartitions(shape) -> list[tuple[int, ...]]:
 def shifted_interval(shape) -> FinitePoset:
     """The interval below a strict partition in the order induced on strict
     partitions by diagram containment."""
-    elements, lower = _diagram_ideals(shape, shifted=True)
-    return _from_lower(lower, [shape_label(m) for m in elements])
+    return _diagram_interval(shape, shifted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -575,7 +575,7 @@ def slicing_weak_walk(w):
     descents breadth first, each step u * s sliced and concatenated: elements
     starts with w, below[i] indexes the lower covers of elements[i], and
     down[i] counts the paths from w down to elements[i].  The library's
-    earlier walk, kept as the oracle for its itemgetter steps."""
+    earlier walk, kept as the oracle for its upward walk."""
     n = len(w)
     elements = [w]
     index = {w: 0}
@@ -612,21 +612,35 @@ def member_set_expectation_X(elements) -> Fraction:
     return Fraction(1, 2) * ((n - 1) - Fraction(missing, len(members)))
 
 
-def sorted_walk_poset(walk):
-    """(n, covers, labels) of the weak interval of a finished walk: its
-    elements in one global sort by (length, one-line notation), labels run
-    together up to n = 9 and comma separated beyond.  The library's earlier
-    ordering, kept as the oracle for its level-by-level sort."""
-    elements, below, _ = walk
+def sorted_walk(walk):
+    """(elements, below, down) of a finished walk, its elements in one global
+    sort by (length, one-line notation): the identity first and w last.
+    below[i] keeps the walk's own order, one lower cover per descent of
+    elements[i] in increasing order, and down[i] still counts the paths from w
+    down to elements[i].  The library's earlier ordering, kept as the oracle
+    for its rank-by-rank sort."""
+    elements, below, down = walk
     depth = [0] * len(below)
     for i, lower in enumerate(below):
         for j in lower:
             depth[j] = depth[i] + 1
     ordered = sorted(range(len(elements)), key=lambda i: (-depth[i], elements[i]))
     position = {i: k for k, i in enumerate(ordered)}
-    covers = {(position[j], position[i]) for i, lower in enumerate(below) for j in lower}
+    return (
+        tuple(elements[i] for i in ordered),
+        tuple(tuple(position[j] for j in below[i]) for i in ordered),
+        tuple(down[i] for i in ordered),
+    )
+
+
+def sorted_walk_poset(walk):
+    """(n, covers, labels) of the weak interval of a finished walk, laid out
+    by `sorted_walk`, labels run together up to n = 9 and comma separated
+    beyond."""
+    elements, below, _ = sorted_walk(walk)
+    covers = {(j, i) for i, lower in enumerate(below) for j in lower}
     sep = "" if len(elements[0]) <= 9 else ","
-    return len(ordered), covers, [sep.join(map(str, elements[i])) for i in ordered]
+    return len(elements), covers, [sep.join(map(str, u)) for u in elements]
 
 
 def contains_pattern(w, pattern) -> bool:

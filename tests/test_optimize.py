@@ -80,17 +80,17 @@ def test_only_construction_the_chain_table_and_the_lattice_write_to_a_poset():
     # a poset is immutable once built; its chain table and the J(P) last
     # returned for it are the two values filled in later, each by the one
     # function that keeps it, and each of those sets only its own attribute.
-    # Construction has two entries, pairs (__post_init__) and lower lists
-    # (_from_lower), and one core (_settle); they set construction fields only
+    # Construction has two entries, pairs (__post_init__) and graded lower
+    # lists (_from_graded); they set construction fields only
     tree = ast.parse((SRC / "cde" / "poset.py").read_text())
     cls = next(node for node in tree.body if getattr(node, "name", None) == "FinitePoset")
-    writers = [node for node in cls.body if getattr(node, "name", None) in ("__post_init__", "_settle")]
+    writers = [node for node in cls.body if getattr(node, "name", None) == "__post_init__"]
     writers += [
         node
         for node in tree.body
-        if getattr(node, "name", None) in ("_from_lower", "_chain_table", "order_ideal_lattice")
+        if getattr(node, "name", None) in ("_from_graded", "_chain_table", "order_ideal_lattice")
     ]
-    assert len(writers) == 5
+    assert len(writers) == 4
     construction = {"n", "covers", "labels", "upper_covers", "lower_covers", "order", "level"}
     own = {"_chain_table": {"_chains"}, "order_ideal_lattice": {"_lattice"}}
 
@@ -223,6 +223,15 @@ _CHECKS = [
     ("", "ps._multichain_expectations(ps.chain(3), 2.0)", "MalformedInputError"),
     ("", "ps.is_mCDE_upto(ps.chain(3), 1.5)", "MalformedInputError"),
     ("", "ps.toggle_symmetry_check(ps.antichain(30), 0)", "SizeError"),
+    # the graded hand-off: a descending list, a cover that skips a level, one
+    # within a level, an element above level 0 with no lower cover, rank
+    # sizes that miss the element count, and the wrong label count
+    ("", "ps._from_graded(((), (), (1, 0)), (2, 1), 'abc')", "MalformedInputError"),
+    ("", "ps._from_graded(((), (0,), (0,)), (1, 1, 1), 'abc')", "MalformedInputError"),
+    ("", "ps._from_graded(((), (0,), (1,)), (1, 2), 'abc')", "MalformedInputError"),
+    ("", "ps._from_graded(((), (0,), ()), (1, 2), 'abc')", "MalformedInputError"),
+    ("", "ps._from_graded(((), (0,)), (1, 2), 'ab')", "MalformedInputError"),
+    ("", "ps._from_graded(((), (0,)), (1, 1), 'a')", "MalformedInputError"),
 ]
 
 

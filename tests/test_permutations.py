@@ -510,15 +510,29 @@ def _weak_interval_walks():
 
 
 def test_weak_walk_matches_the_slicing_walk():
-    for w, oracle in _weak_interval_walks():
+    # the downward slicing walk, mapped onto the upward walk's layout: by
+    # length, then lexicographically
+    for w, walk in _weak_interval_walks():
         elements, below, starts = permutations._weak_walk(w)
         # the paths from w down to each element, which the summary counts on the walk's lists
-        down = tuple(poset._chain_counts(below, range(len(elements) - 1, -1, -1))[1])
-        assert (elements, below, down) == oracle, w
+        down = tuple(poset._chain_counts(below, range(len(elements)))[1])
+        assert (elements, below, down) == bruteforce.sorted_walk(walk), w
+        assert all(list(lower) == sorted(lower) for lower in below), w
         # the ranks by another route: the length of each element the oracle found
-        ranks = [d for d in range(len(starts) - 1) for _ in range(starts[d], starts[d + 1])]
-        assert starts[0] == 0 and ranks == [length(w) - length(u) for u in oracle[0]], w
+        ranks = [r for r in range(len(starts) - 1) for _ in range(starts[r], starts[r + 1])]
+        assert starts[0] == 0 and ranks == [length(u) for u in elements], w
         assert len(starts) - 2 == length(w), w
+
+
+def test_weak_walk_lists_each_lower_cover_by_its_descent():
+    # the FK words route pairs below[i] with the descents of elements[i] in
+    # increasing order: the cover u * s_a comes before u * s_b for a < b
+    for n in range(1, 7):
+        for w in iperm(range(1, n + 1)):
+            elements, below, _ = permutations._weak_walk(w)
+            for u, lower in zip(elements, below):
+                steps = [u[: s - 1] + (u[s], u[s - 1]) + u[s + 1 :] for s in descents(u)]
+                assert [elements[j] for j in lower] == steps, (w, u)
 
 
 @pytest.mark.parametrize("w", [(1,), (1, 2, 3)])
@@ -556,12 +570,13 @@ def test_weak_interval_matches_the_globally_sorted_poset():
         assert list(p.level) == sorted(p.level) and p.level[-1] == length(w), w
 
 
-def test_a_weak_interval_peaks_under_216_bytes_a_cover(monkeypatch):
-    # a memory gate: the walk's lower lists go to the poset as they are, with
-    # no list of pairs beside them and one int object per element.  The
-    # interval below 947826531 has 11,664 elements and 40,440 covers; built
-    # from its kept summary it peaked at ~220 B a cover when its pairs were
-    # listed and filed back into lists, and at ~212 B on the lists
+def test_a_weak_interval_peaks_under_180_bytes_a_cover(monkeypatch):
+    # a memory gate: the walk's lower tuples go to the poset as they are, with
+    # no list of pairs beside them, no copy and no second int object for an
+    # element.  The interval below 947826531 has 11,664 elements and 40,440
+    # covers; built from its kept summary it peaked at ~220 B a cover when its
+    # pairs were listed and filed back into lists, at ~212 B when its lists
+    # were re-indexed and sorted, and at ~160 B on the walk's own tuples
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
     w = (9, 4, 7, 8, 2, 6, 5, 3, 1)
     interval_summary(w)
@@ -572,7 +587,7 @@ def test_a_weak_interval_peaks_under_216_bytes_a_cover(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (p.n, len(p.covers)) == (11_664, 40_440)
-    assert peak <= 216 * len(p.covers), peak / len(p.covers)
+    assert peak <= 180 * len(p.covers), peak / len(p.covers)
 
 
 def test_the_ideal_route_adds_over_direct_sum_blocks():

@@ -19,7 +19,14 @@ from cde.errors import (
     NotReducedError,
     SizeError,
 )
-from cde.permutations import strong_bruhat, vexillary_permutations, weak_interval, weak_order_full
+from cde import verify
+from cde.permutations import (
+    noninversion_poset,
+    strong_bruhat,
+    vexillary_permutations,
+    weak_interval,
+    weak_order_full,
+)
 from cde.poset import (
     FinitePoset,
     antichain,
@@ -163,27 +170,111 @@ def test_stored_order_and_levels_match_the_oracle():
         assert list(p.level) == bruteforce.longest_chain_below(p)
         assert list(p.order) == sorted(range(p.n), key=lambda x: (p.level[x], x))
         assert p.topological_order() == list(p.order)
-        # the cover lists hold exactly the covers, each list ascending
+        # the cover lists hold exactly the covers, each tuple ascending
         lists = p.upper_covers + p.lower_covers
-        assert all(lst == sorted(lst) for lst in lists)
+        assert all(lst == tuple(sorted(lst)) for lst in lists)
         assert {(a, b) for a in range(p.n) for b in p.upper_covers[a]} == set(p.covers)
         assert {(a, b) for b in range(p.n) for a in p.lower_covers[b]} == set(p.covers)
 
 
 def test_the_walks_lists_give_the_poset_their_pairs_give():
-    # J(P) and the Young and shifted intervals hand their walk's lower lists
-    # over as they are; the same poset built from its pairs files them into
-    # the same lists and places its elements in the same order
+    # J(P), the Young and shifted intervals and the weak intervals hand their
+    # walk's lower lists over as they are; the same poset built from its pairs
+    # files them into the same lists and places its elements in the same order
     posets = [order_ideal_lattice(p) for n in range(1, 6) for p in all_posets_upto_iso(n)]
     assert len(posets) == 87
     shapes = [s for s in bruteforce.subpartitions((8,) * 8) if sum(s) <= 8]
     posets += [young_interval(s) for s in shapes]
     posets += [shifted_interval(s) for s in shapes if len(set(s)) == len(s)]
+    posets += [weak_interval(w) for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
     for p in posets:
         q = FinitePoset(p.n, p.covers, p.labels)
         assert p == q and p.labels == q.labels, p
         assert p.lower_covers == q.lower_covers and p.upper_covers == q.upper_covers, p
         assert p.order == q.order and p.level == q.level, p
+
+
+def test_no_cover_list_of_a_built_poset_can_be_changed():
+    # every route: each registry key, the text format, the Hasse reduction of
+    # an order, and the graded hand-offs of J(P) and the three intervals
+    specs = [
+        "chain:3",
+        "antichain:2",
+        "boolean:2",
+        "tamari:5",
+        "pabcd:1,2,1,2",
+        "grid:2,3",
+        "young:3,1",
+        "shifted:4,2",
+        "weak-order:3",
+        "strong-bruhat:3",
+        "ordinal-sum-antichains:2,3",
+        "zigzag:5",
+        "v",
+        "m3",
+    ]
+    assert {spec.partition(":")[0] for spec in specs} == set(verify._BUILDERS)
+    posets = [verify.build_poset(spec) for spec in specs]
+    posets += [load_poset("n 3\ncover 0 1\ncover 0 2\n"), noninversion_poset((3, 1, 4, 2))]
+    posets += [order_ideal_lattice(boolean(2)), weak_interval((2, 4, 1, 3)), young_interval((2, 2))]
+    posets += [shifted_interval((3, 2))]
+    for p in posets:
+        for lists in (p.lower_covers, p.upper_covers):
+            assert type(lists) is tuple and all(type(lst) is tuple for lst in lists), p
+    p = chain(3)
+    with pytest.raises(AttributeError):
+        p.lower_covers[2].append(0)
+    with pytest.raises(TypeError):
+        p.lower_covers[2] = (0, 1)
+    # before, the append above gave EY = 1 and EX = 2/3 on a poset still taken as valid
+    assert (stats(p).EX, stats(p).EY) == (Fraction(2, 3), Fraction(2, 3))
+
+
+def _labels(n):
+    return [str(x) for x in range(n)]
+
+
+def test_a_graded_hand_off_gives_the_poset_its_pairs_give():
+    # two elements over one, and one over both: the walks' layout, levels in order
+    lower = ((), (0,), (0,), (1, 2))
+    p = poset._from_graded(lower, (1, 2, 1), "abcd")
+    q = FinitePoset(4, {(0, 1), (0, 2), (1, 3), (2, 3)}, "abcd")
+    assert p == q and p.labels == q.labels == tuple("abcd")
+    assert p.lower_covers is lower and p.lower_covers == q.lower_covers
+    assert p.upper_covers == q.upper_covers == ((1, 2), (3,), (3,), ())
+    assert p.order == q.order == (0, 1, 2, 3) and p.level == q.level == (0, 1, 1, 2)
+    # an empty poset, and levels of one element each
+    assert poset._from_graded((), (), ()) == FinitePoset(0, set(), ())
+    assert poset._from_graded(((), (0,), (1,)), (1, 1, 1), "abc") == FinitePoset(3, {(0, 1), (1, 2)}, "abc")
+
+
+_OUT_OF_PLACE = r"cover \({}, {}\) is out of order, or not one level up"
+
+
+@pytest.mark.parametrize(
+    "lower, ranks, labels, message",
+    [
+        # a descending list, and a repeat
+        (((), (), (1, 0)), (2, 1), _labels(3), _OUT_OF_PLACE.format(0, 2)),
+        (((), (), (0, 0)), (2, 1), _labels(3), _OUT_OF_PLACE.format(0, 2)),
+        # a cover that skips a level, one within a level, one going down,
+        # one out of range, and one below level 0
+        (((), (0,), (0,)), (1, 1, 1), _labels(3), _OUT_OF_PLACE.format(0, 2)),
+        (((), (0,), (1,)), (1, 2), _labels(3), _OUT_OF_PLACE.format(1, 2)),
+        (((), (2,), (0,)), (1, 1, 1), _labels(3), _OUT_OF_PLACE.format(2, 1)),
+        (((), (0,), (5,)), (1, 1, 1), _labels(3), _OUT_OF_PLACE.format(5, 2)),
+        (((), (0,), (-1,)), (1, 1, 1), _labels(3), _OUT_OF_PLACE.format(-1, 2)),
+        (((0,), ()), (2,), _labels(2), _OUT_OF_PLACE.format(0, 0)),
+        (((), (0,), ()), (1, 2), _labels(3), r"element 2 on level 1 has no lower cover"),
+        # rank sizes that miss the element count, and the wrong label count
+        (((), (0,)), (1, 2), _labels(2), r"ranks hold 3 and labels 2 of 2 elements"),
+        (((), (0,)), (1,), _labels(2), r"ranks hold 1 and labels 2 of 2 elements"),
+        (((), (0,)), (1, 1), _labels(1), r"ranks hold 2 and labels 1 of 2 elements"),
+    ],
+)
+def test_a_malformed_graded_hand_off_is_refused(lower, ranks, labels, message):
+    with pytest.raises(MalformedInputError, match=f"^{message}$"):
+        poset._from_graded(lower, ranks, labels)
 
 
 def _strict_closure(covers, n):

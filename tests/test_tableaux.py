@@ -164,13 +164,17 @@ def test_intervals_make_one_ideal_walk(monkeypatch):
     assert walks == [10, 9]
 
 
-def test_an_interval_validates_only_the_poset_it_returns(monkeypatch):
-    # the diagram goes to the ideal walk as order masks, not as a poset
+def test_an_interval_builds_one_poset(monkeypatch):
+    # the diagram goes to the ideal walk as order masks, not as a poset, and
+    # the walk's graded lists go to the one poset returned
+    built = []
+    real = tableaux._from_graded
+    monkeypatch.setattr(tableaux, "_from_graded", lambda *a: built.append(len(a[0])) or real(*a))
     validated = []
-    real = poset.validate
-    monkeypatch.setattr(poset, "validate", lambda p: validated.append(p.n) or real(p))
+    monkeypatch.setattr(poset, "validate", lambda p: validated.append(p.n))
     assert young_interval((4, 3, 2, 1)).n == 42
-    assert validated == [42]
+    assert shifted_interval((5, 3, 1)).n == 20
+    assert (built, validated) == ([42, 20], [])
 
 
 def test_intervals_stop_at_the_capacity_bound(monkeypatch):
