@@ -6,7 +6,8 @@ lists, which are tuples of tuples, and every statistic below is a pure
 function of it, so shared posets are safe to use from multiple threads.  Two
 values are written after construction: the table of chain counts behind the
 multichain statistics, kept on the poset on first use, and the lattice of
-order ideals J(P) last returned for it by `order_ideal_lattice`.  Each is a
+order ideals J(P) last built for it by `order_ideal_lattice`, which toggle
+symmetry and linear extension counts call when P has no J recorded.  Each is a
 derived value, built the same by any thread; each is a tuple that is never
 changed, assigned whole in one attribute store and read once per call, so a
 reader sees either none or a complete one, and two threads that build at
@@ -142,7 +143,7 @@ class FinitePoset:
     # default, not a field, so construction never touches it and equality
     # never reads it
     _chains = (0, (), (), (), 0)
-    # (J, masks): the J(P) that order_ideal_lattice returned for this poset
+    # (J, masks): the J(P) that order_ideal_lattice last built for this poset
     # and its ideals as bitmasks, written by that function alone; a class
     # default, not a field, like _chains
     _lattice = None
@@ -433,15 +434,18 @@ def _chain_table(p: FinitePoset, size: int) -> tuple:
     calls.  The build charges the pairs of the strict order it holds; they
     do not depend on the size, so a kept table whose pairs are over the
     current bound is built again, and refused as a fresh equal poset would
-    be.
+    be.  The table of size 1 needs neither a charge nor a build: the one
+    1-element chain through e is {e}, so each row is 1.
     """
     n, longest = p.n, max(p.level) + 1  # at most n
-    size, ones = _table_size(n, longest, size)
+    if size > 1:
+        size = min(size, longest)
+        _check_capacity(n * -(-size * _pack_width(n, size) // 64), "multichain table words")
     kept = p._chains
     built, rows, total, weighted, pairs = kept
     if size > built or pairs > capacity():
-        if ones:
-            built, rows, pairs = 1, ones, 0
+        if size == 1:
+            built, rows, pairs = 1, (1,) * n, 0
         else:
             full = longest * _pack_width(n, longest)
             if full <= _FULL_ROW_BITS and n * -(-full // 64) <= capacity():
@@ -457,23 +461,11 @@ def _chain_table(p: FinitePoset, size: int) -> tuple:
     return size, rows, _pack_width(n, built), total[:size], weighted[:size]
 
 
-def _table_size(n: int, longest: int, size: int) -> tuple[int, tuple[int, ...] | None]:
-    """`size` clamped to the longest chain, `longest` elements, after the
-    chain table of that size on n elements is charged in 64-bit words; and
-    the packed rows of the table of size 1, which needs neither a charge nor
-    a build: the one 1-element chain through e is {e}, so each row is 1."""
-    if size == 1:
-        return 1, (1,) * n
-    size = min(size, longest)
-    _check_capacity(n * -(-size * _pack_width(n, size) // 64), "multichain table words")
-    return size, None
-
-
 def _build_chain_table(lower, order, size: int) -> tuple[tuple[int, ...], int]:
-    """The chain table of `_chain_table`, built at `size` on the lower covers
-    `lower` in `order`, each element after every element below it, as one
-    packed row per element, and the number of pairs in the strict order it
-    was built from.
+    """The chain table of `_chain_table`, its one caller, built at `size` on
+    the lower covers `lower` in `order`, each element after every element
+    below it, as one packed row per element, and the number of pairs in the
+    strict order it was built from.
 
     A chain through e is a chain with top e joined at e to a chain with
     bottom e, so row e is the convolution of the two, truncated at `size`.
@@ -559,7 +551,13 @@ def _multichain_sizes(ms) -> tuple[int, ...]:
 def expectation_under_multichain(p: FinitePoset, m: int, values) -> Fraction:
     """Expectation of an arbitrary value vector under the distribution that
     weights each element by its m-element multichain count.  The values are
-    exact rationals (int or Fraction); a float is rejected."""
+    exact rationals (int or Fraction), read once from any iterable; a float
+    is rejected."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        kind = type(values).__name__
+        raise MalformedInputError(f"multichain expectation values must come as a sequence, not {kind}") from None
     if len(values) != p.n:
         raise MalformedInputError(f"{len(values)} values for {p.n} elements")
     if not all(isinstance(v, Rational) for v in values):
@@ -811,8 +809,8 @@ def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     are handed to J as they are (`_from_graded`, whose ranks are the ideal
     sizes), and J's `order`, by level (the ideal's size), then index, is
     range(|J|).  p records the J returned, with the ideals as bitmasks, and
-    `toggle_symmetry_check` and linear extension counts on p read them
-    instead of walking the ideals again (see `_recorded_lattice`).
+    `toggle_symmetry_check` and linear extension counts on p read them, or
+    call this to record them (see `_lattice_of`).
     """
     masks, lower = _ideals(p.order_relation())
     names = [p.label(e) for e in range(p.n)]
@@ -822,17 +820,18 @@ def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     return lattice
 
 
-def _recorded_lattice(p: FinitePoset) -> tuple[FinitePoset, list[int]] | None:
-    """(J, masks) as `order_ideal_lattice` recorded them on p, or None when
-    it recorded none, or when J's ideals or half its covers are over the
-    current capacity bound: the ideal walk charges both as it grows, so
-    such a p walks again and is refused as a fresh equal poset would be."""
+def _lattice_of(p: FinitePoset) -> tuple[FinitePoset, list[int]]:
+    """(J, masks) as `order_ideal_lattice` recorded them on p, while J's
+    ideals and half its covers fit the current capacity bound; else it
+    records them now.  The ideal walk charges both as it grows, so a p with
+    none recorded, or one over the bound, walks and is refused as a fresh
+    equal poset would be."""
     kept = p._lattice
-    if kept is not None:
-        bound = capacity()
-        if kept[0].n <= bound and len(kept[0].covers) <= 2 * bound:
-            return kept
-    return None
+    bound = capacity()
+    if kept is None or kept[0].n > bound or len(kept[0].covers) > 2 * bound:
+        order_ideal_lattice(p)
+        kept = p._lattice
+    return kept
 
 
 def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
@@ -843,28 +842,15 @@ def toggle_symmetry_check(base: FinitePoset, m: int) -> bool:
     A cover of ideal i by ideal j = i + e says e is maximal in j and minimal
     in the complement of i, and every such incidence is one cover.  m is
     checked before the walk.  The covers and masks are those of the J that
-    `order_ideal_lattice(base)` recorded, and the counts are read from J's
-    kept chain table; with no J recorded, the chain table is built on a
-    fresh walk's lists in index order, which is J's `order`.  Both routes
-    make the same charges in the same order, so they refuse the same calls
-    with the same message.
+    `order_ideal_lattice(base)` recorded, recorded here when base has none
+    (see `_lattice_of`), and the counts are read from J's kept chain table.
     """
     _require_nonempty(base)
     (m,) = _multichain_sizes((m,))
-    recorded = _recorded_lattice(base)
-    if recorded:
-        lattice, masks = recorded
-        lower = lattice.lower_covers
-        size, rows, W, _, _ = _chain_table(lattice, m)
-    else:
-        masks, lower = _ideals(base.order_relation())
-        n = len(masks)
-        size, ones = _table_size(n, base.n + 1, m)
-        rows = ones or _build_chain_table(lower, range(n), size)[0]
-        W = _pack_width(n, size)
-    counts = _zeta_sums(rows, W, size, m)
+    lattice, masks = _lattice_of(base)
+    counts = multichain_counts(lattice, m)
     balance = [0] * base.n
-    for j, lows in enumerate(lower):
+    for j, lows in enumerate(lattice.lower_covers):
         for i in lows:
             balance[(masks[j] ^ masks[i]).bit_length() - 1] += counts[j] - counts[i]
     return not any(balance)
@@ -1014,12 +1000,10 @@ def linear_extension_count(p: FinitePoset) -> int:
 
 def _linear_extensions_by_ideals(p: FinitePoset) -> int:
     """Maximal chains of J(P): paths from the empty ideal to the full one,
-    on the lower covers of the J that `order_ideal_lattice(p)` recorded,
-    else on a fresh ideal walk's."""
-    recorded = _recorded_lattice(p)
-    lower = recorded[0].lower_covers if recorded else _ideals(p.order_relation())[1]
+    on the lower covers of the J that `order_ideal_lattice(p)` recorded (see
+    `_lattice_of`)."""
     paths = [1]
-    for lows in lower[1:]:
+    for lows in _lattice_of(p)[0].lower_covers[1:]:
         paths.append(sum(map(paths.__getitem__, lows)))
     return paths[-1]
 

@@ -115,9 +115,9 @@ def test_only_construction_the_chain_table_and_the_lattice_write_to_a_poset():
         assert getattr(attr, "value", None) in allowed, (writer(node), node.lineno)
 
 
-def test_only_the_chain_table_and_toggle_build_chain_tables():
-    # the kept table and toggle symmetry's table of J(P) are the two builds;
-    # every packed row is read through `_columns`, and no other reader is left
+def test_only_the_chain_table_builds_chain_tables():
+    # the kept table is the one build, toggle symmetry reading J(P)'s; every
+    # packed row is read through `_columns`, and no other reader is left
     tree = ast.parse((SRC / "cde" / "poset.py").read_text())
     builders = {
         node.name
@@ -126,7 +126,7 @@ def test_only_the_chain_table_and_toggle_build_chain_tables():
         for inner in ast.walk(node)
         if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "_build_chain_table"
     }
-    assert builders == {"_chain_table", "toggle_symmetry_check"}
+    assert builders == {"_chain_table"}
     for path in sorted((SRC / "cde").rglob("*.py")):
         assert "_unpack_rows" not in path.read_text(), path.name
 
@@ -191,6 +191,7 @@ _CHECKS = [
     ("", "tb.chain_to_standard(((), (1,), (1, 1), (2,)))", "MalformedInputError"),
     ("", "tb.triple_to_barely(((), (1,), (2,)), (3,), (2,))", "MalformedInputError"),
     ("", "ps.expectation_under_multichain(ps.chain(2), 1, [0.5, 1])", "MalformedInputError"),
+    ("", "ps.expectation_under_multichain(ps.chain(3), 2, None)", "MalformedInputError"),
     ("import cde.permutations as pm", "pm.grassmannian_of_shape((1, 3))", "MalformedInputError"),
     ("", "ps.load_poset('n 2\\nlabel 5 x\\n')", "MalformedInputError"),
     ("", "ps.FinitePoset(3, {(0, 3)})", "MalformedInputError"),

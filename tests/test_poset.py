@@ -424,7 +424,9 @@ def test_multichain_means_check_values_then_the_poset_then_m():
     not_integer = "multichain size 1.5 is not an integer"
     not_positive = "m must be a positive integer"
     count = "1 values for 0 elements"
+    missing = "multichain expectation values must come as a sequence, not NoneType"
     calls = [
+        (lambda: expectation_under_multichain(p, 2, None), MalformedInputError, missing),
         (lambda: expectation_under_multichain(empty, 0, [1]), MalformedInputError, count),
         (
             lambda: expectation_under_multichain(p, 1.5, [1, 2.0, 3]),
@@ -1026,7 +1028,8 @@ def _counting_walks(monkeypatch) -> list[int]:
 
 def test_toggle_and_linear_extensions_read_the_recorded_lattice(monkeypatch):
     # after the `poset stats --xm 8` payload on J(P), they walk no ideal and
-    # build no chain table; on a fresh equal poset each walks once more
+    # build no chain table; a fresh equal poset walks once, records its J and
+    # builds J's one table, at full height, which every later m reads
     grid, fresh = product(chain(3), chain(3)), product(chain(3), chain(3))
     J = order_ideal_lattice(grid)
     expectation_Xm(J, 8)
@@ -1036,12 +1039,13 @@ def test_toggle_and_linear_extensions_read_the_recorded_lattice(monkeypatch):
     assert walks == [] and built == []
     assert all(toggle_symmetry_check(fresh, m) for m in range(1, 9))
     assert linear_extension_count(fresh) == 42
-    assert walks == [9] * 9 and built == list(range(2, 9))
+    assert walks == [9] and built == [10]
 
 
 def test_the_recorded_lattice_gives_the_fresh_walks_counts(monkeypatch):
-    # toggle symmetry weighs the covers of J(P) by the same multichain counts
-    # on both routes, and both count the same linear extensions
+    # a poset and an equal one rebuilt from its pairs give the same counts:
+    # toggle symmetry weighs the covers of their J(P) by the same multichain
+    # counts, and both count the same linear extensions
     counts = []
     real = poset._zeta_sums
     monkeypatch.setattr(poset, "_zeta_sums", lambda *args: counts.append(real(*args)) or counts[-1])
@@ -1316,6 +1320,7 @@ def test_expectation_under_multichain_custom_values():
     for m in range(1, 4):
         assert expectation_under_multichain(p, m, vals) == Fraction(8, 3)
         assert expectation_under_multichain(p, m, [5, 1, 2]) == Fraction(8, 3)
+        assert expectation_under_multichain(p, m, (v for v in [5, 1, 2])) == Fraction(8, 3)
         assert expectation_under_multichain(p, m, [5, Fraction(1, 2), 2]) == Fraction(5, 2)
     # the values must be exact: a float is not silently converted
     for wrong in ([5], vals + [0], [5.0, 1, 2]):
