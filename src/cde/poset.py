@@ -2,16 +2,16 @@
 
 Elements are always the dense integers 0..n-1; builders attach human-readable
 labels as metadata only.  A poset is immutable once built, down to its cover
-lists, which are tuples of tuples, and every statistic below is a pure
-function of it, so shared posets are safe to use from multiple threads.  Two
-values are written after construction: the table of chain counts behind the
-multichain statistics, kept on the poset on first use, and the lattice of
-order ideals J(P) last built for it by `order_ideal_lattice`, which toggle
-symmetry and linear extension counts call when P has no J recorded.  Each is a
-derived value, built the same by any thread; each is a tuple that is never
-changed, assigned whole in one attribute store and read once per call, so a
-reader sees either none or a complete one, and two threads that build at
-once only repeat work.
+lists, tuples of tuples that are the one stored form of its cover relation
+(`covers`, the set of pairs, is read off them on each access), and every
+statistic below is a pure function of it, so shared posets are safe to use
+from multiple threads.  Two values are written after construction: the table
+of chain counts behind the multichain statistics, kept on the poset on first
+use, and the J(P) last built for it by `order_ideal_lattice`, which toggle
+symmetry and linear extension counts call when P has no J recorded.  Each is
+a derived value built the same by any thread, a tuple assigned whole in one
+attribute store and read once per call, so a reader sees none or a complete
+one, and two threads that build at once only repeat work.
 """
 
 from __future__ import annotations
@@ -115,28 +115,27 @@ def _check_count(bits: int, formula: str, count, what: str):
     _check_capacity(count(), what)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinitePoset:
     """A finite poset given by its transitively reduced cover relation.
 
-    ``covers`` holds ordered pairs (a, b) meaning a is covered by b.  Every
-    instance is checked on construction, by `validate` or by the graded
-    hand-off `_from_graded`, so an invalid one cannot be built.
+    ``FinitePoset(n, covers, labels)`` files each pair (a, b) of ``covers``,
+    a covered by b, into the cover lists and keeps none.  Every instance is
+    checked by `validate` or `_from_graded`, so an invalid one cannot be built.
     """
 
     n: int
-    covers: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
     # upper_covers[x] and lower_covers[x] list the elements covering x and
-    # covered by x, ascending, as tuples; level[x] counts the covers on the
-    # longest chain from a minimal element up to x, and `order` lists the
-    # elements by level, then index, so each after every element below it,
-    # however the poset was built.  All built once, on construction
-    # (`__post_init__` or `_from_graded`), not part of equality or hash.
-    upper_covers: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    lower_covers: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    level: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # covered by x, ascending, as tuples, the one stored form of the cover
+    # relation, so the lower lists fix equality and hash; level[x] counts the
+    # covers on the longest chain from a minimal element up to x, and `order`
+    # lists the elements by level, then index, so each after every element
+    # below it.  All built once, on construction (`__init__` or `_from_graded`).
+    upper_covers: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    lower_covers: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...] = field(compare=False, repr=False)
+    level: tuple[int, ...] = field(compare=False, repr=False)
     # (size, rows, T, V, pairs): the largest chain table built so far, its
     # packed rows and column sums, and the pair count of the strict order
     # behind it, written by _chain_table alone and on first use; a class
@@ -148,18 +147,16 @@ class FinitePoset:
     # default, not a field, like _chains
     _lattice = None
 
-    def __post_init__(self):
+    def __init__(self, n: int, covers, labels=None):
         try:
-            object.__setattr__(self, "covers", frozenset(self.covers))
+            covers = frozenset(covers)
         except TypeError:  # an unhashable cover, such as a list
-            raise _malformed_covers(self.covers) from None
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-        (n,) = _integers((self.n,), "element count")
+            raise _malformed_covers(covers) from None
+        labels = None if labels is None else tuple(labels)
+        (n,) = _integers((n,), "element count")
         if n < 0:
             raise SizeError("element count must be nonnegative")
         _check_capacity(n, "poset elements")  # before the n cover lists are built
-        covers = self.covers
         down = [[] for _ in range(n)]
         try:
             for a, b in covers:
@@ -169,16 +166,11 @@ class FinitePoset:
                 down[b].append(a)
         except (TypeError, ValueError):
             raise _malformed_covers(covers) from None
-        # each element's int object as the pairs hold it, so the upper lists
-        # and `order` hold no second one
-        own = list(range(n))
+        del covers  # the lists are the relation from here on
+        up = [[] for _ in range(n)]
         for b, lows in enumerate(down):
-            for a in lows:
-                own[a] = a
             lows.sort()
             down[b] = tuple(lows)  # each list goes as its tuple is made
-        up = [[] for _ in range(n)]
-        for b, lows in zip(own, down):
             for a in lows:
                 up[a].append(b)
         for x, highs in enumerate(up):
@@ -187,7 +179,7 @@ class FinitePoset:
         # on a cycle never enters the order, and validate reports the cycle
         indeg = [len(lows) for lows in down]
         level = [0] * n
-        layer = [x for x in own if not indeg[x]]
+        layer = [x for x in range(n) if not indeg[x]]
         order = []
         while layer:
             order += layer
@@ -200,11 +192,17 @@ class FinitePoset:
                         above.append(y)
             above.sort()
             layer = above
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "upper_covers", tuple(up))
         object.__setattr__(self, "lower_covers", tuple(down))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "level", tuple(level))
         validate(self)
+
+    @property
+    def covers(self) -> frozenset[tuple[int, int]]:  # read off the lower lists on each access
+        return frozenset((a, b) for b, lows in enumerate(self.lower_covers) for a in lows)
 
     def down_degree(self, x: int) -> int:
         return len(self.lower_covers[x])
@@ -262,9 +260,9 @@ def validate(p: FinitePoset) -> None:
         raise MalformedInputError(f"{len(p.labels)} labels for {p.n} elements")
     if len(p.order) != p.n:
         # a self-cover keeps its element out of the order too; name it first
-        for a, b in p.covers:
-            if a == b:
-                raise CycleError(f"self-cover at {a}")
+        loops = [a for b, lows in enumerate(p.lower_covers) for a in lows if a == b]
+        if loops:
+            raise CycleError(f"self-cover at {loops[0]}")
         raise CycleError("cover digraph contains a directed cycle")
     # Only a cover that skips a level can be implied by a longer path, and a
     # graded poset has none.  A longer path from a to b leaves a through an
@@ -277,7 +275,7 @@ def validate(p: FinitePoset) -> None:
     lower, upper, level = p.lower_covers, p.upper_covers, p.level
     implied = []
     seen = [-1] * p.n  # seen[x] == b: x is marked in the search for b
-    for b in {b for a, b in p.covers if level[b] > level[a] + 1 and len(upper[a]) > 1}:
+    for b in {b for b, near in enumerate(lower) for a in near if level[b] > level[a] + 1 and len(upper[a]) > 1}:
         near = lower[b]
         lo = min(level[a] for a in near if level[a] + 1 < level[b] and len(upper[a]) > 1)
         stack = list(near)
@@ -330,7 +328,6 @@ def _from_graded(lower, ranks, labels) -> FinitePoset:
         up[x] = tuple(highs)  # each list goes as its tuple is made
     p = object.__new__(FinitePoset)
     object.__setattr__(p, "n", n)
-    object.__setattr__(p, "covers", frozenset((a, b) for b, lows in zip(order, lower) for a in lows))
     object.__setattr__(p, "labels", labels)
     object.__setattr__(p, "upper_covers", tuple(up))
     object.__setattr__(p, "lower_covers", tuple(lower))
@@ -368,7 +365,7 @@ def _require_nonempty(p: FinitePoset):
 def expectation_X(p: FinitePoset) -> Fraction:
     """Edge density: covers / elements (expected down-degree, uniform)."""
     _require_nonempty(p)
-    return Fraction(len(p.covers), p.n)
+    return Fraction(sum(p.down_degrees()), p.n)
 
 
 def _chain_counts(lower, order) -> tuple[list[int], list[int], int]:
@@ -659,7 +656,7 @@ def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
 
 
 def disjoint_union(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    covers = set(p.covers) | {(a + p.n, b + p.n) for a, b in q.covers}
+    covers = p.covers | {(a + p.n, b + p.n) for a, b in q.covers}
     labels = [p.label(x) for x in range(p.n)] + [q.label(y) for y in range(q.n)]
     return FinitePoset(p.n + q.n, covers, labels)
 
@@ -828,7 +825,7 @@ def _lattice_of(p: FinitePoset) -> tuple[FinitePoset, list[int]]:
     equal poset would be."""
     kept = p._lattice
     bound = capacity()
-    if kept is None or kept[0].n > bound or len(kept[0].covers) > 2 * bound:
+    if kept is None or kept[0].n > bound or sum(kept[0].down_degrees()) > 2 * bound:
         order_ideal_lattice(p)
         kept = p._lattice
     return kept
@@ -893,7 +890,7 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
     Raises CapacityError when the search visits more nodes than the
     capacity bound.
     """
-    if p.n != q.n or len(p.covers) != len(q.covers):
+    if p.n != q.n or sum(p.down_degrees()) != sum(q.down_degrees()):
         return False
     cp, cq = _refine_colors(p, q)
     if sorted(cp) != sorted(cq):
@@ -1076,10 +1073,11 @@ def stats(p: FinitePoset) -> PosetStats:
     # reaches (longest length)·chains exactly when every maximal chain is longest
     through = sum(map(mul, up, down))
     top = max(p.level)
+    edges = sum(p.down_degrees())
     return PosetStats(
-        EX=expectation_X(p),
+        EX=Fraction(edges, p.n),
         EY=Fraction(weighted, through),
-        edge_count=len(p.covers),
+        edge_count=edges,
         maximal_chain_count=chains,
         rank=top if through == (top + 1) * chains else None,
     )

@@ -429,6 +429,7 @@ def count_ssyt_by_total(shape, flag, max_total: int) -> dict[int, int]:
     The x = 0 view of _ssyt_counts_by_shift, whose one pass over the values
     gives the counts for every flag shift x at once.
     """
+    (max_total,) = _integers((max_total,), "tableau total")
     return _ssyt_counts_by_shift(shape, flag, max_total, (0,))[0]
 
 
@@ -448,6 +449,7 @@ def _lex_subsets(pool, max_size):
 def enumerate_ssyt(shape, flag, total: int) -> list["SetValuedTableau"]:
     """All tableaux counted by count_ssyt, in row-major order with cells
     compared lexicographically as sorted entry tuples."""
+    (total,) = _integers((total,), "tableau total")
     shape = check_partition(shape)
     if not shape:
         return [SetValuedTableau(())] if total == 0 else []
@@ -590,7 +592,7 @@ def uncrowd(t: SetValuedTableau):
     """
     if not t.is_barely():
         raise NotBarelySetValuedError("expected exactly one two-entry cell")
-    ((i0, j0),) = t.doubleton_cells()
+    ((i0, j0),) = t.check().doubleton_cells()  # a malformed t is refused here
     rows = [list(v[0] for v in row) for row in t.rows]
     carried = t.cell(i0, j0)[1]
     rows[i0 - 1][j0 - 1] = t.cell(i0, j0)[0]

@@ -168,10 +168,10 @@ def _census():
         yield layer
         seen = {}
         for p in layer:
-            masks, lower = ps._ideals(p.order_relation())
+            (masks, lower), pairs = ps._ideals(p.order_relation()), p.covers
             for m, lows in zip(masks, lower):
                 # the new element covers the maxima of ideal m, one per lower cover
-                covers = p.covers | {((m ^ masks[i]).bit_length() - 1, size - 1) for i in lows}
+                covers = pairs | {((m ^ masks[i]).bit_length() - 1, size - 1) for i in lows}
                 key = ps._canonical_key(size, covers)
                 if key not in seen:  # only a new class's representative is built
                     seen[key] = ps.FinitePoset(size, covers)
@@ -526,7 +526,7 @@ def _suite_bijections(params):
                 and len(triples) == len(barely) == tb.f_plus_one(shape)
                 and len(dual_triples) == len(barely)
                 and len(images) == len(flagged) == interval.n
-                and len(covers) == len(barely_flagged) == len(interval.covers)
+                and len(covers) == len(barely_flagged) == sum(interval.down_degrees())
             )
             return (
                 "all five correspondences bijective",

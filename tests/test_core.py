@@ -31,6 +31,7 @@ from cde.poset import _multichain_expectations, chain, is_mCDE_upto, multichain_
 from cde.tableaux import (
     R_and_Rplus,
     check_partition,
+    count_ssyt,
     count_ssyt_by_total,
     enumerate_ssyt,
     enumerate_standard_barely,
@@ -51,6 +52,11 @@ from bruteforce import set_partitions_into
         (lambda: young_interval((2.9, 1.2)), "2.9"),
         (lambda: interval_summary((3.7, 2, 1)), "3.7"),
         (lambda: count_ssyt_by_total((2, 1), (2.9, 3), 4), "2.9"),
+        (lambda: count_ssyt_by_total((2, 1), (2, 3), 2.5), "2.5"),
+        (lambda: count_ssyt_by_total((2, 1), (2, 3), None), "None"),
+        (lambda: count_ssyt((2, 1), (2, 3), "4"), "'4'"),
+        (lambda: count_ssyt((2, 1), (2, 3), 3.0), "3.0"),
+        (lambda: enumerate_ssyt((2, 1), (2, 3), 3.0), "3.0"),
         (lambda: IntPolynomial((Fraction(1, 2), 1)), "Fraction(1, 2)"),
         (lambda: IntPolynomial((0.9,)), "0.9"),
         (lambda: enumerate_hecke_words((2, 1), 2.5), "2.5"),
@@ -74,6 +80,11 @@ from bruteforce import set_partitions_into
         "partition",
         "interval",
         "flag",
+        "ssyt-max-total",
+        "ssyt-max-total-none",
+        "ssyt-total-text",
+        "ssyt-total",
+        "enumerate-ssyt-total",
         "fraction-coefficient",
         "float-coefficient",
         "word-length",

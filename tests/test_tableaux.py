@@ -541,6 +541,14 @@ def test_uncrowd_refuses_a_tableau_with_an_empty_cell():
         uncrowd(t)
 
 
+def test_uncrowd_checks_its_input():
+    # row 1 is not weakly increasing; it was once uncrowded to a tableau
+    # that passed the output check
+    t = SetValuedTableau((((1, 2), (1,)),))
+    with pytest.raises(MalformedInputError, match="^row 1 violates weak increase$"):
+        uncrowd(t)
+
+
 def test_crowd_reads_its_corner_as_two_integers():
     with pytest.raises(MalformedInputError, match="^corner coordinate 'a' is not an integer$"):
         crowd(((1, 2), (3,)), "ab", 1)
