@@ -388,14 +388,15 @@ def weak_interval(w) -> FinitePoset:
     """The interval below w in right weak order, as a poset whose elements
     come by length, then lexicographically.
 
-    That is the walk's own layout, so its lower lists and ranks go to the
-    poset as they are (`_from_graded`): no sort, re-index or copy."""
+    That is the walk's own layout, so its lower lists, ranks and elements
+    go to the poset as they are (`_from_graded`): no sort, re-index or copy,
+    and the labels are made on their first read."""
     summary = interval_summary(w)
     elements, starts = summary.elements, summary._starts
     n = len(elements[0])
     label = ("%d" * n).__mod__ if n <= 9 else perm_label
     ranks = map(sub, starts[1:], starts)
-    return _from_graded(summary._below, ranks, map(label, elements))
+    return _from_graded(summary._below, ranks, elements, label)
 
 
 def _check_group_order(n: int, what: str) -> int:

@@ -1,17 +1,19 @@
 """Finite posets and their down-degree statistics.
 
 Elements are always the dense integers 0..n-1; builders attach human-readable
-labels as metadata only.  A poset is immutable once built, down to its cover
-lists, tuples of tuples that are the one stored form of its cover relation
-(`covers`, the set of pairs, is read off them on each access), and every
-statistic below is a pure function of it, so shared posets are safe to use
-from multiple threads.  Two values are written after construction: the table
-of chain counts behind the multichain statistics, kept on the poset on first
-use, and the J(P) last built for it by `order_ideal_lattice`, which toggle
-symmetry and linear extension counts call when P has no J recorded.  Each is
-a derived value built the same by any thread, a tuple assigned whole in one
-attribute store and read once per call, so a reader sees none or a complete
-one, and two threads that build at once only repeat work.
+labels as metadata only.  A poset is immutable once built, down to its lower
+cover lists, tuples of tuples that are the one stored form of its cover
+relation, and every statistic below is a pure function of them, so shared
+posets are safe to use from multiple threads.  `covers`, the set of pairs,
+is read off them on each access.  Four values are derived from what is
+stored and written after construction, each on first use: `upper_covers`,
+read off the lower lists; `labels` of a graded poset, made by naming its
+items; the table of chain counts behind the multichain statistics; and the
+J(P) last built for it by `order_ideal_lattice`, which toggle symmetry and
+linear extension counts call when P has no J recorded.  Each is built the
+same by any thread, a tuple assigned whole in one attribute store and read
+once per call, so a reader sees none or a complete one, and two threads that
+build at once only repeat work.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import permutations
 from math import comb, factorial, prod
 from numbers import Rational
-from operator import mul
+from operator import index, mul
 
 from .core import _hook_quotient, _integers
 from .errors import (
@@ -115,27 +117,28 @@ def _check_count(bits: int, formula: str, count, what: str):
     _check_capacity(count(), what)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class FinitePoset:
     """A finite poset given by its transitively reduced cover relation.
 
     ``FinitePoset(n, covers, labels)`` files each pair (a, b) of ``covers``,
     a covered by b, into the cover lists and keeps none.  Every instance is
     checked by `validate` or `_from_graded`, so an invalid one cannot be built.
+    Equality and hash are over (n, labels, lower_covers).
     """
 
     n: int
-    labels: tuple[str, ...] | None
-    # upper_covers[x] and lower_covers[x] list the elements covering x and
-    # covered by x, ascending, as tuples, the one stored form of the cover
-    # relation, so the lower lists fix equality and hash; level[x] counts the
-    # covers on the longest chain from a minimal element up to x, and `order`
-    # lists the elements by level, then index, so each after every element
-    # below it.  All built once, on construction (`__init__` or `_from_graded`).
-    upper_covers: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    # lower_covers[x] lists the elements covered by x, ascending, as a tuple,
+    # the one stored form of the cover relation, so the lower lists fix
+    # equality and hash; level[x] counts the covers on the longest chain
+    # from a minimal element up to x, and `order` lists the elements by
+    # level, then index, so each after every element below it.  All built
+    # once, on construction (`__init__` or `_from_graded`).  `labels` and
+    # `upper_covers` are stored there by `__init__` and derived on first read
+    # on a graded poset, which keeps `_items` and `_name` to make its labels
     lower_covers: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...] = field(compare=False, repr=False)
-    level: tuple[int, ...] = field(compare=False, repr=False)
+    order: tuple[int, ...] = field(repr=False)
+    level: tuple[int, ...] = field(repr=False)
     # (size, rows, T, V, pairs): the largest chain table built so far, its
     # packed rows and column sums, and the pair count of the strict order
     # behind it, written by _chain_table alone and on first use; a class
@@ -160,6 +163,7 @@ class FinitePoset:
         down = [[] for _ in range(n)]
         try:
             for a, b in covers:
+                a, b = index(a), index(b)
                 if not (0 <= a < n and 0 <= b < n):
                     bad = min((a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n))
                     raise MalformedInputError(f"cover {bad} out of range")
@@ -167,14 +171,13 @@ class FinitePoset:
         except (TypeError, ValueError):
             raise _malformed_covers(covers) from None
         del covers  # the lists are the relation from here on
-        up = [[] for _ in range(n)]
         for b, lows in enumerate(down):
             lows.sort()
             down[b] = tuple(lows)  # each list goes as its tuple is made
-            for a in lows:
-                up[a].append(b)
-        for x, highs in enumerate(up):
-            up[x] = tuple(highs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "lower_covers", tuple(down))
+        up = self.upper_covers  # made for the pass below, and kept
         # Kahn's algorithm a level at a time, each level ascending; an element
         # on a cycle never enters the order, and validate reports the cycle
         indeg = [len(lows) for lows in down]
@@ -192,17 +195,38 @@ class FinitePoset:
                         above.append(y)
             above.sort()
             layer = above
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "upper_covers", tuple(up))
-        object.__setattr__(self, "lower_covers", tuple(down))
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "level", tuple(level))
         validate(self)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.labels, self.lower_covers) == (other.n, other.labels, other.lower_covers)
+
+    def __hash__(self):
+        return hash((self.n, self.labels, self.lower_covers))
+
     @property
     def covers(self) -> frozenset[tuple[int, int]]:  # read off the lower lists on each access
         return frozenset((a, b) for b, lows in enumerate(self.lower_covers) for a in lows)
+
+    @cached_property
+    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """upper_covers[x] lists the elements covering x, ascending, as a
+        tuple, read off the lower lists."""
+        up = [[] for _ in range(self.n)]
+        for b, lows in enumerate(self.lower_covers):
+            for a in lows:
+                up[a].append(b)
+        for x, highs in enumerate(up):
+            up[x] = tuple(highs)  # each list goes as its tuple is made
+        return tuple(up)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...] | None:
+        """The graded poset's items, each named."""
+        return tuple(map(self._name, self._items))
 
     def down_degree(self, x: int) -> int:
         return len(self.lower_covers[x])
@@ -289,50 +313,45 @@ def validate(p: FinitePoset) -> None:
         raise NotReducedError(min(implied))
 
 
-def _from_graded(lower, ranks, labels) -> FinitePoset:
+def _from_graded(lower, ranks, items, name=str) -> FinitePoset:
     """The graded poset whose element b has the lower covers lower[b], as the
     walks build them: `ranks` gives the number of elements on each level,
     the levels come one after another from level 0 up, and each lower list
     is an ascending tuple on the level just below.  The tuples become the
-    poset's own, with no copy.
+    poset's own, with no copy, and so do the items: element x is labelled
+    name(items[x]), on the first read of `labels`.
 
-    The one pass that builds the upper lists checks all of this, and that
-    every element above level 0 has a lower cover; a malformed hand-off is
-    refused with MalformedInputError naming the cover or the counts.  Covers
-    that rise exactly one level are acyclic and imply no other cover, so the
-    poset needs no Kahn pass and no `validate` search, and `order`, by level
-    then index, is range(n)."""
+    One pass checks all of this, and that every element above level 0 has a
+    lower cover; a malformed hand-off is refused with MalformedInputError
+    naming the cover or the counts.  Covers that rise exactly one level are
+    acyclic and imply no other cover, so the poset needs no Kahn pass and no
+    `validate` search, and `order`, by level then index, is range(n)."""
     n = len(lower)
     sizes = tuple(ranks)
     level = []
     for r, size in enumerate(sizes):
         level += [r] * size
-    labels = tuple(labels)
-    if len(level) != n or len(labels) != n:
-        raise MalformedInputError(f"ranks hold {len(level)} and labels {len(labels)} of {n} elements")
-    order = tuple(range(n))
-    up = [[] for _ in order]
+    items = tuple(items)
+    if len(level) != n or len(items) != n:
+        raise MalformedInputError(f"ranks hold {len(level)} and labels {len(items)} of {n} elements")
     start = end = 0  # level r - 1 runs from start to end - 1, and level r from end
     for r, size in enumerate(sizes):
-        for b in order[end : end + size]:
+        for b in range(end, end + size):
             prev = start - 1
             for a in lower[b]:
                 if not prev < a < end:  # a repeat, a step down, or a cover off the level below
                     raise MalformedInputError(f"cover {(a, b)} is out of order, or not one level up")
-                up[a].append(b)
                 prev = a
             if r and prev < start:
                 raise MalformedInputError(f"element {b} on level {r} has no lower cover")
         start, end = end, end + size
-    for x, highs in enumerate(up):
-        up[x] = tuple(highs)  # each list goes as its tuple is made
     p = object.__new__(FinitePoset)
     object.__setattr__(p, "n", n)
-    object.__setattr__(p, "labels", labels)
-    object.__setattr__(p, "upper_covers", tuple(up))
     object.__setattr__(p, "lower_covers", tuple(lower))
-    object.__setattr__(p, "order", order)
+    object.__setattr__(p, "order", tuple(range(n)))
     object.__setattr__(p, "level", tuple(level))
+    object.__setattr__(p, "_items", items)
+    object.__setattr__(p, "_name", name)
     return p
 
 
@@ -805,16 +824,21 @@ def order_ideal_lattice(p: FinitePoset) -> FinitePoset:
     Ideal i of J is the i-th of `order_ideals(p)`, so the walk's lower lists
     are handed to J as they are (`_from_graded`, whose ranks are the ideal
     sizes), and J's `order`, by level (the ideal's size), then index, is
-    range(|J|).  p records the J returned, with the ideals as bitmasks, and
-    `toggle_symmetry_check` and linear extension counts on p read them, or
-    call this to record them (see `_lattice_of`).
+    range(|J|).  J names an ideal by its elements' labels, on the first
+    read of its `labels`.  p records the J returned, with the ideals as
+    bitmasks, and `toggle_symmetry_check` and linear extension counts on p
+    read them, or call this to record them (see `_lattice_of`).
     """
     masks, lower = _ideals(p.order_relation())
-    names = [p.label(e) for e in range(p.n)]
-    labels = ["{" + ",".join(map(names.__getitem__, _members(m, p.n))) + "}" for m in masks]
-    lattice = _from_graded(lower, Counter(map(int.bit_count, masks)).values(), labels)
+    name = partial(_ideal_label, tuple(map(p.label, range(p.n))))
+    lattice = _from_graded(lower, Counter(map(int.bit_count, masks)).values(), masks, name)
     object.__setattr__(p, "_lattice", (lattice, masks))
     return lattice
+
+
+def _ideal_label(names, mask: int) -> str:
+    """The label of the ideal `mask` in J(P), P's elements named by `names`."""
+    return "{" + ",".join(map(names.__getitem__, _members(mask, len(names)))) + "}"
 
 
 def _lattice_of(p: FinitePoset) -> tuple[FinitePoset, list[int]]:
@@ -1068,7 +1092,8 @@ class PosetStats:
 def stats(p: FinitePoset) -> PosetStats:
     _require_nonempty(p)
     up, down, weighted = _chain_counts(p.lower_covers, p.order)
-    chains = sum(u for u, highs in zip(up, p.upper_covers) if not highs)
+    # down[x] of a minimal x counts the maximal chains with bottom x
+    chains = sum(d for d, lows in zip(down, p.lower_covers) if not lows)
     # Σ up·down counts each maximal chain once per element on it, so it
     # reaches (longest length)·chains exactly when every maximal chain is longest
     through = sum(map(mul, up, down))

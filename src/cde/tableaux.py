@@ -215,7 +215,7 @@ def subpartitions(shape) -> list[tuple[int, ...]]:
 def _diagram_interval(shape, shifted: bool) -> FinitePoset:
     """The poset of `_diagram_ideals`, whose ranks are the partition sizes."""
     elements, lower = _diagram_ideals(shape, shifted)
-    return _from_graded(lower, Counter(map(sum, elements)).values(), map(shape_label, elements))
+    return _from_graded(lower, Counter(map(sum, elements)).values(), elements, shape_label)
 
 
 def young_interval(shape) -> FinitePoset:

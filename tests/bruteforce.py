@@ -570,6 +570,19 @@ def maximal_chain_lengths(p) -> set[int]:
     return lengths
 
 
+def maximal_chain_count(covers, n) -> int:
+    """The number of maximal chains of the poset on 0..n-1 with these cover
+    pairs, by depth-first search from each minimal element up along the
+    pairs to the maximal ones."""
+    above = [[b for a, b in covers if a == x] for x in range(n)]
+    minimal = set(range(n)) - {b for _, b in covers}
+
+    def climb(x):
+        return sum(map(climb, above[x])) if above[x] else 1
+
+    return sum(map(climb, minimal))
+
+
 def slicing_weak_walk(w):
     """(elements, below, down) of the weak interval below w, walked down by
     descents breadth first, each step u * s sliced and concatenated: elements

@@ -95,12 +95,21 @@ def test_library_imports_only_at_module_level():
 
 def test_only_construction_the_chain_table_and_the_lattice_write_to_a_poset():
     # a poset is immutable once built; its chain table and the J(P) last
-    # returned for it are the two values filled in later, each by the one
+    # returned for it are two values filled in later, each by the one
     # function that keeps it, and each of those sets only its own attribute.
     # Construction has two entries, pairs (__init__) and graded lower lists
-    # (_from_graded); they set construction fields only
+    # (_from_graded); they set construction fields only.  The other two
+    # values filled in later are the class's cached properties, which the
+    # property itself stores on first read
     tree = ast.parse((SRC / "cde" / "poset.py").read_text())
     cls = next(node for node in tree.body if getattr(node, "name", None) == "FinitePoset")
+    cached = {
+        node.name
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(d, "id", None) == "cached_property" for d in node.decorator_list)
+    }
+    assert cached == {"labels", "upper_covers"}
     writers = [node for node in cls.body if getattr(node, "name", None) == "__init__"]
     writers += [
         node
@@ -108,7 +117,7 @@ def test_only_construction_the_chain_table_and_the_lattice_write_to_a_poset():
         if getattr(node, "name", None) in ("_from_graded", "_chain_table", "order_ideal_lattice")
     ]
     assert len(writers) == 4
-    construction = {"n", "labels", "upper_covers", "lower_covers", "order", "level"}
+    construction = {"n", "labels", "lower_covers", "order", "level", "_items", "_name"}
     own = {"_chain_table": {"_chains"}, "order_ideal_lattice": {"_lattice"}}
 
     def writer(node) -> str | None:
@@ -243,6 +252,7 @@ _CHECKS = [
     ("", "ps._multichain_expectations(ps.chain(3), 2.0)", "MalformedInputError"),
     ("", "ps.is_mCDE_upto(ps.chain(3), 1.5)", "MalformedInputError"),
     ("", "ps.toggle_symmetry_check(ps.antichain(30), 0)", "SizeError"),
+    ("", "ps.FinitePoset(2, {(0.0, 1)})", "MalformedInputError"),
     # the graded hand-off: a descending list, a cover that skips a level, one
     # within a level, an element above level 0 with no lower cover, rank
     # sizes that miss the element count, and the wrong label count

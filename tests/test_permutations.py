@@ -571,15 +571,17 @@ def test_weak_interval_matches_the_globally_sorted_poset():
         assert list(p.level) == sorted(p.level) and p.level[-1] == length(w), w
 
 
-def test_a_weak_interval_peaks_under_80_bytes_a_cover(monkeypatch):
-    # a memory gate: the walk's lower tuples go to the poset as they are, with
-    # no list of pairs beside them, no copy, no second int object for an
-    # element and no set of pairs kept beside the lists.  The interval below
-    # 947826531 has 11,664 elements and 40,440 covers; built from its kept
-    # summary it peaked at ~220 B a cover when its pairs were listed and filed
-    # back into lists, at ~212 B when its lists were re-indexed and sorted,
-    # at ~167 B on the walk's own tuples with a frozenset of its pairs kept
-    # beside them, and at ~62 B on the tuples alone
+def test_a_weak_interval_peaks_under_24_bytes_a_cover(monkeypatch):
+    # a memory gate: the walk's lower tuples and elements go to the poset as
+    # they are, with no list of pairs beside them, no copy, no second int
+    # object for an element, no set of pairs, no upper lists and no labels
+    # made before they are read.  The interval below 947826531 has 11,664
+    # elements and 40,440 covers; built from its kept summary it peaked at
+    # ~220 B a cover when its pairs were listed and filed back into lists, at
+    # ~212 B when its lists were re-indexed and sorted, at ~167 B on the
+    # walk's own tuples with a frozenset of its pairs kept beside them, at
+    # ~62 B on the tuples alone with its upper lists and labels made, and at
+    # ~16 B with both left to their first read
     monkeypatch.delenv("CDE_CAPACITY", raising=False)
     w = (9, 4, 7, 8, 2, 6, 5, 3, 1)
     interval_summary(w)
@@ -590,7 +592,7 @@ def test_a_weak_interval_peaks_under_80_bytes_a_cover(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (p.n, len(p.covers)) == (11_664, 40_440)
-    assert peak <= 80 * len(p.covers), peak / len(p.covers)
+    assert peak <= 24 * len(p.covers), peak / len(p.covers)
 
 
 def test_the_ideal_route_adds_over_direct_sum_blocks():

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -178,20 +179,64 @@ def test_stored_order_and_levels_match_the_oracle():
 
 
 def test_the_walks_lists_give_the_poset_their_pairs_give():
-    # J(P), the Young and shifted intervals and the weak intervals hand their
-    # walk's lower lists over as they are; the same poset built from its pairs
-    # files them into the same lists and places its elements in the same order
-    posets = [order_ideal_lattice(p) for n in range(1, 6) for p in all_posets_upto_iso(n)]
-    assert len(posets) == 87
+    # J(P) of the census up to 5 elements, the Young and shifted intervals of
+    # the shapes of size at most 8, and the weak intervals of S1..S6 hand
+    # their walk's lower lists over as they are; the same poset built from
+    # its pairs files them into the same lists and places its elements in the
+    # same order.  A graded hand-off keeps neither its upper lists nor its
+    # labels until they are read, and the poset from pairs stores both: they
+    # agree on each, and on equality and hash, before and after the first
+    # read of the labels, and across pickle
+    builds = [(order_ideal_lattice, p) for n in range(1, 6) for p in all_posets_upto_iso(n)]
     shapes = [s for s in bruteforce.subpartitions((8,) * 8) if sum(s) <= 8]
-    posets += [young_interval(s) for s in shapes]
-    posets += [shifted_interval(s) for s in shapes if len(set(s)) == len(s)]
-    posets += [weak_interval(w) for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
+    builds += [(young_interval, s) for s in shapes]
+    builds += [(shifted_interval, s) for s in shapes if len(set(s)) == len(s)]
+    builds += [(weak_interval, w) for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
+    assert len(builds) == 87 + 67 + 25 + 873
+    for build, arg in builds:
+        first = build(arg)
+        q = FinitePoset(first.n, first.covers, first.labels)
+        p = build(arg)
+        assert "labels" not in vars(p) and "upper_covers" not in vars(p), arg
+        assert p.lower_covers == q.lower_covers and p.order == q.order and p.level == q.level, arg
+        copy = pickle.loads(pickle.dumps(p))  # before the first read
+        assert "labels" not in vars(copy), arg
+        for r in (p, copy):
+            assert r.upper_covers == q.upper_covers, arg
+            # hash is the first read of the labels
+            assert hash(r) == hash(q) and r == q and "labels" in vars(r), arg
+            assert r.labels == q.labels and type(r.labels) is tuple, arg
+            assert hash(r) == hash(q) and r == q, arg
+            assert pickle.loads(pickle.dumps(r)) == q, arg
+
+
+def test_stats_counts_the_maximal_chains_from_the_minimal_elements():
+    # the census holds posets that are not graded and posets with several
+    # minimal elements
+    posets = small_posets()
+    assert any(len(bruteforce.maximal_chain_lengths(p)) > 1 for p in posets)
+    assert any(sum(not lows for lows in p.lower_covers) > 1 for p in posets)
     for p in posets:
-        q = FinitePoset(p.n, p.covers, p.labels)
-        assert p == q and p.labels == q.labels, p
-        assert p.lower_covers == q.lower_covers and p.upper_covers == q.upper_covers, p
-        assert p.order == q.order and p.level == q.level, p
+        assert stats(p).maximal_chain_count == bruteforce.maximal_chain_count(p.covers, p.n), p
+
+
+def test_stats_and_the_poset_queries_derive_no_labels_or_upper_covers():
+    # a work gate: the statistics read lower covers only, so a graded poset
+    # never makes its upper lists or labels on these routes
+    p = weak_interval((9, 4, 7, 8, 2, 6, 5, 3, 1))
+    stats(p)
+    assert "labels" not in vars(p) and "upper_covers" not in vars(p)
+    # the poset-queries payload on J(P), for a P that is not a forest
+    base = load_poset("n 5\ncover 0 2\ncover 1 2\ncover 1 3\ncover 2 4\ncover 3 4\n")
+    assert not is_forest(base)
+    j = order_ideal_lattice(base)
+    st = stats(j)
+    assert [expectation_Xm(j, m) for m in range(1, 9)][0] == st.EX
+    is_mCDE_upto(j, 8)
+    toggle_symmetry_check(base, 5)
+    assert linear_extension_count(base) == st.maximal_chain_count
+    assert base._lattice[0] is j
+    assert "labels" not in vars(j) and "upper_covers" not in vars(j)
 
 
 def test_no_cover_list_of_a_built_poset_can_be_changed():
@@ -318,6 +363,9 @@ def test_self_cover_is_reported_before_a_cycle():
         FinitePoset(3, {(0, 1), (1, 1)})
     with pytest.raises(CycleError, match="^self-cover at 2$"):
         FinitePoset(3, {(0, 1), (1, 0), (2, 2)})
+    # both ends are read as integers, so a bool end names its element
+    with pytest.raises(CycleError, match="^self-cover at 1$"):
+        FinitePoset(2, {(True, 1)})
     with pytest.raises(CycleError, match="^cover digraph contains a directed cycle$"):
         FinitePoset(3, {(0, 1), (1, 2), (2, 0)})
 
@@ -768,11 +816,14 @@ def test_builders_size_errors():
         lambda: FinitePoset(2.5, set()),
         lambda: FinitePoset(2, {("a", 1)}),
         lambda: FinitePoset(2, [[0, 1]]),
+        # a float or a Fraction at the lower end, which a range check alone admits
+        lambda: FinitePoset(2, {(0.0, 1)}),
+        lambda: FinitePoset(2, {(Fraction(0), 1)}),
     ],
     ids=[
         "chain", "antichain", "boolean", "pabcd", "tamari", "weak_order_full",
         "strong_bruhat", "vexillary_permutations", "FinitePoset-size", "FinitePoset-cover",
-        "FinitePoset-list-cover",
+        "FinitePoset-list-cover", "FinitePoset-float-cover", "FinitePoset-fraction-cover",
     ],
 )
 def test_non_integer_sizes_and_covers_are_malformed(build):
